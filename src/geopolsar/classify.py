@@ -105,16 +105,13 @@ def categorize(
 ) -> PixelCategory:
     """Assign the dominant-target category; flag the pixel mixed when the
     winning weight fails to exceed threshold * sum(w)."""
-    total = sum(triple.w.values())
-    if total <= 0.0:
+    names = list(triple.w)
+    category, mixed, valid = categorize_arrays(
+        [[value] for value in triple.w.values()], threshold
+    )
+    if not valid[0]:
         raise ValueError("invalid pixel: weights sum to zero")
-    best_name = None
-    best_w = -np.inf
-    for name, value in triple.w.items():
-        if value > best_w:
-            best_name = name
-            best_w = value
-    return PixelCategory(best_name, bool(best_w / total <= threshold))
+    return PixelCategory(names[category[0]], bool(mixed[0]))
 
 
 def categorize_arrays(w: np.ndarray, threshold: float = 0.5):
@@ -173,9 +170,8 @@ def _logdet_and_inverse(centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def wishart_pixel_distance(t, center, epsilon: float = 0.0) -> float:
     """d(T, V) = ln|V| + Tr(V^-1 T) for one pixel and one center."""
     tm = t.matrix if isinstance(t, CoherencyMatrix) else np.asarray(t, complex)
-    vm = _regularize(_center_matrix(center), epsilon) if epsilon else _center_matrix(center)
-    logdet, vinv = _logdet_and_inverse(vm)
-    return float(logdet + np.einsum("ij,ji->", vinv, tm).real)
+    vm = _center_matrix(center)
+    return float(_pixel_center_distances(tm[None], vm[None], epsilon)[0, 0])
 
 
 def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
@@ -312,10 +308,7 @@ def merge_clusters(
 
 
 def _recompute_clusters(
-    t: np.ndarray,
-    labels: np.ndarray,
-    clusters: List[Cluster],
-    categories: np.ndarray,
+    t: np.ndarray, labels: np.ndarray, clusters: List[Cluster]
 ) -> List[Cluster]:
     """Means over current members; emptied clusters are retired."""
     survivors: List[Cluster] = []
@@ -413,7 +406,7 @@ def iterate_classification(
         objective = float(dist_masked[np.arange(n), pick].sum())
         current_cat = np.where(mixed, cluster_cat[pick], current_cat)
         labels = new_labels
-        work = _recompute_clusters(t, labels, work, current_cat)
+        work = _recompute_clusters(t, labels, work)
         history.append(
             {
                 "iteration": iteration,

@@ -33,9 +33,9 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--filter-window",
         type=int,
-        default=5,
+        default=PreprocessConfig().filter_window,
         metavar="N",
-        help="odd boxcar window size; 1 disables filtering (default 5)",
+        help="odd boxcar window size; 1 disables filtering (default %(default)s)",
     )
     parser.add_argument(
         "--multilook",
@@ -63,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, required=True, help="output directory")
     _add_preprocess_flags(sim)
 
+    defaults = ClassifierConfig()
     cls = sub.add_parser("classify", help="classify a scene")
     cls.add_argument("scene", type=Path, help="scene directory")
     cls.add_argument("--out", type=Path, required=True, help="output directory")
@@ -70,44 +71,45 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument(
         "--initial-clusters",
         type=int,
-        default=30,
+        default=defaults.initial_clusters_per_category,
         metavar="N",
-        help="seed clusters per category (default 30)",
+        help="seed clusters per category (default %(default)s)",
     )
     cls.add_argument(
         "--classes-per-category",
         type=int,
-        default=5,
+        default=defaults.final_classes_per_category,
         metavar="N",
-        help="final classes per category (default 5)",
+        help="final classes per category (default %(default)s)",
     )
     cls.add_argument(
         "--max-iterations",
         type=int,
-        default=4,
+        default=defaults.max_iterations,
         metavar="N",
-        help="refinement passes (default 4)",
+        help="refinement passes (default %(default)s)",
     )
     cls.add_argument(
         "--convergence-fraction",
         type=float,
-        default=0.01,
+        default=defaults.convergence_fraction,
         metavar="X",
-        help="stop once the changed-label fraction drops below X (default 0.01)",
+        help="stop once the changed-label fraction drops below X "
+        "(default %(default)s)",
     )
     cls.add_argument(
         "--mixed-threshold",
         type=float,
-        default=0.5,
+        default=defaults.mixed_threshold,
         metavar="X",
-        help="mixed pixel when max(w)/sum(w) <= X (default 0.5)",
+        help="mixed pixel when max(w)/sum(w) <= X (default %(default)s)",
     )
     cls.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=PipelineConfig.workers,
         metavar="N",
-        help="worker threads for distance evaluation (default 1)",
+        help="worker threads for distance evaluation (default %(default)s)",
     )
     cls.add_argument(
         "--dump-stage",
@@ -121,26 +123,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    preprocess = PreprocessConfig(
-        deorient=not args.no_deorient,
-        filter_window=args.filter_window,
-    )
-    classifier = ClassifierConfig(
-        initial_clusters_per_category=getattr(args, "initial_clusters", 30),
-        final_classes_per_category=getattr(args, "classes_per_category", 5),
-        max_iterations=getattr(args, "max_iterations", 4),
-        convergence_fraction=getattr(args, "convergence_fraction", 0.01),
-        mixed_threshold=getattr(args, "mixed_threshold", 0.5),
-    )
-    stages = getattr(args, "dump_stage", [])
-    if "all" in stages:
-        stages = list(DUMP_STAGES)
+    fields = {}
+    if args.command == "classify":
+        stages = DUMP_STAGES if "all" in args.dump_stage else args.dump_stage
+        fields = dict(
+            classifier=ClassifierConfig(
+                initial_clusters_per_category=args.initial_clusters,
+                final_classes_per_category=args.classes_per_category,
+                max_iterations=args.max_iterations,
+                convergence_fraction=args.convergence_fraction,
+                mixed_threshold=args.mixed_threshold,
+            ),
+            workers=args.workers,
+            dump_stages=tuple(stages),
+        )
     return PipelineConfig(
-        preprocess=preprocess,
-        classifier=classifier,
-        workers=getattr(args, "workers", 1),
+        preprocess=PreprocessConfig(
+            deorient=not args.no_deorient,
+            filter_window=args.filter_window,
+        ),
         multilook_factors=tuple(args.multilook) if args.multilook else None,
-        dump_stages=tuple(stages),
+        **fields,
     )
 
 

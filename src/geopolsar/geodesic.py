@@ -68,23 +68,25 @@ def _frobenius_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", a, b)
 
 
-def geodesic_distance_array(k1, k2) -> np.ndarray:
-    """Geodesic distance over broadcast stacks of 4x4 Kennaugh matrices.
+def _geodesic(dot, d1, d2) -> np.ndarray:
+    """GD from the Frobenius product dot and the squared norms d1, d2.
 
-    The cosine is evaluated as sign(dot) * sqrt(dot^2 / (d1 * d2)) so that
-    bitwise-identical arguments give exactly 0, then clamped into [-1, 1]
-    before arccos.
+    The cosine sign(dot) * sqrt(min(dot^2 / (d1 * d2), 1)) gives exactly 0
+    for bitwise-identical arguments and never leaves [-1, 1]; NaN stays NaN.
     """
+    ratio = np.minimum((dot * dot) / (d1 * d2), 1.0)
+    return (2.0 / np.pi) * np.arccos(np.sign(dot) * np.sqrt(ratio))
+
+
+def geodesic_distance_array(k1, k2) -> np.ndarray:
+    """Geodesic distance over broadcast stacks of 4x4 Kennaugh matrices."""
     k1 = np.asarray(k1, dtype=np.float64)
     k2 = np.asarray(k2, dtype=np.float64)
-    dot = _frobenius_dot(k1, k2)
     d1 = _frobenius_dot(k1, k1)
     d2 = _frobenius_dot(k2, k2)
     if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
         raise ValueError("degenerate Kennaugh matrix")
-    ratio = np.minimum((dot * dot) / (d1 * d2), 1.0)
-    cos = np.sign(dot) * np.sqrt(ratio)
-    return (2.0 / np.pi) * np.arccos(cos)
+    return _geodesic(_frobenius_dot(k1, k2), d1, d2)
 
 
 def geodesic_distance(
@@ -157,13 +159,7 @@ def similarity_triple(
 
 def dominant_target(triple: SimilarityTriple) -> str:
     """Name of the maximum-weight target; ties go to registry order."""
-    best_name = None
-    best_w = -np.inf
-    for name, value in triple.w.items():
-        if value > best_w:
-            best_name = name
-            best_w = value
-    return best_name
+    return list(triple.w)[int(np.argmax(list(triple.w.values())))]
 
 
 def similarity_arrays(
@@ -194,9 +190,7 @@ def similarity_arrays(
     d_t = _frobenius_dot(tmat, tmat)
     dots = np.einsum("rcij,tij->trc", k, tmat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.minimum((dots * dots) / (d_pix[None] * d_t[:, None, None]), 1.0)
-        cos = np.sign(dots) * np.sqrt(ratio)
-        f = 1.0 - (2.0 / np.pi) * np.arccos(np.clip(cos, -1.0, 1.0))
+        f = 1.0 - _geodesic(dots, d_pix[None], d_t[:, None, None])
     # distances beyond 1 signal an unphysical pixel; mask rather than raise
     valid &= ~np.any(f < -_NEGATIVE_F_TOLERANCE, axis=0)
     f = np.where(f > 0.0, f, 0.0)

@@ -3,9 +3,11 @@
 Stage order: read, optional multilook (Sinclair input), optional
 deorientation, speckle filter, Kennaugh conversion, per-target similarity,
 categorization, span-ordered seeding, capped merging, iterative Wishart
-refinement, rendering. Stage dumps are written in full precision so a
-pipeline restarted from a dumped stage reproduces the final labels
-byte-for-byte.
+refinement, rendering. The stages up to the similarity form one front end,
+``_prepare``, shared by the classify and similarity commands. Every stage
+dump goes through one hook, ``dump(stage, write)``. Stage dumps are written
+in full precision so a pipeline restarted from a dumped stage reproduces
+the final labels byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,24 +80,50 @@ class ClassifyResult:
     valid: np.ndarray
 
 
-def _dump_similarity(directory: Path, names, f, gamma, w) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, name in enumerate(names):
+def _dump_hook(dump_dir: Optional[Path], stages: Tuple[str, ...]) -> Callable:
+    """dump(stage, write) calls write(dump_dir / stage_<stage>) if requested."""
+
+    def dump(stage: str, write: Callable[[Path], None]) -> None:
+        if dump_dir is not None and stage in stages:
+            directory = dump_dir / f"stage_{stage}"
+            directory.mkdir(parents=True, exist_ok=True)
+            write(directory)
+
+    return dump
+
+
+def _write_similarity(directory: Path, targets, f, gamma, w, dtype: str) -> None:
+    """Raw per-target rasters f_<name>, gamma_<name>, w_<name>; the file
+    suffix names the dtype (f64 for stage dumps, f32 for similarity)."""
+    suffix = f"f{np.dtype(dtype).itemsize * 8}"
+    for i, target in enumerate(targets):
         for prefix, stack in (("f", f), ("gamma", gamma), ("w", w)):
-            stack[i].astype("<f8").tofile(directory / f"{prefix}_{name}.f64")
+            path = directory / f"{prefix}_{target.name}.{suffix}"
+            stack[i].astype(dtype).tofile(path)
 
 
-def _dump_category(directory: Path, categories, mixed, valid) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    cat = np.where(valid, categories, 0xFF).astype(np.uint8)
-    mix = np.where(valid, mixed, 0xFF).astype(np.uint8)
-    cat.tofile(directory / "category.u8")
-    mix.tofile(directory / "mixed.u8")
-
-
-def _dump_labels(directory: Path, filename: str, labels: np.ndarray) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    labels.astype("<u2").tofile(directory / filename)
+def _prepare(raster: PolsarRaster, config: PipelineConfig, dump: Callable):
+    """Front end of classify and similarity, up to similarity_arrays; returns
+    (raster, f, gamma, w, valid). Stages are called through this module's
+    globals, so a wrapper installed on the module sees each call."""
+    if raster.kind == KIND_SINCLAIR:
+        rf, af = config.multilook_factors or (1, 1)
+        raster = multilook(raster, rf, af)
+    if config.preprocess.deorient:
+        raster = deorient_raster(raster)
+        dump("deorient", lambda d: write_scene(raster, d, dtype="float64"))
+    if config.preprocess.filter_window > 1:
+        raster = speckle_filter(raster, config.preprocess)
+        dump("filter", lambda d: write_scene(raster, d, dtype="float64"))
+    kennaugh = raster_to_kennaugh(raster)
+    f, gamma, w, valid = similarity_arrays(
+        kennaugh.data, kennaugh.mask, config.targets
+    )
+    dump(
+        "similarity",
+        lambda d: _write_similarity(d, config.targets, f, gamma, w, "<f8"),
+    )
+    return raster, f, gamma, w, valid
 
 
 def classify_raster(
@@ -104,33 +132,8 @@ def classify_raster(
     dump_dir: Optional[Path] = None,
 ) -> ClassifyResult:
     """Classify an in-memory raster; see the module docstring for stages."""
-
-    def dump_scene(stage: str, stage_raster: PolsarRaster):
-        if dump_dir is not None and stage in config.dump_stages:
-            write_scene(stage_raster, dump_dir / f"stage_{stage}", dtype="float64")
-
-    if raster.kind == KIND_SINCLAIR:
-        rf, af = config.multilook_factors or (1, 1)
-        raster = multilook(raster, rf, af)
-    if config.preprocess.deorient:
-        raster = deorient_raster(raster)
-        dump_scene("deorient", raster)
-    if config.preprocess.filter_window > 1:
-        raster = speckle_filter(raster, config.preprocess)
-        dump_scene("filter", raster)
-
-    kennaugh = raster_to_kennaugh(raster)
-    f, gamma, w, valid = similarity_arrays(
-        kennaugh.data, kennaugh.mask, config.targets
-    )
-    if dump_dir is not None and "similarity" in config.dump_stages:
-        _dump_similarity(
-            dump_dir / "stage_similarity",
-            [t.name for t in config.targets],
-            f,
-            gamma,
-            w,
-        )
+    dump = _dump_hook(dump_dir, config.dump_stages)
+    raster, _, _, w, valid = _prepare(raster, config, dump)
 
     rows, cols = raster.shape
     n_targets = len(config.targets)
@@ -141,18 +144,25 @@ def classify_raster(
     valid = valid.reshape(-1) & cat_valid
     categories_img = np.where(valid, categories, -1).reshape(rows, cols)
     mixed_img = (mixed & valid).reshape(rows, cols)
-    if dump_dir is not None and "category" in config.dump_stages:
-        _dump_category(
-            dump_dir / "stage_category",
-            categories_img,
-            mixed_img,
-            valid.reshape(rows, cols),
-        )
+    valid_img = valid.reshape(rows, cols)
+
+    def write_category(directory: Path) -> None:
+        for name, image in (("category", categories_img), ("mixed", mixed_img)):
+            np.where(valid_img, image, 0xFF).astype(np.uint8).tofile(
+                directory / f"{name}.u8"
+            )
+
+    dump("category", write_category)
 
     pixel_index = np.flatnonzero(valid)
     t_flat = raster.data.reshape(-1, 3, 3)[pixel_index]
     cat_flat = categories[pixel_index]
     mixed_flat = mixed[pixel_index]
+
+    def label_image(values: np.ndarray) -> np.ndarray:
+        image = np.full(rows * cols, MASKED_LABEL, dtype=np.uint16)
+        image[pixel_index] = values
+        return image.reshape(rows, cols)
 
     # seed and merge per category; ids stay globally unique and ordered
     k0 = config.classifier.initial_clusters_per_category
@@ -171,18 +181,11 @@ def classify_raster(
         for cluster in merged_ci:
             seed_to_merged[list(cluster.source_ids)] = cluster.id
         merged.extend(merged_ci)
-    if pixel_index.size:
-        labels0 = seed_to_merged[labels0]
-
-    labels_img0 = np.full(rows * cols, MASKED_LABEL, dtype=np.uint16)
-    if pixel_index.size:
-        labels_img0[pixel_index] = labels0
-    if dump_dir is not None and "merge" in config.dump_stages:
-        _dump_labels(
-            dump_dir / "stage_merge",
-            "labels_initial.bin",
-            labels_img0.reshape(rows, cols),
-        )
+    labels0 = seed_to_merged[labels0]
+    dump(
+        "merge",
+        lambda d: label_image(labels0).astype("<u2").tofile(d / "labels_initial.bin"),
+    )
 
     labels, clusters, history = iterate_classification(
         t_flat,
@@ -218,17 +221,14 @@ def classify_raster(
             )
         )
 
-    labels_img = np.full(rows * cols, MASKED_LABEL, dtype=np.uint16)
-    if pixel_index.size and labels.size:
-        labels_img[pixel_index] = id_to_class[labels]
     return ClassifyResult(
-        labels=labels_img.reshape(rows, cols),
+        labels=label_image(id_to_class[labels]),
         classes=classes,
         clusters=list(ordered),
         history=history,
         categories=categories_img,
         mixed=mixed_img,
-        valid=valid.reshape(rows, cols),
+        valid=valid_img,
     )
 
 
@@ -268,9 +268,7 @@ def run_classify(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raster = read_scene(scene_path)
-    dump_dir = out_dir / "stages" if config.dump_stages else None
-    result = classify_raster(raster, config, dump_dir)
+    result = classify_raster(read_scene(scene_path), config, out_dir / "stages")
     _write_labels(result, out_dir)
     _write_report(result.history, out_dir / "report.jsonl")
     render_map(
@@ -295,17 +293,8 @@ def run_similarity(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raster = read_scene(scene_path)
-    if raster.kind == KIND_SINCLAIR:
-        rf, af = config.multilook_factors or (1, 1)
-        raster = multilook(raster, rf, af)
-    if config.preprocess.deorient:
-        raster = deorient_raster(raster)
-    if config.preprocess.filter_window > 1:
-        raster = speckle_filter(raster, config.preprocess)
-    kennaugh = raster_to_kennaugh(raster)
-    f, gamma, w, valid = similarity_arrays(
-        kennaugh.data, kennaugh.mask, config.targets
+    raster, f, gamma, w, valid = _prepare(
+        read_scene(scene_path), config, _dump_hook(None, ())
     )
     header = f"P5\n{raster.cols} {raster.rows}\n255\n".encode("ascii")
     for i, target in enumerate(config.targets):
@@ -313,8 +302,7 @@ def run_similarity(
             valid, np.round(np.clip(f[i], 0.0, 1.0) * 255.0), 0.0
         ).astype(np.uint8)
         (out_dir / f"f_{target.name}.pgm").write_bytes(header + scaled.tobytes())
-        for prefix, stack in (("f", f), ("gamma", gamma), ("w", w)):
-            stack[i].astype("<f4").tofile(out_dir / f"{prefix}_{target.name}.f32")
+    _write_similarity(out_dir, config.targets, f, gamma, w, "<f4")
     return bool(valid.any())
 
 

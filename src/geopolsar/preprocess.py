@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import CoherencyMatrix, coherency_from_pauli_array, pauli_from_sinclair_array
+from .matrices import CoherencyMatrix, pauli_from_sinclair_array
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
 __all__ = [

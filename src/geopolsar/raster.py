@@ -8,15 +8,12 @@ an input array, which keeps read-only sharing across worker threads safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .matrices import (
-    CoherencyMatrix,
-    KennaughMatrix,
-    SinclairMatrix,
     kennaugh_from_coherency_array,
     kennaugh_from_sinclair_array,
     span_array,
@@ -98,17 +95,6 @@ class PolsarRaster:
         """Per-pixel span; zero on masked pixels."""
         out = span_array(self.data, self.kind)
         return np.where(self.mask, out, 0.0)
-
-    def pixel(self, row: int, col: int):
-        """Typed value object for one valid pixel."""
-        if not self.mask[row, col]:
-            raise ValueError(f"pixel ({row}, {col}) is masked")
-        m = self.data[row, col]
-        if self.kind == KIND_SINCLAIR:
-            return SinclairMatrix(m[0, 0], m[0, 1], m[1, 1])
-        if self.kind == KIND_COHERENCY:
-            return CoherencyMatrix.from_matrix(m)
-        return KennaughMatrix(m)
 
 
 def raster_to_kennaugh(raster: PolsarRaster) -> PolsarRaster:

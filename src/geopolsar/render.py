@@ -6,7 +6,7 @@ Classes inside a category step through equally spaced lightness levels from
 dark (class 0) to light (the last class). Masked pixels render black.
 
 The image is a binary P6 PPM, written byte-identically for identical
-inputs. A PNG copy is written alongside when an encoder is importable.
+inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,7 +102,6 @@ def render_map(
     image_path = Path(image_path)
     header = f"P6\n{labels.shape[1]} {labels.shape[0]}\n255\n".encode("ascii")
     image_path.write_bytes(header + rgb.tobytes())
-    _maybe_write_png(rgb, image_path.with_suffix(".png"))
 
     if legend_path is not None:
         with open(legend_path, "w", newline="") as handle:
@@ -123,11 +122,3 @@ def render_map(
                         f"{entry.center_trace:.9g}",
                     ]
                 )
-
-
-def _maybe_write_png(rgb: np.ndarray, path: Path) -> None:
-    try:
-        from PIL import Image
-    except ImportError:
-        return
-    Image.fromarray(rgb, mode="RGB").save(path)

@@ -7,9 +7,10 @@ filename`` line per component file.
 
 kind T3 (coherency): T11, T22, T33 as real values; T12, T13, T23 as
 interleaved real/imaginary pairs. kind S2 (Sinclair): HH, HV, VH, VV as
-interleaved complex channels. Components default to float32; dtype float64
-is accepted for full-precision intermediate dumps. A NaN in any component
-marks the pixel invalid; writers serialize masked pixels as NaN.
+interleaved complex channels; ``_LAYOUT`` maps each component to its
+matrix entry. Components default to float32; dtype float64 is accepted for
+full-precision intermediate dumps. A non-finite value (NaN or +-inf) in any
+component marks the pixel invalid; writers serialize masked pixels as NaN.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from .matrices import coherency_from_pauli_array
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
 __all__ = [
@@ -33,9 +35,27 @@ __all__ = [
     "MODEL_COHERENCY",
 ]
 
-T3_COMPONENTS = ("T11", "T22", "T33", "T12", "T13", "T23")
-S2_COMPONENTS = ("HH", "HV", "VH", "VV")
-_REAL_COMPONENTS = {"T11", "T22", "T33"}
+_RASTER_KINDS = {"T3": KIND_COHERENCY, "S2": KIND_SINCLAIR}
+
+# Per scene kind, each component in file order with the (row, col) matrix
+# entry it holds and whether it is complex. A T3 scene stores the upper
+# triangle; read_scene mirrors it into the Hermitian lower one.
+_LAYOUT = {
+    "T3": {
+        "T11": (0, 0, False),
+        "T22": (1, 1, False),
+        "T33": (2, 2, False),
+        "T12": (0, 1, True),
+        "T13": (0, 2, True),
+        "T23": (1, 2, True),
+    },
+    "S2": {
+        "HH": (0, 0, True),
+        "HV": (0, 1, True),
+        "VH": (1, 0, True),
+        "VV": (1, 1, True),
+    },
+}
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 #: Canonical region models as unit-span coherency matrices, keyed by the
@@ -63,14 +83,13 @@ class SceneHeader:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("scene dimensions must be positive")
-        if self.kind not in ("T3", "S2"):
+        if self.kind not in _LAYOUT:
             raise ValueError(f"unknown scene kind {self.kind!r}")
         if self.dtype not in _DTYPES:
             raise ValueError(f"unknown scene dtype {self.dtype!r}")
         if not self.looks > 0:
             raise ValueError("looks must be positive")
-        expected = T3_COMPONENTS if self.kind == "T3" else S2_COMPONENTS
-        missing = [c for c in expected if c not in self.components]
+        missing = [c for c in _LAYOUT[self.kind] if c not in self.components]
         if missing:
             raise ValueError(f"header missing components: {', '.join(missing)}")
 
@@ -126,45 +145,26 @@ def _read_component(
 def read_scene(path: Union[str, Path]) -> PolsarRaster:
     """Load a scene directory into a raster.
 
-    Pixels with NaN in any component are masked and their payload zeroed.
-    S2 scenes average the two cross-pol channels to restore monostatic
-    symmetry before constructing the raster.
+    Pixels with a non-finite value in any component are masked and their
+    payload zeroed. S2 scenes average the two cross-pol channels to restore
+    monostatic symmetry before constructing the raster.
     """
     directory = Path(path)
     header = _parse_header(directory / "header.txt")
-    if header.kind == "T3":
-        channels = {
-            name: _read_component(
-                directory, header, name, name not in _REAL_COMPONENTS
-            )
-            for name in T3_COMPONENTS
-        }
-        data = np.empty((header.rows, header.cols, 3, 3), dtype=np.complex128)
-        data[..., 0, 0] = channels["T11"]
-        data[..., 1, 1] = channels["T22"]
-        data[..., 2, 2] = channels["T33"]
-        data[..., 0, 1] = channels["T12"]
-        data[..., 0, 2] = channels["T13"]
-        data[..., 1, 2] = channels["T23"]
-        data[..., 1, 0] = channels["T12"].conj()
-        data[..., 2, 0] = channels["T13"].conj()
-        data[..., 2, 1] = channels["T23"].conj()
-        kind = KIND_COHERENCY
-    else:
-        channels = {
-            name: _read_component(directory, header, name, True)
-            for name in S2_COMPONENTS
-        }
-        cross = 0.5 * (channels["HV"] + channels["VH"])
-        data = np.empty((header.rows, header.cols, 2, 2), dtype=np.complex128)
-        data[..., 0, 0] = channels["HH"]
+    kind = _RASTER_KINDS[header.kind]
+    side = 3 if kind == KIND_COHERENCY else 2
+    data = np.empty((header.rows, header.cols, side, side), dtype=np.complex128)
+    invalid = np.zeros((header.rows, header.cols), dtype=bool)
+    for name, (row, col, complex_valued) in _LAYOUT[header.kind].items():
+        values = _read_component(directory, header, name, complex_valued)
+        invalid |= ~np.isfinite(values)
+        data[..., row, col] = values
+        if kind == KIND_COHERENCY:
+            data[..., col, row] = values.conj()
+    if kind == KIND_SINCLAIR:
+        cross = 0.5 * (data[..., 0, 1] + data[..., 1, 0])
         data[..., 0, 1] = cross
         data[..., 1, 0] = cross
-        data[..., 1, 1] = channels["VV"]
-        kind = KIND_SINCLAIR
-    invalid = np.zeros((header.rows, header.cols), dtype=bool)
-    for channel in channels.values():
-        invalid |= np.isnan(channel.real) | np.isnan(channel.imag)
     data[invalid] = 0.0
     return PolsarRaster(kind, data, ~invalid, header.looks)
 
@@ -189,28 +189,12 @@ def write_scene(
     """Write a coherency or Sinclair raster as a scene directory."""
     if dtype not in _DTYPES:
         raise ValueError(f"unknown scene dtype {dtype!r}")
+    kinds = {raster_kind: kind for kind, raster_kind in _RASTER_KINDS.items()}
+    if raster.kind not in kinds:
+        raise ValueError(f"cannot serialize raster kind {raster.kind!r}")
+    kind = kinds[raster.kind]
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    if raster.kind == KIND_COHERENCY:
-        kind = "T3"
-        channels = {
-            "T11": (raster.data[..., 0, 0], False),
-            "T22": (raster.data[..., 1, 1], False),
-            "T33": (raster.data[..., 2, 2], False),
-            "T12": (raster.data[..., 0, 1], True),
-            "T13": (raster.data[..., 0, 2], True),
-            "T23": (raster.data[..., 1, 2], True),
-        }
-    elif raster.kind == KIND_SINCLAIR:
-        kind = "S2"
-        channels = {
-            "HH": (raster.data[..., 0, 0], True),
-            "HV": (raster.data[..., 0, 1], True),
-            "VH": (raster.data[..., 1, 0], True),
-            "VV": (raster.data[..., 1, 1], True),
-        }
-    else:
-        raise ValueError(f"cannot serialize raster kind {raster.kind!r}")
     lines = [
         f"rows = {raster.rows}",
         f"cols = {raster.cols}",
@@ -218,8 +202,9 @@ def write_scene(
         f"kind = {kind}",
         f"dtype = {dtype}",
     ]
-    for name, (values, complex_valued) in channels.items():
+    for name, (row, col, complex_valued) in _LAYOUT[kind].items():
         filename = f"{name}.bin"
+        values = raster.data[..., row, col]
         _write_component(
             directory / filename, values, raster.mask, complex_valued, dtype
         )
@@ -369,7 +354,6 @@ def generate_scene(spec: SyntheticSceneSpec) -> PolsarRaster:
             shape + (looks, 3)
         )
         z *= np.sqrt(0.5)
-        k = z @ chol.T
-        t = np.einsum("rcla,rclb->rcab", k, k.conj()) / looks
+        t = coherency_from_pauli_array(z @ chol.T)
         data[region.row0 : region.row1, region.col0 : region.col1] = t
     return PolsarRaster(KIND_COHERENCY, data, None, float(spec.looks))

@@ -274,3 +274,35 @@ class TestSimilarity:
         assert pgm.endswith(bytes(6))  # all-black map
         raw = np.fromfile(out / "w_dihedral.f32", dtype="<f4")
         assert np.isnan(raw).all()
+
+
+class TestClassifyAndSimilarityAgree:
+    """The similarity command's float32 rasters are the classify run's
+    full-precision similarity dump cast to float32."""
+
+    def check(self, scene, tmp_path, *flags):
+        cls, sim = tmp_path / "cls", tmp_path / "sim"
+        args = [str(scene), *flags]
+        dump = ["--dump-stage", "similarity"]
+        assert main(["classify", *args, "--out", str(cls), *dump]) == 0
+        assert main(["similarity", *args, "--out", str(sim)]) == 0
+        dumped = cls / "stages" / "stage_similarity"
+        for name in ("trihedral", "dihedral", "random_volume"):
+            for prefix in ("f", "gamma", "w"):
+                full = np.fromfile(dumped / f"{prefix}_{name}.f64", dtype="<f8")
+                single = (sim / f"{prefix}_{name}.f32").read_bytes()
+                assert full.size and full.astype("<f4").tobytes() == single
+
+    def test_demo_scene(self, demo_scene, tmp_path):
+        self.check(demo_scene, tmp_path)
+
+    def test_multilooked_single_look_scene(self, tmp_path):
+        rng = np.random.default_rng(92)
+        s = random_sinclair_stack(rng, 32 * 32).reshape(32, 32, 2, 2)
+        mask = np.ones((32, 32), dtype=bool)
+        mask[4:6, 6:8] = False  # one whole 2x2 block: a masked output pixel
+        scene = tmp_path / "slc"
+        write_scene(PolsarRaster(KIND_SINCLAIR, s, mask), scene)
+        self.check(scene, tmp_path, "--multilook", "2", "2")
+        f = np.fromfile(tmp_path / "sim" / "f_dihedral.f32", dtype="<f4")
+        assert np.isnan(f.reshape(16, 16)[2, 3])

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from geopolsar.scene import (
     write_scene,
 )
 from geopolsar.geodesic import DEFAULT_TARGETS, similarity_arrays
+from geopolsar.pipeline import PipelineConfig, classify_raster
 
 from conftest import DEMO_SPEC, random_psd_stack, random_sinclair_stack
 
@@ -271,3 +274,22 @@ class TestGeneration:
         assert set(MODEL_COHERENCY) == {t.name for t in DEFAULT_TARGETS}
         for model in MODEL_COHERENCY.values():
             assert np.trace(model).real == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("component, value", [("T11", np.inf), ("T23", -np.inf)])
+def test_infinite_component_masks_only_its_pixel(
+    demo_scene, tmp_path, component, value
+):
+    """A non-finite entry is masked at read, so the boxcar filter cannot
+    spread it into the neighbours of its pixel."""
+    scene = tmp_path / "scene"
+    shutil.copytree(demo_scene, scene)
+    path = scene / f"{component}.bin"
+    values = np.fromfile(path, dtype="<f4")
+    per_pixel = values.size // (128 * 128)  # 2 for interleaved complex
+    values[per_pixel * (60 * 128 + 70)] = value
+    values.tofile(path)
+    result = classify_raster(read_scene(scene), PipelineConfig())
+    expected = np.ones((128, 128), dtype=bool)
+    expected[60, 70] = False
+    assert np.array_equal(result.valid, expected)
