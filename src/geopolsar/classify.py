@@ -5,7 +5,9 @@ category is split into span-ordered seed clusters, merged down to a small
 number of classes under a size cap, and refined with the complex-Wishart
 distance. Non-mixed pixels only ever compete among clusters of their own
 category; mixed pixels compete globally and adopt the winning cluster's
-category.
+category. Each distance is computed once: merging keeps a cached center-
+distance matrix (ties go to the first pair (i, j) in row-major order), and
+refinement builds one pixel-distance matrix per pass.
 
 Distances:
     pixel to center   d(T, V) = ln|V| + Tr(V^-1 T)
@@ -151,20 +153,24 @@ def _center_matrix(center) -> np.ndarray:
     return np.asarray(center, dtype=np.complex128)
 
 
-def _regularize(centers: np.ndarray, epsilon: float) -> np.ndarray:
-    """V + epsilon * (tr V / 3) * I, keeping near-singular centers usable."""
+def _factor(centers: np.ndarray, epsilon: float):
+    """(reg, ln|reg|, reg^-1) for reg = V + epsilon * (tr V / 3) * I; the
+    regularization keeps near-singular centers usable."""
     tr = np.trace(centers, axis1=-2, axis2=-1).real
-    return centers + (epsilon * tr / 3.0)[..., None, None] * np.eye(3)
-
-
-def _logdet_and_inverse(centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    reg = centers + (epsilon * tr / 3.0)[..., None, None] * np.eye(3)
     try:
-        chol = np.linalg.cholesky(centers)
+        chol = np.linalg.cholesky(reg)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular cluster center") from exc
     diag = np.diagonal(chol, axis1=-2, axis2=-1).real
     logdet = 2.0 * np.log(diag).sum(axis=-1)
-    return logdet, np.linalg.inv(centers)
+    return reg, logdet, np.linalg.inv(reg)
+
+
+def _center_row(a: int, reg: np.ndarray, logdet: np.ndarray, vinv: np.ndarray):
+    """D(a, k) for every k; one row per call keeps D(a, k) == D(k, a) bitwise."""
+    cross = np.einsum("ij,kji->k", vinv[a], reg) + np.einsum("kij,ji->k", vinv, reg[a])
+    return 0.5 * (logdet[a] + logdet + cross.real)
 
 
 def wishart_pixel_distance(t, center, epsilon: float = 0.0) -> float:
@@ -176,15 +182,8 @@ def wishart_pixel_distance(t, center, epsilon: float = 0.0) -> float:
 
 def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
     """Symmetrized between-cluster distance D(i, j)."""
-    v1 = _center_matrix(c1)
-    v2 = _center_matrix(c2)
-    if epsilon:
-        v1 = _regularize(v1, epsilon)
-        v2 = _regularize(v2, epsilon)
-    ld1, inv1 = _logdet_and_inverse(v1)
-    ld2, inv2 = _logdet_and_inverse(v2)
-    cross = np.einsum("ij,ji->", inv1, v2).real + np.einsum("ij,ji->", inv2, v1).real
-    return float(0.5 * (ld1 + ld2 + cross))
+    centers = np.stack([_center_matrix(c1), _center_matrix(c2)])
+    return float(_center_row(0, *_factor(centers, epsilon))[1])
 
 
 def _pixel_center_distances(
@@ -195,8 +194,7 @@ def _pixel_center_distances(
     Work is split over a fixed grid of pixel blocks written to disjoint
     output slices, so any worker count produces identical bytes.
     """
-    reg = _regularize(centers, epsilon)
-    logdet, vinv = _logdet_and_inverse(reg)
+    _, logdet, vinv = _factor(centers, epsilon)
     n = t.shape[0]
     out = np.empty((n, len(centers)), dtype=np.float64)
     spans = [(s, min(s + _DISTANCE_BLOCK, n)) for s in range(0, n, _DISTANCE_BLOCK)]
@@ -268,7 +266,9 @@ def merge_clusters(
     Repeatedly merges the pair with the smallest center distance whose
     combined population stays within n_max = 2 * N / final_classes, where N
     is the category population. Stops at final_classes clusters or when no
-    pair may merge. The cap applies only here, never during iteration.
+    pair may merge. The cap applies only here, never during iteration. One
+    cached (K, K) distance matrix is refreshed only in the merged row and
+    column; ties go to the first pair in row-major order of the upper triangle.
     """
     work = sorted(clusters, key=lambda c: c.id)
     if not work:
@@ -279,31 +279,31 @@ def merge_clusters(
     n_total = sum(c.member_count for c in work)
     n_max = 2.0 * n_total / config.final_classes_per_category
     epsilon = config.center_regularization
+    factors = _factor(np.stack([c.center for c in work]), epsilon)
+    dist = np.stack([_center_row(a, *factors) for a in range(len(work))])
     while len(work) > config.final_classes_per_category:
-        best = None
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if work[i].member_count + work[j].member_count > n_max:
-                    continue
-                d = wishart_center_distance(work[i], work[j], epsilon)
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        if best is None:
+        counts = np.array([c.member_count for c in work])
+        allowed = np.triu(counts[:, None] + counts[None, :] <= n_max, 1)
+        pairs = np.flatnonzero(allowed)
+        if pairs.size == 0:
             break
-        _, i, j = best
+        i, j = divmod(int(pairs[np.argmin(dist.flat[pairs])]), len(work))
         a, b = work[i], work[j]
         count = a.member_count + b.member_count
         center = (a.member_count * a.center + b.member_count * b.center) / count
-        merged = Cluster(
-            id=min(a.id, b.id),
+        work[i] = Cluster(
+            id=a.id,
             category=a.category,
             center=center,
             member_count=count,
             source_ids=tuple(sorted(a.source_ids + b.source_ids)),
         )
-        work = [c for idx, c in enumerate(work) if idx not in (i, j)]
-        work.append(merged)
-        work.sort(key=lambda c: c.id)
+        del work[j]
+        for stack, value in zip(factors, _factor(center[None], epsilon)):
+            stack[i] = value[0]
+        factors = [np.delete(stack, j, axis=0) for stack in factors]
+        dist = np.delete(np.delete(dist, j, axis=0), j, axis=1)
+        dist[i] = dist[:, i] = _center_row(i, *factors)
     return work
 
 
@@ -373,12 +373,12 @@ def iterate_classification(
         centers = np.stack([c.center for c in cluster_list])
         return _pixel_center_distances(t, centers, epsilon, workers)
 
-    # pass 0: objective of the post-merge assignment, before any refinement
+    # pass 0: objective of the post-merge assignment; pass 1 reuses its matrix
     if n and work:
-        d0 = distance_matrix(work)
+        dist = distance_matrix(work)
         ids0 = np.array([c.id for c in work])
         col0 = np.searchsorted(ids0, labels)
-        objective = float(d0[np.arange(n), col0].sum())
+        objective = float(dist[np.arange(n), col0].sum())
     else:
         objective = 0.0
     history.append(
@@ -394,16 +394,16 @@ def iterate_classification(
     for iteration in range(1, config.max_iterations + 1):
         if n == 0 or not work:
             break
-        dist = distance_matrix(work)
+        if iteration > 1:
+            dist = distance_matrix(work)
         cluster_ids = np.array([c.id for c in work])
         cluster_cat = np.array([c.category for c in work])
-        allowed = mixed[:, None] | (cluster_cat[None, :] == current_cat[:, None])
-        dist_masked = np.where(allowed, dist, np.inf)
+        dist[~mixed[:, None] & (cluster_cat[None, :] != current_cat[:, None])] = np.inf
         # clusters are id-ordered, so argmin ties resolve to the lowest id
-        pick = np.argmin(dist_masked, axis=1)
+        pick = np.argmin(dist, axis=1)
         new_labels = cluster_ids[pick]
         changed = int(np.count_nonzero(new_labels != labels))
-        objective = float(dist_masked[np.arange(n), pick].sum())
+        objective = float(dist[np.arange(n), pick].sum())
         current_cat = np.where(mixed, cluster_cat[pick], current_cat)
         labels = new_labels
         work = _recompute_clusters(t, labels, work)

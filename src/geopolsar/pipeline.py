@@ -60,6 +60,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        n_seeds = len(self.targets) * self.classifier.initial_clusters_per_category
+        if n_seeds > MASKED_LABEL:
+            raise ValueError(f"{n_seeds} seed clusters exceed {MASKED_LABEL} label ids")
         unknown = [s for s in self.dump_stages if s not in DUMP_STAGES]
         if unknown:
             raise ValueError(f"unknown dump stage {unknown[0]!r}")

@@ -34,11 +34,8 @@ class PreprocessConfig:
 
     deorient: bool = True
     filter_window: int = 5
-    filter_kind: str = "boxcar"
 
     def __post_init__(self):
-        if self.filter_kind != "boxcar":
-            raise ValueError(f"unknown filter kind {self.filter_kind!r}")
         if self.filter_window < 1 or self.filter_window % 2 == 0:
             raise ValueError("filter window must be a positive odd integer")
 

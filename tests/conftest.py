@@ -3,7 +3,9 @@
 The reference implementations here deliberately use different numerics
 than the package (explicit Kronecker products, det/inv instead of
 Cholesky factorizations, python loops instead of vectorized kernels) so
-agreement between the two is meaningful.
+agreement between the two is meaningful. The merge loop oracle is the
+exception: it keeps the package's per-pair arithmetic and re-scores every
+pair each round, so the cached-matrix merge must match it bit for bit.
 """
 
 from pathlib import Path
@@ -83,6 +85,77 @@ def wishart_center_oracle(v1, v2):
     assert s1.real > 0 and s2.real > 0
     cross = np.trace(np.linalg.inv(v1) @ v2) + np.trace(np.linalg.inv(v2) @ v1)
     return float(0.5 * (ld1.real + ld2.real + cross.real))
+
+
+def _regularize(centers, epsilon):
+    """V + epsilon * (tr V / 3) * I, keeping near-singular centers usable."""
+    tr = np.trace(centers, axis1=-2, axis2=-1).real
+    return centers + (epsilon * tr / 3.0)[..., None, None] * np.eye(3)
+
+
+def _logdet_and_inverse(centers):
+    try:
+        chol = np.linalg.cholesky(centers)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular cluster center") from exc
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    logdet = 2.0 * np.log(diag).sum(axis=-1)
+    return logdet, np.linalg.inv(centers)
+
+
+def scalar_center_distance_oracle(v1, v2, epsilon=0.0):
+    """The single-pair einsum form of D(i, j) the merge loop oracle calls."""
+    v1 = np.asarray(getattr(v1, "center", v1), dtype=np.complex128)
+    v2 = np.asarray(getattr(v2, "center", v2), dtype=np.complex128)
+    if epsilon:
+        v1 = _regularize(v1, epsilon)
+        v2 = _regularize(v2, epsilon)
+    ld1, inv1 = _logdet_and_inverse(v1)
+    ld2, inv2 = _logdet_and_inverse(v2)
+    cross = np.einsum("ij,ji->", inv1, v2).real + np.einsum("ij,ji->", inv2, v1).real
+    return float(0.5 * (ld1 + ld2 + cross))
+
+
+def merge_loop_oracle(clusters, config):
+    """Capped greedy merging that scores every allowed pair again each round.
+
+    Strict '<' over pairs in row-major (i, j) order keeps the first of tied
+    pairs, the rule the package's cached-matrix merge must reproduce.
+    """
+    from geopolsar.classify import Cluster
+
+    work = sorted(clusters, key=lambda c: c.id)
+    if not work:
+        return []
+    n_total = sum(c.member_count for c in work)
+    n_max = 2.0 * n_total / config.final_classes_per_category
+    epsilon = config.center_regularization
+    while len(work) > config.final_classes_per_category:
+        best = None
+        for i in range(len(work)):
+            for j in range(i + 1, len(work)):
+                if work[i].member_count + work[j].member_count > n_max:
+                    continue
+                d = scalar_center_distance_oracle(work[i], work[j], epsilon)
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        if best is None:
+            break
+        _, i, j = best
+        a, b = work[i], work[j]
+        count = a.member_count + b.member_count
+        center = (a.member_count * a.center + b.member_count * b.center) / count
+        merged = Cluster(
+            id=min(a.id, b.id),
+            category=a.category,
+            center=center,
+            member_count=count,
+            source_ids=tuple(sorted(a.source_ids + b.source_ids)),
+        )
+        work = [c for idx, c in enumerate(work) if idx not in (i, j)]
+        work.append(merged)
+        work.sort(key=lambda c: c.id)
+    return work
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,13 @@ from geopolsar.classify import (
 from geopolsar.geodesic import RANDOM_VOLUME, TRIHEDRAL, SimilarityTriple, similarity_triple
 from geopolsar.matrices import KennaughMatrix, kennaugh_from_coherency_array
 
-from conftest import random_psd_stack, wishart_center_oracle, wishart_pixel_oracle
+from conftest import (
+    merge_loop_oracle,
+    random_psd_stack,
+    scalar_center_distance_oracle,
+    wishart_center_oracle,
+    wishart_pixel_oracle,
+)
 
 LN2 = np.log(2.0)
 
@@ -236,6 +242,51 @@ class TestMerge:
         with pytest.raises(ValueError, match="single category"):
             merge_clusters(clusters, ClassifierConfig())
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-6])
+    def test_matches_the_pairwise_loop_oracle_bitwise(self, epsilon):
+        rng = np.random.default_rng(64)
+        ties = capped = at_most_final = 0
+        for _ in range(60):
+            k = int(rng.integers(1, 22))
+            centers = random_psd_stack(rng, k, looks=int(rng.integers(3, 9)))
+            # exact duplicate centers give exactly tied pair distances
+            duplicates = np.flatnonzero(rng.random(k) < 0.3)
+            centers[duplicates] = centers[rng.integers(0, k, duplicates.size)]
+            counts = rng.integers(1, 40, k)
+            counts[rng.random(k) < 0.3] = 200
+            ids = np.sort(rng.choice(10 * k, k, replace=False))
+            clusters = [
+                Cluster(id=int(i), category=2, center=c, member_count=int(n))
+                for i, c, n in zip(rng.permutation(ids), centers, counts)
+            ]
+            config = ClassifierConfig(
+                final_classes_per_category=int(rng.integers(1, 12)),
+                center_regularization=epsilon,
+            )
+            out = merge_clusters(clusters, config)
+            ref = merge_loop_oracle(clusters, config)
+            assert [c.id for c in out] == [c.id for c in ref]
+            assert [c.source_ids for c in out] == [c.source_ids for c in ref]
+            assert [c.member_count for c in out] == [c.member_count for c in ref]
+            assert [c.center.tobytes() for c in out] == [c.center.tobytes() for c in ref]
+
+            # first-round pair distances: the scalar must equal the oracle's
+            work = sorted(clusters, key=lambda c: c.id)
+            d = np.full((k, k), np.inf)
+            for i, j in zip(*np.triu_indices(k, 1)):
+                d[i, j] = scalar_center_distance_oracle(work[i], work[j], epsilon)
+                assert wishart_center_distance(work[i], work[j], epsilon) == d[i, j]
+            if k <= config.final_classes_per_category:
+                at_most_final += 1
+                continue
+            i, j = np.unravel_index(np.argmin(d), d.shape)
+            n_max = 2.0 * counts.sum() / config.final_classes_per_category
+            capped += work[i].member_count + work[j].member_count > n_max
+            ties += np.count_nonzero(d == d.min()) > 1
+        # the instances cover a cap that blocks the closest pair, a tie for
+        # the closest pair, and categories already at or below final classes
+        assert ties and capped and at_most_final
+
 
 def two_blob_data(rng, n_per=30, separation=20.0):
     t1 = random_psd_stack(rng, n_per, looks=16)
@@ -378,6 +429,30 @@ class TestIterate:
             )
             results.append((labels.tobytes(), [c.id for c in clusters], history))
         assert results[0] == results[1]
+
+    def test_one_distance_matrix_per_pass(self, monkeypatch):
+        import geopolsar.classify as classify
+
+        calls = []
+        kernel = classify._pixel_center_distances
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "_pixel_center_distances", counted)
+        rng = np.random.default_rng(62)
+        t = random_psd_stack(rng, 500, looks=3)
+        seeds, labels0 = initial_clusters(t, 8)
+        config = ClassifierConfig(max_iterations=3, convergence_fraction=0.0)
+        _, _, history = iterate_classification(
+            t, np.zeros(500, int), np.zeros(500, bool), seeds, config,
+            initial_labels=labels0,
+        )
+        assert [h["iteration"] for h in history] == [0, 1, 2, 3]
+        assert all(h["changed"] for h in history[1:])
+        # pass 0 scores the post-merge assignment with pass 1's matrix
+        assert len(calls) == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

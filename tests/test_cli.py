@@ -223,6 +223,22 @@ class TestClassify:
         assert code == 1
         assert "odd" in capsys.readouterr().err
 
+    def test_seed_ids_must_fit_the_label_dtype(self, demo_scene, tmp_path, capsys):
+        from geopolsar.classify import ClassifierConfig
+        from geopolsar.pipeline import PipelineConfig
+
+        # three targets: seed ids 0 .. 3k - 1 must stay below the masked id
+        PipelineConfig(
+            classifier=ClassifierConfig(initial_clusters_per_category=21845)
+        )
+        with pytest.raises(ValueError, match="label ids"):
+            PipelineConfig(
+                classifier=ClassifierConfig(initial_clusters_per_category=21846)
+            )
+        argv = ["classify", str(demo_scene), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--initial-clusters", "21846"]) == 1
+        assert "label ids" in capsys.readouterr().err
+
     def test_unknown_stage_is_an_argparse_error(self, demo_scene, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(

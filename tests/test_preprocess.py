@@ -175,8 +175,6 @@ class TestSpeckleFilter:
             PreprocessConfig(filter_window=4)
         with pytest.raises(ValueError, match="odd"):
             PreprocessConfig(filter_window=0)
-        with pytest.raises(ValueError, match="filter kind"):
-            PreprocessConfig(filter_kind="median")
         with pytest.raises(ValueError, match="coherency"):
             speckle_filter(
                 PolsarRaster(KIND_SINCLAIR, np.zeros((2, 2, 2, 2))),
