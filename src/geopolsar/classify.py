@@ -7,7 +7,8 @@ distance. Non-mixed pixels only ever compete among clusters of their own
 category; mixed pixels compete globally and adopt the winning cluster's
 category. Each distance is computed once: merging keeps a cached center-
 distance matrix (ties go to the first pair (i, j) in row-major order), and
-refinement builds one pixel-distance matrix per pass.
+each refinement pass scores the pixels one fixed block at a time, keeping
+only each pixel's nearest allowed cluster and its distance.
 
 Distances:
     pixel to center   d(T, V) = ln|V| + Tr(V^-1 T)
@@ -173,11 +174,16 @@ def _center_row(a: int, reg: np.ndarray, logdet: np.ndarray, vinv: np.ndarray):
     return 0.5 * (logdet[a] + logdet + cross.real)
 
 
+def _block_distances(t: np.ndarray, logdet: np.ndarray, vinv: np.ndarray):
+    """d(T, V) for a block of pixels (rows) against factored centers (columns)."""
+    return logdet + np.einsum("kij,pji->pk", vinv, t).real
+
+
 def wishart_pixel_distance(t, center, epsilon: float = 0.0) -> float:
     """d(T, V) = ln|V| + Tr(V^-1 T) for one pixel and one center."""
     tm = t.matrix if isinstance(t, CoherencyMatrix) else np.asarray(t, complex)
-    vm = _center_matrix(center)
-    return float(_pixel_center_distances(tm[None], vm[None], epsilon)[0, 0])
+    _, logdet, vinv = _factor(_center_matrix(center)[None], epsilon)
+    return float(_block_distances(tm[None], logdet, vinv)[0, 0])
 
 
 def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
@@ -186,30 +192,35 @@ def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
     return float(_center_row(0, *_factor(centers, epsilon))[1])
 
 
-def _pixel_center_distances(
-    t: np.ndarray, centers: np.ndarray, epsilon: float, workers: int = 1
-) -> np.ndarray:
-    """Distance matrix (n_pixels, n_centers).
+def _pixel_center_distances(t, clusters, epsilon, categories, mixed, pool, current=None):
+    """Nearest allowed cluster of every pixel, scored one fixed block at a time.
 
-    Work is split over a fixed grid of pixel blocks written to disjoint
-    output slices, so any worker count produces identical bytes.
+    A pixel that is not mixed may only join clusters of its own category.
+    Returns the winning column per pixel (ties to the lowest column), its
+    distance, and, when current gives a column per pixel, the distance to
+    that column. Blocks run on the thread pool and write disjoint slices, so
+    any worker count produces identical bytes; no (pixels, clusters) matrix
+    outlives its block.
     """
-    _, logdet, vinv = _factor(centers, epsilon)
+    _, logdet, vinv = _factor(np.stack([c.center for c in clusters]), epsilon)
+    cluster_cat = np.array([c.category for c in clusters])
     n = t.shape[0]
-    out = np.empty((n, len(centers)), dtype=np.float64)
-    spans = [(s, min(s + _DISTANCE_BLOCK, n)) for s in range(0, n, _DISTANCE_BLOCK)]
+    pick = np.empty(n, dtype=np.intp)
+    best = np.empty(n)
+    at_current = None if current is None else np.empty(n)
 
-    def fill(span):
-        s0, s1 = span
-        out[s0:s1] = logdet + np.einsum("kij,pji->pk", vinv, t[s0:s1]).real
+    def score(s0):
+        s1 = min(s0 + _DISTANCE_BLOCK, n)
+        dist = _block_distances(t[s0:s1], logdet, vinv)
+        rows = np.arange(s1 - s0)
+        if current is not None:
+            at_current[s0:s1] = dist[rows, current[s0:s1]]
+        dist[~mixed[s0:s1, None] & (cluster_cat != categories[s0:s1, None])] = np.inf
+        pick[s0:s1] = np.argmin(dist, axis=1)
+        best[s0:s1] = dist[rows, pick[s0:s1]]
 
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
-    return out
+    list(pool.map(score, range(0, n, _DISTANCE_BLOCK)))
+    return pick, best, at_current
 
 
 # ---------------------------------------------------------------------------
@@ -358,64 +369,52 @@ def iterate_classification(
     labels : (n,) final cluster id per pixel
     clusters : surviving clusters with refreshed centers and counts
     history : one record per pass with label-change counts and the total
-        Wishart distance of the assignment (non-increasing across passes)
+        Wishart distance of the assignment. Each pass scores against the
+        regularized centers but sets plain member means, so the total cannot
+        rise when center_regularization is 0 and may rise slightly above it.
     """
     t = np.asarray(t, dtype=np.complex128)
     n = t.shape[0]
-    work = sorted((c for c in clusters), key=lambda c: c.id)
+    work = sorted(clusters, key=lambda c: c.id)
     labels = np.asarray(initial_labels, dtype=np.int64).copy()
-    current_cat = np.asarray(categories, dtype=np.int64).copy()
+    categories = np.asarray(categories, dtype=np.int64)
     mixed = np.asarray(mixed, dtype=bool)
-    epsilon = config.center_regularization
     history: List[Dict] = []
 
-    def distance_matrix(cluster_list):
-        centers = np.stack([c.center for c in cluster_list])
-        return _pixel_center_distances(t, centers, epsilon, workers)
-
-    # pass 0: objective of the post-merge assignment; pass 1 reuses its matrix
-    if n and work:
-        dist = distance_matrix(work)
-        ids0 = np.array([c.id for c in work])
-        col0 = np.searchsorted(ids0, labels)
-        objective = float(dist[np.arange(n), col0].sum())
-    else:
-        objective = 0.0
-    history.append(
-        {
-            "iteration": 0,
-            "changed": None,
-            "changed_fraction": None,
-            "objective": objective,
-            "clusters": len(work),
-        }
-    )
-
-    for iteration in range(1, config.max_iterations + 1):
-        if n == 0 or not work:
-            break
-        if iteration > 1:
-            dist = distance_matrix(work)
-        cluster_ids = np.array([c.id for c in work])
-        cluster_cat = np.array([c.category for c in work])
-        dist[~mixed[:, None] & (cluster_cat[None, :] != current_cat[:, None])] = np.inf
-        # clusters are id-ordered, so argmin ties resolve to the lowest id
-        pick = np.argmin(dist, axis=1)
-        new_labels = cluster_ids[pick]
-        changed = int(np.count_nonzero(new_labels != labels))
-        objective = float(dist[np.arange(n), pick].sum())
-        current_cat = np.where(mixed, cluster_cat[pick], current_cat)
-        labels = new_labels
-        work = _recompute_clusters(t, labels, work)
+    def record(iteration, changed, objective):
         history.append(
             {
                 "iteration": iteration,
                 "changed": changed,
-                "changed_fraction": changed / n,
+                "changed_fraction": None if changed is None else changed / n,
                 "objective": objective,
                 "clusters": len(work),
             }
         )
-        if changed == 0 or changed / n < config.convergence_fraction:
-            break
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # pass 0 scores the post-merge assignment; pass 1 reuses its scores
+        objective = 0.0
+        if n and work:
+            current = np.searchsorted([c.id for c in work], labels)
+            pick, best, at_current = _pixel_center_distances(
+                t, work, config.center_regularization, categories, mixed, pool, current
+            )
+            objective = float(at_current.sum())
+        record(0, None, objective)
+        for iteration in range(1, config.max_iterations + 1):
+            if n == 0 or not work:
+                break
+            if iteration > 1:
+                pick, best, _ = _pixel_center_distances(
+                    t, work, config.center_regularization, categories, mixed, pool
+                )
+            # clusters are id-ordered, so argmin ties resolve to the lowest id
+            new_labels = np.array([c.id for c in work])[pick]
+            changed = int(np.count_nonzero(new_labels != labels))
+            labels = new_labels
+            work = _recompute_clusters(t, labels, work)
+            record(iteration, changed, float(best.sum()))
+            if changed == 0 or changed / n < config.convergence_fraction:
+                break
     return labels, work, history

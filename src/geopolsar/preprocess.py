@@ -24,9 +24,8 @@ __all__ = [
     "multilook",
 ]
 
-#: Row-block budget for the sliding-window filter, in window elements.
-_FILTER_CHUNK_ELEMENTS = 8_000_000
-
+#: Pixels per row tile of the speckle filter; a tile's planes stay in cache.
+_FILTER_TILE_PIXELS = 32_768
 
 @dataclass
 class PreprocessConfig:
@@ -99,26 +98,27 @@ def deorient_raster(raster: PolsarRaster) -> PolsarRaster:
     return PolsarRaster(KIND_COHERENCY, data, raster.mask.copy(), raster.looks)
 
 
-def _boxcar_channel(values: np.ndarray, window: int) -> np.ndarray:
-    """Truncated-window boxcar sums of one 2D channel.
+def _pairwise_sum(terms):
+    """Sum of equal-shape arrays in the order numpy's pairwise reduction adds
+    as many contiguous complex values: fewer than 4 in turn; up to 64 in
+    four lanes (term k joins lane k % 4), then (l0 + l1) + (l2 + l3), then
+    the leftovers in turn; more in two recursive halves."""
+    m = len(terms)
+    if m > 64:
+        split = (m - m % 8) // 2
+        return _pairwise_sum(terms[:split]) + _pairwise_sum(terms[split:])
+    if m < 4:
+        return sum(terms[1:], terms[0])
+    full = m - m % 4
+    lanes = [sum(terms[j + 4 : full : 4], terms[j]) for j in range(4)]
+    return sum(terms[full:], (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
 
-    Zero padding of half the window plus a plain window sum realizes the
-    truncation: out-of-raster positions contribute nothing. Row blocks keep
-    the intermediate (rows, cols, window, window) view bounded.
-    """
-    half = window // 2
-    rows, cols = values.shape
-    padded = np.zeros((rows + 2 * half, cols + 2 * half), dtype=values.dtype)
-    padded[half : half + rows, half : half + cols] = values
-    out = np.empty_like(values)
-    block = max(1, _FILTER_CHUNK_ELEMENTS // max(1, cols * window * window))
-    for r0 in range(0, rows, block):
-        r1 = min(r0 + block, rows)
-        view = np.lib.stride_tricks.sliding_window_view(
-            padded[r0 : r1 + 2 * half], (window, window)
-        )
-        out[r0:r1] = view.sum(axis=(-2, -1))
-    return out
+
+def _box_sum(padded: np.ndarray, window: int, rows: int, cols: int) -> np.ndarray:
+    """Window sums of a plane zero-padded by window // 2: each window row
+    pairwise, then the rows top to bottom from +0.0."""
+    rowsums = _pairwise_sum([padded[:, b : b + cols] for b in range(window)])
+    return sum((rowsums[a : a + rows] for a in range(window)), 0.0)
 
 
 def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRaster:
@@ -128,6 +128,12 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     the window intersected with the raster; no padding values are invented.
     Invalid pixels stay invalid and contribute to no mean. The looks
     metadata is multiplied by the nominal window population.
+
+    The upper triangle's real and imaginary planes (a Hermitian diagonal is
+    real) are summed row tile by row tile in `_box_sum`'s order and divided
+    with the rounding of complex / real division. The bytes are those of
+    numpy's complex sums over (window, window) sliding views, except with one
+    column, where numpy adds a window as one run and they agree to rounding.
     """
     if raster.kind != KIND_COHERENCY:
         raise ValueError("speckle filtering requires a coherency raster")
@@ -136,21 +142,36 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
         return PolsarRaster(
             raster.kind, raster.data.copy(), raster.mask.copy(), raster.looks
         )
-    counts = _boxcar_channel(raster.mask.astype(np.float64), window)
-    data = np.where(raster.mask[..., None, None], raster.data, 0.0)
+    rows, cols = raster.shape
+    half = window // 2
+    step = max(1, _FILTER_TILE_PIXELS // cols)
     out = np.empty_like(raster.data)
-    for i in range(3):
-        for j in range(i, 3):
-            sums = _boxcar_channel(np.ascontiguousarray(data[:, :, i, j]), window)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                mean = sums / counts
-            out[:, :, i, j] = mean
-            if i != j:
-                out[:, :, j, i] = mean.conj()
-    mask = raster.mask & (counts > 0)
-    out[~mask] = 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            lo, hi = max(r0 - half, 0), min(r1 + half, rows)
+            padded = np.zeros((r1 - r0 + 2 * half, cols + 2 * half))
+            inner = padded[lo - r0 + half : hi - r0 + half, half : half + cols]
+
+            def box_sum(plane):
+                np.copyto(inner, plane, where=raster.mask[lo:hi])
+                return _box_sum(padded, window, r1 - r0, cols)
+
+            scale = 1.0 / box_sum(1.0)
+            tile = out[r0:r1]
+            for i, j in zip(*np.triu_indices(3)):
+                entry = raster.data[lo:hi, :, i, j]
+                s_re = box_sum(entry.real)
+                s_im = box_sum(entry.imag) if i != j else 0.0
+                mean = tile[:, :, i, j]
+                np.multiply(s_re + s_im * 0.0, scale, out=mean.real)
+                np.multiply(s_im - s_re * 0.0, scale, out=mean.imag)
+                if i != j:
+                    np.conjugate(mean, out=tile[:, :, j, i])
+    # a valid pixel counts itself, so every valid window is populated
+    out[~raster.mask] = 0.0
     return PolsarRaster(
-        KIND_COHERENCY, out, mask, raster.looks * window * window
+        KIND_COHERENCY, out, raster.mask.copy(), raster.looks * window * window
     )
 
 

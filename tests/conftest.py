@@ -3,12 +3,15 @@
 The reference implementations here deliberately use different numerics
 than the package (explicit Kronecker products, det/inv instead of
 Cholesky factorizations, python loops instead of vectorized kernels) so
-agreement between the two is meaningful. The merge loop oracle is the
-exception: it keeps the package's per-pair arithmetic and re-scores every
-pair each round, so the cached-matrix merge must match it bit for bit.
+agreement between the two is meaningful. The merge loop, sliding-window
+filter and full-matrix refinement oracles are the exception: they keep the
+package's former, slower forms with the same arithmetic, so the package
+must match them bit for bit.
 """
 
 from pathlib import Path
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -156,6 +159,173 @@ def merge_loop_oracle(clusters, config):
         work.append(merged)
         work.sort(key=lambda c: c.id)
     return work
+
+
+#: Row-block budget for the sliding-window filter oracle, in window elements.
+_FILTER_CHUNK_ELEMENTS = 8_000_000
+
+
+def _boxcar_channel(values: np.ndarray, window: int) -> np.ndarray:
+    """Truncated-window boxcar sums of one 2D channel.
+
+    Zero padding of half the window plus a plain window sum realizes the
+    truncation: out-of-raster positions contribute nothing. Row blocks keep
+    the intermediate (rows, cols, window, window) view bounded.
+    """
+    half = window // 2
+    rows, cols = values.shape
+    padded = np.zeros((rows + 2 * half, cols + 2 * half), dtype=values.dtype)
+    padded[half : half + rows, half : half + cols] = values
+    out = np.empty_like(values)
+    block = max(1, _FILTER_CHUNK_ELEMENTS // max(1, cols * window * window))
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
+        view = np.lib.stride_tricks.sliding_window_view(
+            padded[r0 : r1 + 2 * half], (window, window)
+        )
+        out[r0:r1] = view.sum(axis=(-2, -1))
+    return out
+
+
+def speckle_filter_oracle(raster, config):
+    """The sliding-window boxcar filter: numpy's complex window sums, then
+    complex / real division."""
+    from geopolsar.raster import KIND_COHERENCY, PolsarRaster
+
+    if raster.kind != KIND_COHERENCY:
+        raise ValueError("speckle filtering requires a coherency raster")
+    window = config.filter_window
+    if window == 1:
+        return PolsarRaster(
+            raster.kind, raster.data.copy(), raster.mask.copy(), raster.looks
+        )
+    counts = _boxcar_channel(raster.mask.astype(np.float64), window)
+    data = np.where(raster.mask[..., None, None], raster.data, 0.0)
+    out = np.empty_like(raster.data)
+    for i in range(3):
+        for j in range(i, 3):
+            sums = _boxcar_channel(np.ascontiguousarray(data[:, :, i, j]), window)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                mean = sums / counts
+            out[:, :, i, j] = mean
+            if i != j:
+                out[:, :, j, i] = mean.conj()
+    mask = raster.mask & (counts > 0)
+    out[~mask] = 0.0
+    return PolsarRaster(
+        KIND_COHERENCY, out, mask, raster.looks * window * window
+    )
+
+
+def _pixel_center_distance_matrix(t, centers, epsilon, workers=1):
+    """Distance matrix (n_pixels, n_centers) over the package's block grid,
+    read at call time so a test can make the blocks ragged."""
+    from geopolsar import classify
+
+    _, logdet, vinv = classify._factor(centers, epsilon)
+    n = t.shape[0]
+    block = classify._DISTANCE_BLOCK
+    out = np.empty((n, len(centers)), dtype=np.float64)
+    spans = [(s, min(s + block, n)) for s in range(0, n, block)]
+
+    def fill(span):
+        s0, s1 = span
+        out[s0:s1] = logdet + np.einsum("kij,pji->pk", vinv, t[s0:s1]).real
+
+    if workers > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, spans))
+    else:
+        for span in spans:
+            fill(span)
+    return out
+
+
+def recompute_clusters_oracle(t, labels, clusters):
+    """Means over current members; emptied clusters are retired."""
+    from geopolsar.classify import Cluster
+
+    survivors = []
+    for cluster in clusters:
+        members = labels == cluster.id
+        count = int(members.sum())
+        if count == 0:
+            continue
+        center = t[members].mean(axis=0)
+        if np.trace(center).real <= 0.0:
+            continue
+        survivors.append(
+            Cluster(
+                id=cluster.id,
+                category=cluster.category,
+                center=center,
+                member_count=count,
+                source_ids=cluster.source_ids,
+            )
+        )
+    return survivors
+
+
+def iterate_oracle(t, categories, mixed, clusters, config, initial_labels, workers=1):
+    """Wishart refinement that builds and masks a full (n_pixels, n_clusters)
+    distance matrix each pass; pass 1 reuses the pass-0 matrix."""
+    t = np.asarray(t, dtype=np.complex128)
+    n = t.shape[0]
+    work = sorted((c for c in clusters), key=lambda c: c.id)
+    labels = np.asarray(initial_labels, dtype=np.int64).copy()
+    current_cat = np.asarray(categories, dtype=np.int64).copy()
+    mixed = np.asarray(mixed, dtype=bool)
+    epsilon = config.center_regularization
+    history = []
+
+    def distance_matrix(cluster_list):
+        centers = np.stack([c.center for c in cluster_list])
+        return _pixel_center_distance_matrix(t, centers, epsilon, workers)
+
+    if n and work:
+        dist = distance_matrix(work)
+        ids0 = np.array([c.id for c in work])
+        col0 = np.searchsorted(ids0, labels)
+        objective = float(dist[np.arange(n), col0].sum())
+    else:
+        objective = 0.0
+    history.append(
+        {
+            "iteration": 0,
+            "changed": None,
+            "changed_fraction": None,
+            "objective": objective,
+            "clusters": len(work),
+        }
+    )
+
+    for iteration in range(1, config.max_iterations + 1):
+        if n == 0 or not work:
+            break
+        if iteration > 1:
+            dist = distance_matrix(work)
+        cluster_ids = np.array([c.id for c in work])
+        cluster_cat = np.array([c.category for c in work])
+        dist[~mixed[:, None] & (cluster_cat[None, :] != current_cat[:, None])] = np.inf
+        pick = np.argmin(dist, axis=1)
+        new_labels = cluster_ids[pick]
+        changed = int(np.count_nonzero(new_labels != labels))
+        objective = float(dist[np.arange(n), pick].sum())
+        current_cat = np.where(mixed, cluster_cat[pick], current_cat)
+        labels = new_labels
+        work = recompute_clusters_oracle(t, labels, work)
+        history.append(
+            {
+                "iteration": iteration,
+                "changed": changed,
+                "changed_fraction": changed / n,
+                "objective": objective,
+                "clusters": len(work),
+            }
+        )
+        if changed == 0 or changed / n < config.convergence_fraction:
+            break
+    return labels, work, history
 
 
 @pytest.fixture(scope="session")

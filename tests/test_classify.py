@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from geopolsar.geodesic import RANDOM_VOLUME, TRIHEDRAL, SimilarityTriple, simil
 from geopolsar.matrices import KennaughMatrix, kennaugh_from_coherency_array
 
 from conftest import (
+    iterate_oracle,
     merge_loop_oracle,
     random_psd_stack,
     scalar_center_distance_oracle,
@@ -453,6 +456,57 @@ class TestIterate:
         assert all(h["changed"] for h in history[1:])
         # pass 0 scores the post-merge assignment with pass 1's matrix
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_the_full_matrix_oracle_bitwise(self, monkeypatch, workers):
+        import geopolsar.classify as classify
+
+        # 64-pixel blocks leave a ragged last block on most instances
+        monkeypatch.setattr(classify, "_DISTANCE_BLOCK", 64)
+        rng = np.random.default_rng(66)
+        retired = crossed = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 400))
+            n_cat = int(rng.integers(2, 4))
+            t = random_psd_stack(rng, n, looks=int(rng.integers(3, 8)))
+            cats = rng.integers(0, n_cat, n)
+            mixed = rng.random(n) < rng.choice([0.0, 0.2, 0.6])
+            clusters = []
+            labels0 = np.empty(n, dtype=np.int64)
+            for ci in range(n_cat):
+                sel = np.flatnonzero(cats == ci)
+                seeds, lab = initial_clusters(
+                    t[sel], int(rng.integers(1, 9)), category=ci, start_id=10 * ci
+                )
+                labels0[sel] = lab
+                clusters.extend(seeds)
+            # a far-off center loses its members when its category has others;
+            # a copied center ties every pixel's distance to the pair
+            far, twin, copied = (clusters[i] for i in rng.integers(len(clusters), size=3))
+            far.center = far.center * 1e3
+            twin.center = copied.center.copy()
+            config = ClassifierConfig(
+                max_iterations=int(rng.integers(0, 7)),
+                convergence_fraction=float(rng.choice([0.0, 0.01])),
+                center_regularization=float(rng.choice([0.0, 1e-6])),
+            )
+            args = (t, cats, mixed, clusters, config, labels0)
+            labels, out, history = iterate_classification(*args, workers=workers)
+            ref_labels, ref_out, ref_history = iterate_oracle(*args, workers=workers)
+            assert labels.tobytes() == ref_labels.tobytes()
+            assert json.dumps(history) == json.dumps(ref_history)
+            assert [
+                (c.id, c.category, c.member_count, c.source_ids, c.center.tobytes())
+                for c in out
+            ] == [
+                (c.id, c.category, c.member_count, c.source_ids, c.center.tobytes())
+                for c in ref_out
+            ]
+            retired += len(out) < len(clusters)
+            cat_of = {c.id: c.category for c in out}
+            crossed += any(cat_of[label] != cat for label, cat in zip(labels, cats))
+        # the instances cover retired clusters and mixed pixels that change category
+        assert retired and crossed
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

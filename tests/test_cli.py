@@ -105,6 +105,20 @@ class TestClassify:
             classified / "labels.bin"
         ).read_bytes()
 
+    def test_every_artifact_is_identical_for_1_and_4_workers(self, demo_scene, tmp_path):
+        from geopolsar.pipeline import DUMP_STAGES, PipelineConfig, run_classify
+
+        trees = []
+        for workers in (1, 4):
+            out = tmp_path / f"w{workers}"
+            config = PipelineConfig(workers=workers, dump_stages=DUMP_STAGES)
+            run_classify(demo_scene, out, config)
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            trees.append({str(p.relative_to(out)): p.read_bytes() for p in files})
+        assert "report.jsonl" in trees[0]
+        assert "stages/stage_merge/labels_initial.bin" in trees[0]
+        assert trees[0] == trees[1]
+
     def test_zero_iterations_match_the_merge_stage(self, demo_scene, tmp_path):
         out = tmp_path / "it0"
         assert main(

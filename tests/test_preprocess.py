@@ -13,7 +13,7 @@ from geopolsar.preprocess import (
 from geopolsar.matrices import CoherencyMatrix, pauli_from_sinclair_array
 from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
-from conftest import random_psd_stack, random_sinclair_stack
+from conftest import random_psd_stack, random_sinclair_stack, speckle_filter_oracle
 
 
 def rotation(theta):
@@ -155,6 +155,48 @@ class TestSpeckleFilter:
                                 count += 1
                     assert out.mask[r, c]
                     assert np.abs(out.data[r, c] - acc / count).max() <= 1e-12
+
+    @pytest.mark.parametrize("tile_pixels", [None, 50])
+    def test_matches_the_sliding_window_oracle_bitwise(self, monkeypatch, tile_pixels):
+        import geopolsar.preprocess as preprocess
+
+        if tile_pixels:  # many small row tiles, one row each on the wide shapes
+            monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_pixels)
+        rng = np.random.default_rng(41)
+        for rows, cols in ((1, 40), (2, 2), (7, 300), (128, 128), (37, 53), (23, 1)):
+            data = random_psd_stack(rng, rows * cols).reshape(rows, cols, 3, 3)
+            data[rng.random((rows, cols)) < 0.1] = 0.0
+            # -0.0 everywhere in T23, and -0.0 real parts beside negative
+            # imaginary parts in T12: the signs of zero sums must survive
+            data[..., 1, 2] = complex(-0.0, -0.0)
+            data[..., 2, 1] = complex(-0.0, 0.0)
+            flip = rng.random((rows, cols)) < 0.5
+            data[flip, 0, 1] = -0.0 - 1j * np.abs(data[flip, 0, 1].imag)
+            # unmasked infinite parts make the other part of their windows'
+            # means NaN through the complex division, as before
+            data[0, 0, 0, 2] = complex(1.0, np.inf)
+            data[-1, -1, 0, 1] = complex(np.inf, 1.0)
+            data[..., 1, 0] = data[..., 0, 1].conj()
+            data[..., 2, 0] = data[..., 0, 2].conj()
+            mask = rng.random((rows, cols)) > 0.2
+            mask[0, 0] = mask[-1, -1] = True
+            raster = PolsarRaster(KIND_COHERENCY, data, mask, looks=3)
+            for window in range(3, 15, 2):
+                config = PreprocessConfig(filter_window=window)
+                out = speckle_filter(raster, config)
+                ref = speckle_filter_oracle(raster, config)
+                assert np.array_equal(out.mask, ref.mask)
+                assert out.looks == ref.looks
+                if cols == 1:
+                    # one padded column makes each oracle window a single
+                    # contiguous run, which numpy sums pairwise as a whole
+                    # rather than row by row, so only rounding agrees there
+                    scale = np.abs(ref.data[np.isfinite(ref.data)]).max()
+                    assert np.allclose(
+                        out.data, ref.data, rtol=1e-12, atol=1e-12 * scale, equal_nan=True
+                    )
+                    continue
+                assert out.data.tobytes() == ref.data.tobytes(), (rows, cols, window)
 
     def test_output_exactly_hermitian(self):
         rng = np.random.default_rng(40)
