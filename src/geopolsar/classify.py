@@ -5,10 +5,11 @@ category is split into span-ordered seed clusters, merged down to a small
 number of classes under a size cap, and refined with the complex-Wishart
 distance. Non-mixed pixels only ever compete among clusters of their own
 category; mixed pixels compete globally and adopt the winning cluster's
-category. Each distance is computed once: merging keeps a cached center-
-distance matrix (ties go to the first pair (i, j) in row-major order), and
-each refinement pass scores the pixels one fixed block at a time, keeping
-only each pixel's nearest allowed cluster and its distance.
+category.
+
+Pixels and centers are packed real rows p(T) (``pack_coherency_array``), and
+one kernel scores them: d(T, V) = ln|V| + p(T) . Q with Q = W p(V^-1). Merging
+keeps D = (M + M^T) / 2 with M[i, j] = d(Vi, Vj); ties go to the first (i, j).
 
 Distances:
     pixel to center   d(T, V) = ln|V| + Tr(V^-1 T)
@@ -25,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .geodesic import SimilarityTriple
-from .matrices import CoherencyMatrix
+from .matrices import CoherencyMatrix, pack_coherency_array, unpack_coherency_array
 
 __all__ = [
     "ClassifierConfig",
@@ -40,14 +41,18 @@ __all__ = [
     "iterate_classification",
 ]
 
-# Pixels are scored against distance blocks of this many rows; the block
-# grid is fixed so results never depend on the worker count.
-_DISTANCE_BLOCK = 8192
+# Pixels are scored in blocks of this many rows; the block grid is fixed so
+# results never depend on the worker count. OpenBLAS runs products this small
+# on the calling thread, so its threads never contend with the block pool.
+_DISTANCE_BLOCK = 2048
 
 
 @dataclass
 class ClassifierConfig:
-    """Clustering and iteration knobs."""
+    """Clustering and iteration knobs.
+
+    center_regularization is the load epsilon: Wishart distances score pixels
+    and centers as X + epsilon * (tr X / 3) * I. Centers stay plain means."""
 
     initial_clusters_per_category: int = 30
     final_classes_per_category: int = 5
@@ -146,80 +151,89 @@ def categorize_arrays(w: np.ndarray, threshold: float = 0.5):
 # ---------------------------------------------------------------------------
 
 
-def _center_matrix(center) -> np.ndarray:
-    if isinstance(center, Cluster):
-        return center.center
-    if isinstance(center, CoherencyMatrix):
-        return center.matrix
-    return np.asarray(center, dtype=np.complex128)
+def _matrix(value) -> np.ndarray:
+    if isinstance(value, Cluster):
+        return value.center
+    if isinstance(value, CoherencyMatrix):
+        return value.matrix
+    return np.asarray(value, dtype=np.complex128)
 
 
-def _factor(centers: np.ndarray, epsilon: float):
-    """(reg, ln|reg|, reg^-1) for reg = V + epsilon * (tr V / 3) * I; the
-    regularization keeps near-singular centers usable."""
+def _packed(t) -> np.ndarray:
+    """(n, 9) packed rows of an (n, 3, 3) coherency stack or of packed rows."""
+    t = np.asarray(t)
+    return t.astype(float, copy=False) if t.ndim == 2 else pack_coherency_array(t)
+
+
+def _factor(centers: np.ndarray, epsilon: float, loaded: bool = True):
+    """(Q, ln|V'|) for (K, 3, 3) centers loaded as V' = V + epsilon (tr V / 3) I,
+    which keeps near-singular centers usable: d(T, V') = ln|V'| + p(T) . Q. If
+    loaded, Q scores the loaded pixel T' instead (diagonal + eps/3 Tr(V'^-1))."""
     tr = np.trace(centers, axis1=-2, axis2=-1).real
-    reg = centers + (epsilon * tr / 3.0)[..., None, None] * np.eye(3)
+    reg = centers + (epsilon * tr / 3.0)[:, None, None] * np.eye(3)
     try:
         chol = np.linalg.cholesky(reg)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular cluster center") from exc
-    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
-    logdet = 2.0 * np.log(diag).sum(axis=-1)
-    return reg, logdet, np.linalg.inv(reg)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
+    q = pack_coherency_array(np.linalg.inv(reg))
+    q[:, 3:] *= 2.0  # Tr(AB) = p(A) . W p(B): off-diagonal entries count twice
+    if loaded:
+        q[:, :3] += epsilon / 3.0 * q[:, :3].sum(axis=1, keepdims=True)
+    return q, logdet
 
 
-def _center_row(a: int, reg: np.ndarray, logdet: np.ndarray, vinv: np.ndarray):
-    """D(a, k) for every k; one row per call keeps D(a, k) == D(k, a) bitwise."""
-    cross = np.einsum("ij,kji->k", vinv[a], reg) + np.einsum("kij,ji->k", vinv, reg[a])
-    return 0.5 * (logdet[a] + logdet + cross.real)
-
-
-def _block_distances(t: np.ndarray, logdet: np.ndarray, vinv: np.ndarray):
-    """d(T, V) for a block of pixels (rows) against factored centers (columns)."""
-    return logdet + np.einsum("kij,pji->pk", vinv, t).real
+def _distances(t: np.ndarray, q: np.ndarray, offset) -> np.ndarray:
+    """p(T) . Q + offset (ln|V|) for packed rows against factored centers."""
+    return np.dot(t, q.T) + offset
 
 
 def wishart_pixel_distance(t, center, epsilon: float = 0.0) -> float:
     """d(T, V) = ln|V| + Tr(V^-1 T) for one pixel and one center."""
-    tm = t.matrix if isinstance(t, CoherencyMatrix) else np.asarray(t, complex)
-    _, logdet, vinv = _factor(_center_matrix(center)[None], epsilon)
-    return float(_block_distances(tm[None], logdet, vinv)[0, 0])
+    factors = _factor(_matrix(center)[None], epsilon, loaded=False)
+    return float(_distances(_packed(_matrix(t)[None]), *factors)[0, 0])
 
 
 def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
     """Symmetrized between-cluster distance D(i, j)."""
-    centers = np.stack([_center_matrix(c1), _center_matrix(c2)])
-    return float(_center_row(0, *_factor(centers, epsilon))[1])
+    centers = np.stack([_matrix(c1), _matrix(c2)])
+    m = _distances(_packed(centers), *_factor(centers, epsilon))
+    return float(0.5 * (m[0, 1] + m[1, 0]))
 
 
-def _pixel_center_distances(t, clusters, epsilon, categories, mixed, pool, current=None):
-    """Nearest allowed cluster of every pixel, scored one fixed block at a time.
+def _pixel_center_distances(t, centers, cluster_cat, groups, epsilon, pool, current=None):
+    """Nearest allowed cluster of every packed pixel, scored in fixed blocks.
 
-    A pixel that is not mixed may only join clusters of its own category.
-    Returns the winning column per pixel (ties to the lowest column), its
-    distance, and, when current gives a column per pixel, the distance to
-    that column. Blocks run on the thread pool and write disjoint slices, so
-    any worker count produces identical bytes; no (pixels, clusters) matrix
-    outlives its block.
+    groups lists (rows, category): those pixels may only join clusters of that
+    category, or of any when None. Pixels and centers are both loaded by
+    epsilon. Returns each pixel's winning column (ties to the lowest), its
+    distance and, given a current column per pixel, the distance to it. Blocks
+    write disjoint rows, so any worker count produces identical bytes.
     """
-    _, logdet, vinv = _factor(np.stack([c.center for c in clusters]), epsilon)
-    cluster_cat = np.array([c.category for c in clusters])
-    n = t.shape[0]
-    pick = np.empty(n, dtype=np.intp)
-    best = np.empty(n)
-    at_current = None if current is None else np.empty(n)
+    q, logdet = _factor(unpack_coherency_array(centers), epsilon)
+    pick, best = np.empty(len(t), dtype=np.intp), np.empty(len(t))
+    at_current = None if current is None else np.empty(len(t))
+    blocks = []
+    for rows, category in groups:
+        allowed = np.ones(len(q), bool) if category is None else cluster_cat == category
+        # pixels without an allowed cluster score inf against every cluster
+        cols = np.flatnonzero(allowed) if allowed.any() else np.arange(len(q))
+        offset = np.where(allowed[cols], logdet[cols], np.inf)
+        for s0 in range(0, len(rows), _DISTANCE_BLOCK):
+            blocks.append((rows[s0 : s0 + _DISTANCE_BLOCK], cols, offset))
 
-    def score(s0):
-        s1 = min(s0 + _DISTANCE_BLOCK, n)
-        dist = _block_distances(t[s0:s1], logdet, vinv)
-        rows = np.arange(s1 - s0)
+    def score(block):
+        rows, cols, offset = block
+        tb = t[rows]
         if current is not None:
-            at_current[s0:s1] = dist[rows, current[s0:s1]]
-        dist[~mixed[s0:s1, None] & (cluster_cat != categories[s0:s1, None])] = np.inf
-        pick[s0:s1] = np.argmin(dist, axis=1)
-        best[s0:s1] = dist[rows, pick[s0:s1]]
+            at = current[rows]
+            at_current[rows] = logdet[at] + np.einsum("pc,pc->p", tb, q[at])
+        dist = _distances(tb, q[cols], offset)
+        p = np.argmin(dist, axis=1)
+        pick[rows] = cols[p]
+        best[rows] = np.take_along_axis(dist, p[:, None], 1)[:, 0]
 
-    list(pool.map(score, range(0, n, _DISTANCE_BLOCK)))
+    list(pool.map(score, blocks))
     return pick, best, at_current
 
 
@@ -236,37 +250,28 @@ def initial_clusters(
 ) -> Tuple[List[Cluster], np.ndarray]:
     """Span-ordered equal-population seed clusters for one category.
 
-    pixels has shape (n, 3, 3). Pixels are sorted by span and split into
-    min(k, n) contiguous bins; the last bin absorbs the remainder. Returns
-    the clusters plus each pixel's assigned cluster id.
+    pixels has shape (n, 3, 3) or packed (n, 9). They are sorted by span and
+    split into min(k, n) contiguous bins; the last bin absorbs the remainder.
+    Returns the clusters plus each pixel's assigned cluster id.
     """
-    pixels = np.asarray(pixels, dtype=np.complex128)
+    pixels = _packed(pixels)
     n = pixels.shape[0]
     if n == 0:
         return [], np.empty(0, dtype=np.int64)
     if k < 1:
         raise ValueError("k must be >= 1")
-    spans = np.trace(pixels, axis1=-2, axis2=-1).real
-    order = np.argsort(spans, kind="stable")
+    order = np.argsort(pixels[:, :3].sum(axis=1), kind="stable")
     k_eff = min(k, n)
-    base = n // k_eff
+    bounds = np.append(np.arange(k_eff) * (n // k_eff), n)
+    counts = np.diff(bounds)
+    ids = start_id + np.arange(k_eff)
     labels = np.empty(n, dtype=np.int64)
-    clusters: List[Cluster] = []
-    for b in range(k_eff):
-        lo = b * base
-        hi = (b + 1) * base if b < k_eff - 1 else n
-        members = order[lo:hi]
-        cid = start_id + b
-        labels[members] = cid
-        clusters.append(
-            Cluster(
-                id=cid,
-                category=category,
-                center=pixels[members].mean(axis=0),
-                member_count=len(members),
-            )
-        )
-    return clusters, labels
+    labels[order] = np.repeat(ids, counts)
+    ordered = pixels[order]
+    sums = [ordered[lo:hi].sum(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # means times 1 / count, which is how numpy's complex mean rounds
+    state = zip(ids, unpack_coherency_array(np.stack(sums) * (1.0 / counts)[:, None]), counts)
+    return [Cluster(int(i), category, v, int(m)) for i, v, m in state], labels
 
 
 def merge_clusters(
@@ -278,69 +283,44 @@ def merge_clusters(
     combined population stays within n_max = 2 * N / final_classes, where N
     is the category population. Stops at final_classes clusters or when no
     pair may merge. The cap applies only here, never during iteration. One
-    cached (K, K) distance matrix is refreshed only in the merged row and
-    column; ties go to the first pair in row-major order of the upper triangle.
+    bitwise symmetric (K, K) distance matrix is refreshed only in the merged
+    row and column; ties go to the first pair in row-major upper-triangle order.
     """
     work = sorted(clusters, key=lambda c: c.id)
     if not work:
         return []
-    categories = {c.category for c in work}
-    if len(categories) != 1:
+    if len({c.category for c in work}) != 1:
         raise ValueError("merge_clusters expects clusters of a single category")
-    n_total = sum(c.member_count for c in work)
-    n_max = 2.0 * n_total / config.final_classes_per_category
+    ids = [c.id for c in work]
+    sources = [c.source_ids for c in work]
+    counts = np.array([c.member_count for c in work])
+    # centers average as the 3x3 matrices Cluster holds; packed rows are scored
+    centers = np.stack([c.center for c in work])
+    packed = _packed(centers)
+    alive = np.ones(len(work), dtype=bool)
+    n_max = 2.0 * counts.sum() / config.final_classes_per_category
     epsilon = config.center_regularization
-    factors = _factor(np.stack([c.center for c in work]), epsilon)
-    dist = np.stack([_center_row(a, *factors) for a in range(len(work))])
-    while len(work) > config.final_classes_per_category:
-        counts = np.array([c.member_count for c in work])
-        allowed = np.triu(counts[:, None] + counts[None, :] <= n_max, 1)
-        pairs = np.flatnonzero(allowed)
+    q, logdet = _factor(centers, epsilon)
+    dist = _distances(packed, q, logdet)  # d(Vi, Vj)
+    dist = 0.5 * (dist + dist.T)
+    for _ in range(len(work) - config.final_classes_per_category):
+        allowed = np.outer(alive, alive) & (counts[:, None] + counts[None, :] <= n_max)
+        pairs = np.flatnonzero(np.triu(allowed, 1))
         if pairs.size == 0:
             break
         i, j = divmod(int(pairs[np.argmin(dist.flat[pairs])]), len(work))
-        a, b = work[i], work[j]
-        count = a.member_count + b.member_count
-        center = (a.member_count * a.center + b.member_count * b.center) / count
-        work[i] = Cluster(
-            id=a.id,
-            category=a.category,
-            center=center,
-            member_count=count,
-            source_ids=tuple(sorted(a.source_ids + b.source_ids)),
-        )
-        del work[j]
-        for stack, value in zip(factors, _factor(center[None], epsilon)):
-            stack[i] = value[0]
-        factors = [np.delete(stack, j, axis=0) for stack in factors]
-        dist = np.delete(np.delete(dist, j, axis=0), j, axis=1)
-        dist[i] = dist[:, i] = _center_row(i, *factors)
-    return work
-
-
-def _recompute_clusters(
-    t: np.ndarray, labels: np.ndarray, clusters: List[Cluster]
-) -> List[Cluster]:
-    """Means over current members; emptied clusters are retired."""
-    survivors: List[Cluster] = []
-    for cluster in clusters:
-        members = labels == cluster.id
-        count = int(members.sum())
-        if count == 0:
-            continue
-        center = t[members].mean(axis=0)
-        if np.trace(center).real <= 0.0:
-            continue
-        survivors.append(
-            Cluster(
-                id=cluster.id,
-                category=cluster.category,
-                center=center,
-                member_count=count,
-                source_ids=cluster.source_ids,
-            )
-        )
-    return survivors
+        na, nb = int(counts[i]), int(counts[j])
+        centers[i] = (na * centers[i] + nb * centers[j]) / (na + nb)
+        counts[i] = na + nb
+        sources[i] = tuple(sorted(sources[i] + sources[j]))
+        alive[j] = False
+        packed[i] = pack_coherency_array(centers[i])
+        (q[i],), (logdet[i],) = _factor(centers[i : i + 1], epsilon)
+        row = _distances(packed[i : i + 1], q, logdet)[0]
+        column = _distances(packed, q[i : i + 1], logdet[i])[:, 0]
+        dist[i] = dist[:, i] = 0.5 * (row + column)
+    state = zip(ids, centers, counts, sources, alive)
+    return [Cluster(i, work[0].category, v, int(m), s) for i, v, m, s, a in state if a]
 
 
 def iterate_classification(
@@ -356,7 +336,7 @@ def iterate_classification(
 
     Parameters
     ----------
-    t : (n, 3, 3) coherency matrices of the valid pixels
+    t : (n, 3, 3) coherency matrices of the valid pixels, or (n, 9) packed
     categories : (n,) registry index per pixel (mixed pixels: seeded one)
     mixed : (n,) bool mixed flags; mixed pixels compete across all clusters
     clusters : post-merge clusters
@@ -369,16 +349,26 @@ def iterate_classification(
     labels : (n,) final cluster id per pixel
     clusters : surviving clusters with refreshed centers and counts
     history : one record per pass with label-change counts and the total
-        Wishart distance of the assignment. Each pass scores against the
-        regularized centers but sets plain member means, so the total cannot
-        rise when center_regularization is 0 and may rise slightly above it.
+        Wishart distance of the assignment. Every pass scores the loaded
+        pixels T + epsilon * (tr T / 3) * I against the loaded member means,
+        and the mean of loaded pixels is the loaded mean, so each pass is a
+        Lloyd step and the total cannot rise. Centers stay plain means.
     """
-    t = np.asarray(t, dtype=np.complex128)
+    t = _packed(t)
     n = t.shape[0]
     work = sorted(clusters, key=lambda c: c.id)
+    ids = np.array([c.id for c in work], dtype=np.int64)
+    cluster_cat = np.array([c.category for c in work], dtype=np.int64)
+    counts = np.array([c.member_count for c in work], dtype=np.int64)
+    centers = _packed(np.reshape([c.center for c in work], (-1, 3, 3)))
+    survivors = np.arange(len(work))
     labels = np.asarray(initial_labels, dtype=np.int64).copy()
-    categories = np.asarray(categories, dtype=np.int64)
+    # pixels grouped once by the clusters they may join: those of their own
+    # category, or every cluster when mixed
     mixed = np.asarray(mixed, dtype=bool)
+    categories = np.asarray(categories, dtype=np.int64)
+    groups = [(np.flatnonzero(~mixed & (categories == c)), c)
+              for c in np.unique(categories[~mixed])] + [(np.flatnonzero(mixed), None)]
     history: List[Dict] = []
 
     def record(iteration, changed, objective):
@@ -388,33 +378,43 @@ def iterate_classification(
                 "changed": changed,
                 "changed_fraction": None if changed is None else changed / n,
                 "objective": objective,
-                "clusters": len(work),
+                "clusters": len(ids),
             }
         )
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
+
+        def score(current=None):
+            return _pixel_center_distances(
+                t, centers, cluster_cat, groups, config.center_regularization, pool, current
+            )
+
         # pass 0 scores the post-merge assignment; pass 1 reuses its scores
         objective = 0.0
-        if n and work:
-            current = np.searchsorted([c.id for c in work], labels)
-            pick, best, at_current = _pixel_center_distances(
-                t, work, config.center_regularization, categories, mixed, pool, current
-            )
+        if n and len(ids):
+            pick, best, at_current = score(np.searchsorted(ids, labels))
             objective = float(at_current.sum())
         record(0, None, objective)
         for iteration in range(1, config.max_iterations + 1):
-            if n == 0 or not work:
+            if n == 0 or not len(ids):
                 break
             if iteration > 1:
-                pick, best, _ = _pixel_center_distances(
-                    t, work, config.center_regularization, categories, mixed, pool
-                )
+                pick, best, _ = score()
             # clusters are id-ordered, so argmin ties resolve to the lowest id
-            new_labels = np.array([c.id for c in work])[pick]
+            new_labels = ids[pick]
             changed = int(np.count_nonzero(new_labels != labels))
             labels = new_labels
-            work = _recompute_clusters(t, labels, work)
+            counts = np.bincount(pick, minlength=len(ids))
+            sums = [np.bincount(pick, t[:, c], minlength=len(ids)) for c in range(9)]
+            # emptied clusters get a zero mean and retire, as do powerless ones
+            centers = np.stack(sums, axis=1) * (1.0 / np.maximum(counts, 1))[:, None]
+            keep = centers[:, :3].sum(axis=1) > 0.0
+            ids, cluster_cat, counts, centers, survivors = (
+                a[keep] for a in (ids, cluster_cat, counts, centers, survivors)
+            )
             record(iteration, changed, float(best.sum()))
             if changed == 0 or changed / n < config.convergence_fraction:
                 break
-    return labels, work, history
+    state = zip([work[a] for a in survivors], unpack_coherency_array(centers), counts)
+    clusters = [Cluster(c.id, c.category, v, int(m), c.source_ids) for c, v, m in state]
+    return labels, clusters, history

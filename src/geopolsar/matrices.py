@@ -35,6 +35,8 @@ __all__ = [
     "kennaugh_from_sinclair_array",
     "kennaugh_from_coherency_array",
     "span_array",
+    "pack_coherency_array",
+    "unpack_coherency_array",
 ]
 
 # Eigenvalues of an averaged coherency matrix may dip slightly below zero
@@ -48,6 +50,11 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 # index pairs of the strict upper triangle of a 4x4 matrix
 _UPPER4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# Packed real layout p(T) of a 3x3 Hermitian matrix, the on-disk T3 order:
+# [T11, T22, T33, Re T12, Re T13, Re T23, Im T12, Im T13, Im T23]. For
+# Hermitian A and B, Tr(AB) = p(A) . W p(B) with W = diag(1, 1, 1, 2, ..., 2).
+_PACKED = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -295,6 +302,27 @@ def kennaugh_from_coherency_array(t) -> np.ndarray:
     for i, j in _UPPER4:
         k[..., j, i] = k[..., i, j]
     return k
+
+
+def pack_coherency_array(t) -> np.ndarray:
+    """Packed real rows (..., 9) of Hermitian stacks (..., 3, 3), read from the
+    upper triangle. The rows view a component-major buffer, so each packed
+    column is contiguous."""
+    t = np.asarray(t, dtype=np.complex128)
+    parts = [t[..., i, j].real for i, j in _PACKED]
+    parts += [t[..., i, j].imag for i, j in _PACKED[3:]]
+    return np.moveaxis(np.array(parts), 0, -1)
+
+
+def unpack_coherency_array(p) -> np.ndarray:
+    """Exactly Hermitian stacks (..., 3, 3) from packed rows (..., 9)."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.zeros(p.shape[:-1] + (3, 3), dtype=np.complex128)
+    for c, (i, j) in enumerate(_PACKED):
+        out.real[..., i, j] = out.real[..., j, i] = p[..., c]
+    for c, (i, j) in enumerate(_PACKED[3:]):
+        out.imag[..., i, j], out.imag[..., j, i] = p[..., 6 + c], -p[..., 6 + c]
+    return out
 
 
 def span_array(data, kind: str) -> np.ndarray:

@@ -28,6 +28,7 @@ from .classify import (
     merge_clusters,
 )
 from .geodesic import DEFAULT_TARGETS, CanonicalTarget, similarity_arrays
+from .matrices import pack_coherency_array
 from .preprocess import PreprocessConfig, deorient_raster, multilook, speckle_filter
 from .raster import KIND_SINCLAIR, PolsarRaster, raster_to_kennaugh
 from .render import MASKED_LABEL, ClassEntry, render_map
@@ -158,7 +159,8 @@ def classify_raster(
     dump("category", write_category)
 
     pixel_index = np.flatnonzero(valid)
-    t_flat = raster.data.reshape(-1, 3, 3)[pixel_index]
+    # packed rows of the valid pixels, each packed column kept contiguous
+    t_flat = np.take(pack_coherency_array(raster.data.reshape(-1, 3, 3)).T, pixel_index, 1).T
     cat_flat = categories[pixel_index]
     mixed_flat = mixed[pixel_index]
 

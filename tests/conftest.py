@@ -222,7 +222,7 @@ def _pixel_center_distance_matrix(t, centers, epsilon, workers=1):
     read at call time so a test can make the blocks ragged."""
     from geopolsar import classify
 
-    _, logdet, vinv = classify._factor(centers, epsilon)
+    logdet, vinv = _logdet_and_inverse(_regularize(centers, epsilon))
     n = t.shape[0]
     block = classify._DISTANCE_BLOCK
     out = np.empty((n, len(centers)), dtype=np.float64)

@@ -1,6 +1,10 @@
 """End-to-end command line tests on small scenes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +122,24 @@ class TestClassify:
         assert "report.jsonl" in trees[0]
         assert "stages/stage_merge/labels_initial.bin" in trees[0]
         assert trees[0] == trees[1]
+
+    def test_every_artifact_is_identical_across_blas_threads(self, demo_scene, tmp_path):
+        # distances go through BLAS matrix products; neither its thread count
+        # nor the worker count may change a byte
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        trees = []
+        for blas in ("1", "2"):
+            for workers in ("1", "2"):
+                out = tmp_path / f"blas{blas}_w{workers}"
+                path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=path)
+                args = [sys.executable, "-m", "geopolsar.cli", "classify", str(demo_scene)]
+                args += ["--out", str(out), "--dump-stage", "all", "--workers", workers]
+                subprocess.run(args, env=env, check=True, timeout=300)
+                files = sorted(p for p in out.rglob("*") if p.is_file())
+                trees.append({str(p.relative_to(out)): p.read_bytes() for p in files})
+        assert "stages/stage_merge/labels_initial.bin" in trees[0]
+        assert all(tree == trees[0] for tree in trees[1:])
 
     def test_zero_iterations_match_the_merge_stage(self, demo_scene, tmp_path):
         out = tmp_path / "it0"

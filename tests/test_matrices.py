@@ -12,10 +12,12 @@ from geopolsar.matrices import (
     kennaugh_from_coherency_array,
     kennaugh_from_sinclair,
     kennaugh_from_sinclair_array,
+    pack_coherency_array,
     pauli_from_sinclair,
     pauli_from_sinclair_array,
     span,
     span_array,
+    unpack_coherency_array,
 )
 
 from conftest import kennaugh_expansion_oracle, random_psd_stack, random_sinclair_stack
@@ -211,3 +213,34 @@ class TestSpan:
             span_array(np.eye(3), "mueller")
         with pytest.raises(TypeError):
             span(np.eye(3))
+
+
+class TestPackedLayout:
+    def test_round_trips_bitwise(self):
+        rng = np.random.default_rng(70)
+        p = rng.standard_normal((200, 9))
+        p[rng.random(p.shape) < 0.1] = -0.0
+        p[rng.random(p.shape) < 0.1] = 0.0
+        t = unpack_coherency_array(p)
+        assert pack_coherency_array(t).tobytes() == np.ascontiguousarray(p).tobytes()
+        assert unpack_coherency_array(pack_coherency_array(t)).tobytes() == t.tobytes()
+        # exactly Hermitian, with a real diagonal
+        assert np.array_equal(t, np.swapaxes(t, 1, 2).conj())
+        assert not np.diagonal(t, axis1=1, axis2=2).imag.any()
+
+    def test_layout_is_the_t3_component_order(self):
+        t = np.array(
+            [[1.0, 4 + 7j, 5 + 8j], [4 - 7j, 2.0, 6 + 9j], [5 - 8j, 6 - 9j, 3.0]]
+        )
+        assert pack_coherency_array(t).tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+        assert pack_coherency_array(t[None]).shape == (1, 9)
+
+    def test_trace_of_a_product_is_a_weighted_dot(self):
+        rng = np.random.default_rng(71)
+        weights = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+        x = rng.standard_normal((2, 500, 3, 3)) + 1j * rng.standard_normal((2, 500, 3, 3))
+        a, b = x + np.swapaxes(x, -1, -2).conj()
+        trace = np.einsum("nij,nji->n", a, b)
+        dot = np.einsum("nc,nc->n", pack_coherency_array(a), weights * pack_coherency_array(b))
+        assert np.abs(trace.imag).max() <= 1e-13 * np.abs(trace).max()
+        assert dot == pytest.approx(trace.real, rel=1e-13, abs=1e-13)
