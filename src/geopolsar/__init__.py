@@ -58,7 +58,7 @@ from .preprocess import (
     orientation_angle,
     speckle_filter,
 )
-from .raster import PolsarRaster, raster_to_kennaugh
+from .raster import PolsarRaster
 from .render import ClassEntry, class_color, render_map
 from .scene import (
     Region,
@@ -114,7 +114,6 @@ __all__ = [
     "wishart_center_distance",
     # raster / scene / render
     "PolsarRaster",
-    "raster_to_kennaugh",
     "SceneHeader",
     "Region",
     "SyntheticSceneSpec",

@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .matrices import KennaughMatrix
+from .matrices import KennaughMatrix, kennaugh_from_coherency_array, unpack_coherency_array
 
 __all__ = [
     "CanonicalTarget",
@@ -163,15 +163,17 @@ def dominant_target(triple: SimilarityTriple) -> str:
 
 
 def similarity_arrays(
-    kennaugh: np.ndarray,
+    pixels: np.ndarray,
     mask: np.ndarray,
     targets: Sequence[CanonicalTarget] = DEFAULT_TARGETS,
 ):
-    """Vectorized similarity over a Kennaugh stack.
+    """Vectorized similarity over a Kennaugh stack or packed coherency rows.
 
     Parameters
     ----------
-    kennaugh : (rows, cols, 4, 4) float array
+    pixels : (rows, cols, 4, 4) Kennaugh stack, or (rows, cols, 9) packed
+        coherency rows (``matrices.pack_coherency_array``), which are scored
+        without a Kennaugh stack; the two routes agree to rounding
     mask : (rows, cols) bool array, True = valid
     targets : ordered target registry
 
@@ -182,13 +184,31 @@ def similarity_arrays(
     """
     if len(targets) == 0:
         raise ValueError("no targets")
-    k = np.asarray(kennaugh, dtype=np.float64)
+    x = np.asarray(pixels, dtype=np.float64)
     tmat = np.stack([t.kennaugh.matrix for t in targets])
-    d_pix = _frobenius_dot(k, k)
-    valid = np.asarray(mask, bool) & (d_pix > 0.0) & (k[..., 0, 0] >= 0.0)
+    if x.shape[-2:] == (4, 4):
+        dots = np.einsum("rcij,tij->trc", x, tmat)
+        d_pix, k11 = _frobenius_dot(x, x), x[..., 0, 0]
+    elif x.shape[-1:] == (9,):
+        # K(T) is linear in p = p(T), so no Kennaugh stack is formed: Tr(K(T) K_t)
+        # = p . A_t with A_t the target pulled back through the packed basis,
+        # ||K(T)||^2 = p . W p with W = diag(1, 1, 1, 2, ..., 2) the basis' Gram
+        # matrix, and k11 = span / 2
+        basis = kennaugh_from_coherency_array(unpack_coherency_array(np.eye(9)))
+        pullback = np.einsum("cij,tij->ct", basis, tmat)
+        planes = np.moveaxis(x, -1, 0)
+        dots, d_pix = np.zeros((len(tmat),) + x.shape[:-1]), np.zeros(x.shape[:-1])
+        for plane, weights, gram in zip(planes, pullback, _frobenius_dot(basis, basis)):
+            d_pix += gram * (plane * plane)
+            for row, weight in zip(dots, weights):
+                if weight:  # a diagonal target weighs only the diagonal planes
+                    row += weight * plane
+        k11 = 0.5 * ((planes[0] + planes[1]) + planes[2])
+    else:
+        raise ValueError(f"expected (rows, cols, 4, 4) or packed (rows, cols, 9), got {x.shape}")
+    valid = np.asarray(mask, bool) & (d_pix > 0.0) & (k11 >= 0.0)
 
     d_t = _frobenius_dot(tmat, tmat)
-    dots = np.einsum("rcij,tij->trc", k, tmat)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = 1.0 - _geodesic(dots, d_pix[None], d_t[:, None, None])
     # distances beyond 1 signal an unphysical pixel; mask rather than raise
@@ -198,7 +218,7 @@ def similarity_arrays(
     valid &= total > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = f / total[None]
-    w = (2.0 * k[..., 0, 0])[None] * gamma
+    w = (2.0 * k11)[None] * gamma
     f[:, ~valid] = np.nan
     gamma[:, ~valid] = np.nan
     w[:, ~valid] = np.nan

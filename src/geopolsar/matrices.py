@@ -279,9 +279,17 @@ def kennaugh_from_sinclair_array(s) -> np.ndarray:
     return k
 
 
+def _coherency_stack(t) -> np.ndarray:
+    """t as complex stacks (..., 3, 3); packed rows (..., 9) are not misread."""
+    t = np.asarray(t, dtype=np.complex128)
+    if t.shape[-2:] != (3, 3):
+        raise ValueError(f"expected coherency stacks (..., 3, 3), got shape {t.shape}")
+    return t
+
+
 def kennaugh_from_coherency_array(t) -> np.ndarray:
     """Kennaugh stacks (..., 4, 4) from coherency stacks (..., 3, 3)."""
-    t = np.asarray(t, dtype=np.complex128)
+    t = _coherency_stack(t)
     t11 = t[..., 0, 0].real
     t22 = t[..., 1, 1].real
     t33 = t[..., 2, 2].real
@@ -308,7 +316,7 @@ def pack_coherency_array(t) -> np.ndarray:
     """Packed real rows (..., 9) of Hermitian stacks (..., 3, 3), read from the
     upper triangle. The rows view a component-major buffer, so each packed
     column is contiguous."""
-    t = np.asarray(t, dtype=np.complex128)
+    t = _coherency_stack(t)
     parts = [t[..., i, j].real for i, j in _PACKED]
     parts += [t[..., i, j].imag for i, j in _PACKED[3:]]
     return np.moveaxis(np.array(parts), 0, -1)
@@ -341,7 +349,7 @@ def span_array(data, kind: str) -> np.ndarray:
             + (vv * vv.conj()).real
         )
     if kind == "coherency":
-        return np.trace(data, axis1=-2, axis2=-1).real
+        return np.trace(_coherency_stack(data), axis1=-2, axis2=-1).real
     if kind == "kennaugh":
         return 2.0 * data[..., 0, 0].real
     raise ValueError(f"unknown matrix kind {kind!r}")

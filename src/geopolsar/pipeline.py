@@ -1,9 +1,10 @@
 """End-to-end classification pipeline and its on-disk artifacts.
 
 Stage order: read, optional multilook (Sinclair input), optional
-deorientation, speckle filter, Kennaugh conversion, per-target similarity,
-categorization, span-ordered seeding, capped merging, iterative Wishart
-refinement, rendering. The stages up to the similarity form one front end,
+deorientation, speckle filter, per-target similarity, categorization,
+span-ordered seeding, capped merging, iterative Wishart refinement,
+rendering. Coherency pixels stay packed real rows p(T) from read (or
+multilook) to refinement. The stages up to the similarity form one front end,
 ``_prepare``, shared by the classify and similarity commands. Every stage
 dump goes through one hook, ``dump(stage, write)``. Stage dumps are written
 in full precision so a pipeline restarted from a dumped stage reproduces
@@ -13,7 +14,7 @@ the final labels byte-for-byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,9 +29,8 @@ from .classify import (
     merge_clusters,
 )
 from .geodesic import DEFAULT_TARGETS, CanonicalTarget, similarity_arrays
-from .matrices import pack_coherency_array
 from .preprocess import PreprocessConfig, deorient_raster, multilook, speckle_filter
-from .raster import KIND_SINCLAIR, PolsarRaster, raster_to_kennaugh
+from .raster import KIND_SINCLAIR, PolsarRaster
 from .render import MASKED_LABEL, ClassEntry, render_map
 from .scene import read_scene, write_scene
 
@@ -119,10 +119,7 @@ def _prepare(raster: PolsarRaster, config: PipelineConfig, dump: Callable):
     if config.preprocess.filter_window > 1:
         raster = speckle_filter(raster, config.preprocess)
         dump("filter", lambda d: write_scene(raster, d, dtype="float64"))
-    kennaugh = raster_to_kennaugh(raster)
-    f, gamma, w, valid = similarity_arrays(
-        kennaugh.data, kennaugh.mask, config.targets
-    )
+    f, gamma, w, valid = similarity_arrays(raster.data, raster.mask, config.targets)
     dump(
         "similarity",
         lambda d: _write_similarity(d, config.targets, f, gamma, w, "<f8"),
@@ -160,7 +157,7 @@ def classify_raster(
 
     pixel_index = np.flatnonzero(valid)
     # packed rows of the valid pixels, each packed column kept contiguous
-    t_flat = np.take(pack_coherency_array(raster.data.reshape(-1, 3, 3)).T, pixel_index, 1).T
+    t_flat = np.take(np.moveaxis(raster.data, -1, 0).reshape(9, -1), pixel_index, 1).T
     cat_flat = categories[pixel_index]
     mixed_flat = mixed[pixel_index]
 
@@ -313,17 +310,11 @@ def run_similarity(
 
 def run_generate(spec_path, out_dir, seed: Optional[int] = None) -> PolsarRaster:
     """Generate a synthetic scene from a spec file and write it."""
-    from .scene import parse_scene_spec, generate_scene, SyntheticSceneSpec
+    from .scene import parse_scene_spec, generate_scene
 
     spec = parse_scene_spec(spec_path)
     if seed is not None:
-        spec = SyntheticSceneSpec(
-            rows=spec.rows,
-            cols=spec.cols,
-            looks=spec.looks,
-            seed=seed,
-            regions=spec.regions,
-        )
+        spec = replace(spec, seed=seed)
     raster = generate_scene(spec)
     write_scene(raster, out_dir)
     return raster

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import CoherencyMatrix, pauli_from_sinclair_array
+from .matrices import (
+    CoherencyMatrix,
+    pack_coherency_array,
+    pauli_from_sinclair_array,
+    unpack_coherency_array,
+)
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
 __all__ = [
@@ -24,7 +29,8 @@ __all__ = [
     "multilook",
 ]
 
-#: Pixels per row tile of the speckle filter; a tile's planes stay in cache.
+#: Pixels per tile of deorientation and per row tile of the speckle filter; a
+#: tile's planes stay in cache.
 _FILTER_TILE_PIXELS = 32_768
 
 @dataclass
@@ -39,6 +45,10 @@ class PreprocessConfig:
             raise ValueError("filter window must be a positive odd integer")
 
 
+def _angle(t22, t33, re23) -> np.ndarray:
+    return 0.25 * np.arctan2(2.0 * re23, t22 - t33)
+
+
 def orientation_angle(t) -> np.ndarray:
     """Per-matrix rotation angle theta that minimizes the rotated T33.
 
@@ -46,10 +56,37 @@ def orientation_angle(t) -> np.ndarray:
     subspace with angle 2*theta. This choice simultaneously nulls Re T23
     and reaches the global minimum of T33 over all rotations.
     """
-    t = np.asarray(t)
-    return 0.25 * np.arctan2(
-        2.0 * t[..., 1, 2].real, t[..., 1, 1].real - t[..., 2, 2].real
-    )
+    p = pack_coherency_array(t)
+    return _angle(p[..., 1], p[..., 2], p[..., 5])
+
+
+def _deorient_packed(p: np.ndarray) -> np.ndarray:
+    """Deorient packed rows (..., 9) tile by tile, with the bytes of numpy's
+    complex arithmetic on the unpacked stack: a real * complex product
+    (x + 0j)(a + ib) is (x a - 0 b) + i(x b + 0 a), whose zero terms fix the
+    signs of zeros."""
+    planes = np.moveaxis(p, -1, 0).reshape(9, -1)
+    result = np.empty_like(planes)
+    for s0 in range(0, planes.shape[1], _FILTER_TILE_PIXELS):
+        tile = slice(s0, s0 + _FILTER_TILE_PIXELS)
+        t11, t22, t33, r12, r13, r23, i12, i13, i23 = planes[:, tile]
+        out = result[:, tile]
+        theta = _angle(t22, t33, r23)
+        c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+        cc, ss, cs2 = c * c, s * s, 2.0 * c * s
+        zr12, zr13, zi12, zi13, zi23 = (0.0 * v for v in (r12, r13, i12, i13, i23))
+        out[0] = t11
+        out[1] = cc * t22 + ss * t33 + cs2 * r23
+        out[2] = ss * t22 + cc * t33 - cs2 * r23
+        out[3] = (c * r12 - zi12) + (s * r13 - zi13)  # T'12 = c T12 + s T13
+        out[6] = (c * i12 + zr12) + (s * i13 + zr13)
+        out[4] = (-s * r12 - zi12) + (c * r13 - zi13)  # T'13 = -s T12 + c T13
+        out[7] = (-s * i12 + zr12) + (c * i13 + zr13)
+        # T'23 = c s (T33 - T22) + c^2 T23 - s^2 conj(T23); a zero imaginary
+        # part comes out +0 there, which the trailing + 0.0 reproduces
+        out[5] = (c * s * (t33 - t22) + (cc * r23 - zi23)) - (ss * r23 + zi23)
+        out[8] = (cc * i23 + ss * i23) + 0.0
+    return np.moveaxis(result.reshape((9,) + p.shape[:-1]), 0, -1)
 
 
 def deorient_array(t) -> np.ndarray:
@@ -60,29 +97,7 @@ def deorient_array(t) -> np.ndarray:
     eigenvalues are preserved, Re T'23 = 0 and T'33 <= T33. The operation
     is idempotent: a deoriented stack yields theta = 0.
     """
-    t = np.asarray(t, dtype=np.complex128)
-    theta = orientation_angle(t)
-    c = np.cos(2.0 * theta)
-    s = np.sin(2.0 * theta)
-    t11 = t[..., 0, 0]
-    t12 = t[..., 0, 1]
-    t13 = t[..., 0, 2]
-    t22 = t[..., 1, 1].real
-    t33 = t[..., 2, 2].real
-    t23 = t[..., 1, 2]
-    re23 = t23.real
-    out = np.empty_like(t)
-    out[..., 0, 0] = t11
-    out[..., 0, 1] = c * t12 + s * t13
-    out[..., 0, 2] = -s * t12 + c * t13
-    out[..., 1, 1] = c * c * t22 + s * s * t33 + 2.0 * c * s * re23
-    out[..., 2, 2] = s * s * t22 + c * c * t33 - 2.0 * c * s * re23
-    out[..., 1, 2] = c * s * (t33 - t22) + c * c * t23 - s * s * t23.conj()
-    # mirror the upper triangle so the result stays exactly Hermitian
-    out[..., 1, 0] = out[..., 0, 1].conj()
-    out[..., 2, 0] = out[..., 0, 2].conj()
-    out[..., 2, 1] = out[..., 1, 2].conj()
-    return out
+    return unpack_coherency_array(_deorient_packed(pack_coherency_array(t)))
 
 
 def deorient(t: CoherencyMatrix) -> CoherencyMatrix:
@@ -93,7 +108,7 @@ def deorient(t: CoherencyMatrix) -> CoherencyMatrix:
 def deorient_raster(raster: PolsarRaster) -> PolsarRaster:
     if raster.kind != KIND_COHERENCY:
         raise ValueError("deorientation requires a coherency raster")
-    data = deorient_array(raster.data)
+    data = _deorient_packed(raster.data)
     data[~raster.mask] = 0.0
     return PolsarRaster(KIND_COHERENCY, data, raster.mask.copy(), raster.looks)
 
@@ -129,10 +144,10 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     Invalid pixels stay invalid and contribute to no mean. The looks
     metadata is multiplied by the nominal window population.
 
-    The upper triangle's real and imaginary planes (a Hermitian diagonal is
-    real) are summed row tile by row tile in `_box_sum`'s order and divided
-    with the rounding of complex / real division. The bytes are those of
-    numpy's complex sums over (window, window) sliding views, except with one
+    The nine packed planes are summed row tile by row tile in `_box_sum`'s
+    order, and each real and imaginary pair is divided with the rounding of
+    complex / real division. The bytes are those of numpy's complex sums over
+    (window, window) sliding views of the unpacked stack, except with one
     column, where numpy adds a window as one run and they agree to rounding.
     """
     if raster.kind != KIND_COHERENCY:
@@ -145,7 +160,8 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     rows, cols = raster.shape
     half = window // 2
     step = max(1, _FILTER_TILE_PIXELS // cols)
-    out = np.empty_like(raster.data)
+    planes = np.moveaxis(raster.data, -1, 0)
+    out = np.empty_like(planes)
     with np.errstate(invalid="ignore", divide="ignore"):
         for r0 in range(0, rows, step):
             r1 = min(r0 + step, rows)
@@ -158,21 +174,17 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
                 return _box_sum(padded, window, r1 - r0, cols)
 
             scale = 1.0 / box_sum(1.0)
-            tile = out[r0:r1]
-            for i, j in zip(*np.triu_indices(3)):
-                entry = raster.data[lo:hi, :, i, j]
-                s_re = box_sum(entry.real)
-                s_im = box_sum(entry.imag) if i != j else 0.0
-                mean = tile[:, :, i, j]
-                np.multiply(s_re + s_im * 0.0, scale, out=mean.real)
-                np.multiply(s_im - s_re * 0.0, scale, out=mean.imag)
-                if i != j:
-                    np.conjugate(mean, out=tile[:, :, j, i])
+            # the diagonal planes, then Re T12, T13, T23 with their imaginary parts
+            for c in range(6):
+                s_re = box_sum(planes[c, lo:hi])
+                s_im = box_sum(planes[c + 3, lo:hi]) if c >= 3 else 0.0
+                np.multiply(s_re + s_im * 0.0, scale, out=out[c, r0:r1])
+                if c >= 3:
+                    np.multiply(s_im - s_re * 0.0, scale, out=out[c + 3, r0:r1])
     # a valid pixel counts itself, so every valid window is populated
-    out[~raster.mask] = 0.0
-    return PolsarRaster(
-        KIND_COHERENCY, out, raster.mask.copy(), raster.looks * window * window
-    )
+    out[:, ~raster.mask] = 0.0
+    looks = raster.looks * window * window
+    return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), raster.mask.copy(), looks)
 
 
 def multilook(

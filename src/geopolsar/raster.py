@@ -1,9 +1,13 @@
 """Raster container for per-pixel polarimetric matrices.
 
-A PolsarRaster couples a (rows, cols, d, d) matrix stack with a validity
-mask and the number of looks already averaged into each pixel. Rasters are
-treated as immutable: operations return new instances and never write into
-an input array, which keeps read-only sharing across worker threads safe.
+A PolsarRaster couples a per-pixel payload with a validity mask and the
+number of looks already averaged into each pixel. A Sinclair raster holds
+(rows, cols, 2, 2) complex matrices. A coherency raster holds packed real
+rows p(T) (``matrices.pack_coherency_array``) of shape (rows, cols, 9) at 72
+bytes per pixel, over a component-major buffer, so each of the nine planes
+``data[..., c]`` is contiguous. Rasters are treated as immutable:
+operations return new instances and never write into an input array, which
+keeps read-only sharing across worker threads safe.
 """
 
 from __future__ import annotations
@@ -13,39 +17,30 @@ from typing import Optional
 
 import numpy as np
 
-from .matrices import (
-    kennaugh_from_coherency_array,
-    kennaugh_from_sinclair_array,
-    span_array,
-)
+from .matrices import pack_coherency_array, span_array
 
 __all__ = [
     "KIND_SINCLAIR",
     "KIND_COHERENCY",
-    "KIND_KENNAUGH",
     "PolsarRaster",
-    "raster_to_kennaugh",
 ]
 
 KIND_SINCLAIR = "sinclair"
 KIND_COHERENCY = "coherency"
-KIND_KENNAUGH = "kennaugh"
 
-_KIND_SIDE = {KIND_SINCLAIR: 2, KIND_COHERENCY: 3, KIND_KENNAUGH: 4}
-_KIND_DTYPE = {
-    KIND_SINCLAIR: np.complex128,
-    KIND_COHERENCY: np.complex128,
-    KIND_KENNAUGH: np.float64,
-}
+# trailing payload shape per kind
+_KIND_SHAPE = {KIND_SINCLAIR: (2, 2), KIND_COHERENCY: (9,)}
 
 
 @dataclass
 class PolsarRaster:
     """Image of per-pixel matrices with a validity mask.
 
-    data has shape (rows, cols, d, d) where d depends on kind; mask has
-    shape (rows, cols) with True marking valid pixels. Invalid pixels carry
-    zeroed payloads and are excluded from every statistic downstream.
+    data has shape (rows, cols, 2, 2) for a Sinclair raster and packed shape
+    (rows, cols, 9) for a coherency raster; a (rows, cols, 3, 3) Hermitian
+    stack passed as coherency data is packed here. mask has shape (rows,
+    cols) with True marking valid pixels. Invalid pixels carry zeroed
+    payloads and are excluded from every statistic downstream.
     """
 
     kind: str
@@ -54,15 +49,21 @@ class PolsarRaster:
     looks: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KIND_SIDE:
+        if self.kind not in _KIND_SHAPE:
             raise ValueError(f"unknown raster kind {self.kind!r}")
-        side = _KIND_SIDE[self.kind]
-        self.data = np.asarray(self.data, dtype=_KIND_DTYPE[self.kind])
-        if self.data.ndim != 4 or self.data.shape[2:] != (side, side):
-            raise ValueError(
-                f"{self.kind} raster needs shape (rows, cols, {side}, {side}), "
-                f"got {self.data.shape}"
-            )
+        if self.kind == KIND_COHERENCY:
+            data = np.asarray(self.data)
+            if data.shape[-2:] == (3, 3):
+                data = pack_coherency_array(data)
+            # component-major, without a copy when it already is
+            planes = np.ascontiguousarray(np.moveaxis(data, -1, 0), dtype=np.float64)
+            self.data = np.moveaxis(planes, 0, -1)
+        else:
+            self.data = np.asarray(self.data, dtype=np.complex128)
+        trailing = _KIND_SHAPE[self.kind]
+        if self.data.ndim != 2 + len(trailing) or self.data.shape[2:] != trailing:
+            shape = ", ".join(map(str, ("rows", "cols") + trailing))
+            raise ValueError(f"{self.kind} raster needs shape ({shape}), got {self.data.shape}")
         if self.mask is None:
             self.mask = np.ones(self.data.shape[:2], dtype=bool)
         else:
@@ -93,17 +94,8 @@ class PolsarRaster:
 
     def span(self) -> np.ndarray:
         """Per-pixel span; zero on masked pixels."""
-        out = span_array(self.data, self.kind)
+        if self.kind == KIND_COHERENCY:
+            out = (self.data[..., 0] + self.data[..., 1]) + self.data[..., 2]
+        else:
+            out = span_array(self.data, self.kind)
         return np.where(self.mask, out, 0.0)
-
-
-def raster_to_kennaugh(raster: PolsarRaster) -> PolsarRaster:
-    """Convert a Sinclair or coherency raster to a Kennaugh raster."""
-    if raster.kind == KIND_KENNAUGH:
-        return raster
-    if raster.kind == KIND_SINCLAIR:
-        data = kennaugh_from_sinclair_array(raster.data)
-    else:
-        data = kennaugh_from_coherency_array(raster.data)
-    data[~raster.mask] = 0.0
-    return PolsarRaster(KIND_KENNAUGH, data, raster.mask.copy(), raster.looks)

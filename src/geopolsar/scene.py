@@ -6,9 +6,10 @@ value`` lines: rows, cols, looks, kind, dtype, and one ``component.NAME =
 filename`` line per component file.
 
 kind T3 (coherency): T11, T22, T33 as real values; T12, T13, T23 as
-interleaved real/imaginary pairs. kind S2 (Sinclair): HH, HV, VH, VV as
-interleaved complex channels; ``_LAYOUT`` maps each component to its
-matrix entry. Components default to float32; dtype float64 is accepted for
+interleaved real/imaginary pairs. They are read into, and written from, the
+packed planes of a coherency raster. kind S2 (Sinclair): HH, HV, VH, VV as
+interleaved complex channels. ``_LAYOUT`` maps each component to its planes
+or matrix entry. Components default to float32; dtype float64 is accepted for
 full-precision intermediate dumps. A non-finite value (NaN or +-inf) in any
 component marks the pixel invalid; writers serialize masked pixels as NaN.
 """
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .matrices import coherency_from_pauli_array
+from .matrices import coherency_from_pauli_array, pack_coherency_array
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
 __all__ = [
@@ -35,26 +36,13 @@ __all__ = [
     "MODEL_COHERENCY",
 ]
 
-_RASTER_KINDS = {"T3": KIND_COHERENCY, "S2": KIND_SINCLAIR}
-
-# Per scene kind, each component in file order with the (row, col) matrix
-# entry it holds and whether it is complex. A T3 scene stores the upper
-# triangle; read_scene mirrors it into the Hermitian lower one.
+# Per scene kind, each component in file order. A T3 component names the
+# packed planes (matrices.pack_coherency_array) of its real part and, if it is
+# complex, of its imaginary part. An S2 component is complex and names its
+# matrix entry.
 _LAYOUT = {
-    "T3": {
-        "T11": (0, 0, False),
-        "T22": (1, 1, False),
-        "T33": (2, 2, False),
-        "T12": (0, 1, True),
-        "T13": (0, 2, True),
-        "T23": (1, 2, True),
-    },
-    "S2": {
-        "HH": (0, 0, True),
-        "HV": (0, 1, True),
-        "VH": (1, 0, True),
-        "VV": (1, 1, True),
-    },
+    "T3": {"T11": (0,), "T22": (1,), "T33": (2,), "T12": (3, 6), "T13": (4, 7), "T23": (5, 8)},
+    "S2": {"HH": (0, 0), "HV": (0, 1), "VH": (1, 0), "VV": (1, 1)},
 }
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
 
@@ -122,77 +110,64 @@ def _parse_header(path: Path) -> SceneHeader:
 
 
 def _read_component(
-    directory: Path, header: SceneHeader, name: str, complex_valued: bool
+    directory: Path, header: SceneHeader, name: str, parts: int
 ) -> np.ndarray:
+    """(rows, cols, parts) values of a real (1) or complex (2) component."""
     filename = header.components[name]
     path = directory / filename
     if not path.exists():
         raise ValueError(f"component {name}: file {filename!r} not found")
-    expected = header.rows * header.cols * (2 if complex_valued else 1)
     raw = np.fromfile(path, dtype=_DTYPES[header.dtype])
+    expected = header.rows * header.cols * parts
     if raw.size != expected:
-        raise ValueError(
-            f"component {name}: expected {expected} values, found {raw.size}"
-        )
-    raw = raw.astype(np.float64)
-    if complex_valued:
-        flat = raw[0::2] + 1j * raw[1::2]
-    else:
-        flat = raw
-    return flat.reshape(header.rows, header.cols)
+        raise ValueError(f"component {name}: expected {expected} values, found {raw.size}")
+    return raw.reshape(header.rows, header.cols, parts)
 
 
 def read_scene(path: Union[str, Path]) -> PolsarRaster:
     """Load a scene directory into a raster.
 
+    A T3 scene is read straight into the packed planes of a coherency raster.
     Pixels with a non-finite value in any component are masked and their
     payload zeroed. S2 scenes average the two cross-pol channels to restore
     monostatic symmetry before constructing the raster.
     """
     directory = Path(path)
     header = _parse_header(directory / "header.txt")
-    kind = _RASTER_KINDS[header.kind]
-    side = 3 if kind == KIND_COHERENCY else 2
-    data = np.empty((header.rows, header.cols, side, side), dtype=np.complex128)
-    invalid = np.zeros((header.rows, header.cols), dtype=bool)
-    for name, (row, col, complex_valued) in _LAYOUT[header.kind].items():
-        values = _read_component(directory, header, name, complex_valued)
+    shape = (header.rows, header.cols)
+    if header.kind == "T3":
+        planes = np.empty((9,) + shape)
+        for name, index in _LAYOUT["T3"].items():
+            values = _read_component(directory, header, name, len(index))
+            planes[list(index)] = np.moveaxis(values, -1, 0)
+        # the signed zeros of the complex values re + 1j * im; the real planes
+        # are non-finite wherever either part is
+        with np.errstate(invalid="ignore"):
+            planes[3:6] += planes[6:] * 0.0
+        planes[6:] += 0.0
+        invalid = ~np.isfinite(planes[:6]).all(axis=0)
+        planes[:, invalid] = 0.0
+        return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), ~invalid, header.looks)
+    data = np.empty(shape + (2, 2), dtype=np.complex128)
+    invalid = np.zeros(shape, dtype=bool)
+    for name, (row, col) in _LAYOUT["S2"].items():
+        values = _read_component(directory, header, name, 2).astype(np.float64)
+        values = values[..., 0] + 1j * values[..., 1]
         invalid |= ~np.isfinite(values)
         data[..., row, col] = values
-        if kind == KIND_COHERENCY:
-            data[..., col, row] = values.conj()
-    if kind == KIND_SINCLAIR:
-        cross = 0.5 * (data[..., 0, 1] + data[..., 1, 0])
-        data[..., 0, 1] = cross
-        data[..., 1, 0] = cross
+    data[..., 0, 1] = data[..., 1, 0] = 0.5 * (data[..., 0, 1] + data[..., 1, 0])
     data[invalid] = 0.0
-    return PolsarRaster(kind, data, ~invalid, header.looks)
-
-
-def _write_component(
-    path: Path, values: np.ndarray, mask: np.ndarray, complex_valued: bool, dtype: str
-):
-    work = values.copy()
-    work[~mask] = np.nan * (1 + 1j) if complex_valued else np.nan
-    if complex_valued:
-        flat = np.empty(work.size * 2, dtype=np.float64)
-        flat[0::2] = work.real.ravel()
-        flat[1::2] = work.imag.ravel()
-    else:
-        flat = work.real.ravel()
-    flat.astype(_DTYPES[dtype]).tofile(path)
+    return PolsarRaster(KIND_SINCLAIR, data, ~invalid, header.looks)
 
 
 def write_scene(
     raster: PolsarRaster, path: Union[str, Path], dtype: str = "float32"
 ) -> None:
-    """Write a coherency or Sinclair raster as a scene directory."""
+    """Write a coherency or Sinclair raster as a scene directory; masked
+    pixels are written as NaN."""
     if dtype not in _DTYPES:
         raise ValueError(f"unknown scene dtype {dtype!r}")
-    kinds = {raster_kind: kind for kind, raster_kind in _RASTER_KINDS.items()}
-    if raster.kind not in kinds:
-        raise ValueError(f"cannot serialize raster kind {raster.kind!r}")
-    kind = kinds[raster.kind]
+    kind = "T3" if raster.kind == KIND_COHERENCY else "S2"
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -202,13 +177,16 @@ def write_scene(
         f"kind = {kind}",
         f"dtype = {dtype}",
     ]
-    for name, (row, col, complex_valued) in _LAYOUT[kind].items():
-        filename = f"{name}.bin"
-        values = raster.data[..., row, col]
-        _write_component(
-            directory / filename, values, raster.mask, complex_valued, dtype
-        )
-        lines.append(f"component.{name} = {filename}")
+    for name, index in _LAYOUT[kind].items():
+        # (rows, cols, parts): real and imaginary parts interleave in the file
+        if kind == "T3":
+            values = raster.data[..., list(index)]
+        else:
+            entry = raster.data[(..., *index)]
+            values = np.stack([entry.real, entry.imag], axis=-1)
+        values[~raster.mask] = np.nan
+        np.ascontiguousarray(values, dtype=_DTYPES[dtype]).tofile(directory / f"{name}.bin")
+        lines.append(f"component.{name} = {name}.bin")
     (directory / "header.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -339,7 +317,7 @@ def generate_scene(spec: SyntheticSceneSpec) -> PolsarRaster:
     independent substream spawned from the scene seed and the region index,
     so the output is reproducible regardless of generation order.
     """
-    data = np.empty((spec.rows, spec.cols, 3, 3), dtype=np.complex128)
+    planes = np.empty((9, spec.rows, spec.cols))
     for idx, region in enumerate(spec.regions):
         # hash-derived per-region substream: independent of generation order
         rng = np.random.default_rng(
@@ -354,6 +332,6 @@ def generate_scene(spec: SyntheticSceneSpec) -> PolsarRaster:
             shape + (looks, 3)
         )
         z *= np.sqrt(0.5)
-        t = coherency_from_pauli_array(z @ chol.T)
-        data[region.row0 : region.row1, region.col0 : region.col1] = t
-    return PolsarRaster(KIND_COHERENCY, data, None, float(spec.looks))
+        t = pack_coherency_array(coherency_from_pauli_array(z @ chol.T))
+        planes[:, region.row0 : region.row1, region.col0 : region.col1] = np.moveaxis(t, -1, 0)
+    return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), None, float(spec.looks))

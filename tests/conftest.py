@@ -4,9 +4,9 @@ The reference implementations here deliberately use different numerics
 than the package (explicit Kronecker products, det/inv instead of
 Cholesky factorizations, python loops instead of vectorized kernels) so
 agreement between the two is meaningful. The merge loop, sliding-window
-filter and full-matrix refinement oracles are the exception: they keep the
-package's former, slower forms with the same arithmetic, so the package
-must match them bit for bit.
+filter, complex deorientation and full-matrix refinement oracles are the
+exception: they keep the package's former, slower forms with the same
+arithmetic, so the package must match them bit for bit.
 """
 
 from pathlib import Path
@@ -190,6 +190,7 @@ def _boxcar_channel(values: np.ndarray, window: int) -> np.ndarray:
 def speckle_filter_oracle(raster, config):
     """The sliding-window boxcar filter: numpy's complex window sums, then
     complex / real division."""
+    from geopolsar.matrices import unpack_coherency_array
     from geopolsar.raster import KIND_COHERENCY, PolsarRaster
 
     if raster.kind != KIND_COHERENCY:
@@ -200,8 +201,8 @@ def speckle_filter_oracle(raster, config):
             raster.kind, raster.data.copy(), raster.mask.copy(), raster.looks
         )
     counts = _boxcar_channel(raster.mask.astype(np.float64), window)
-    data = np.where(raster.mask[..., None, None], raster.data, 0.0)
-    out = np.empty_like(raster.data)
+    data = np.where(raster.mask[..., None, None], unpack_coherency_array(raster.data), 0.0)
+    out = np.empty_like(data)
     for i in range(3):
         for j in range(i, 3):
             sums = _boxcar_channel(np.ascontiguousarray(data[:, :, i, j]), window)
@@ -215,6 +216,36 @@ def speckle_filter_oracle(raster, config):
     return PolsarRaster(
         KIND_COHERENCY, out, mask, raster.looks * window * window
     )
+
+
+def deorient_oracle(t) -> np.ndarray:
+    """The complex deorientation of (..., 3, 3) stacks, the former package
+    kernel: T' = R T R^H evaluated entrywise in numpy complex arithmetic."""
+    t = np.asarray(t, dtype=np.complex128)
+    theta = 0.25 * np.arctan2(
+        2.0 * t[..., 1, 2].real, t[..., 1, 1].real - t[..., 2, 2].real
+    )
+    c = np.cos(2.0 * theta)
+    s = np.sin(2.0 * theta)
+    t11 = t[..., 0, 0]
+    t12 = t[..., 0, 1]
+    t13 = t[..., 0, 2]
+    t22 = t[..., 1, 1].real
+    t33 = t[..., 2, 2].real
+    t23 = t[..., 1, 2]
+    re23 = t23.real
+    out = np.empty_like(t)
+    out[..., 0, 0] = t11
+    out[..., 0, 1] = c * t12 + s * t13
+    out[..., 0, 2] = -s * t12 + c * t13
+    out[..., 1, 1] = c * c * t22 + s * s * t33 + 2.0 * c * s * re23
+    out[..., 2, 2] = s * s * t22 + c * c * t33 - 2.0 * c * s * re23
+    out[..., 1, 2] = c * s * (t33 - t22) + c * c * t23 - s * s * t23.conj()
+    # mirror the upper triangle so the result stays exactly Hermitian
+    out[..., 1, 0] = out[..., 0, 1].conj()
+    out[..., 2, 0] = out[..., 0, 2].conj()
+    out[..., 2, 1] = out[..., 1, 2].conj()
+    return out
 
 
 def _pixel_center_distance_matrix(t, centers, epsilon, workers=1):

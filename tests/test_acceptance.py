@@ -30,6 +30,7 @@ from geopolsar.matrices import (
     kennaugh_from_sinclair_array,
     pauli_from_sinclair_array,
     span_array,
+    unpack_coherency_array,
 )
 from geopolsar.preprocess import deorient_array, orientation_angle
 from geopolsar.render import MASKED_LABEL
@@ -117,7 +118,7 @@ def test_criterion_04_share_and_weight_conservation(demo_scene):
     assert (np.abs(w.sum(axis=0) - spans) / spans).max() <= 1e-12
 
     raster = gp.read_scene(demo_scene)
-    kd = kennaugh_from_coherency_array(raster.data)
+    kd = kennaugh_from_coherency_array(unpack_coherency_array(raster.data))
     f, gamma, w, valid = similarity_arrays(kd, raster.mask)
     assert valid.all()
     assert np.abs(gamma.sum(axis=0) - 1.0).max() <= 1e-12

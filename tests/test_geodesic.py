@@ -15,7 +15,11 @@ from geopolsar.geodesic import (
     similarity_arrays,
     similarity_triple,
 )
-from geopolsar.matrices import KennaughMatrix, kennaugh_from_coherency_array
+from geopolsar.matrices import (
+    KennaughMatrix,
+    kennaugh_from_coherency_array,
+    pack_coherency_array,
+)
 
 from conftest import random_psd_stack
 
@@ -217,3 +221,32 @@ class TestSimilarityArrays:
         assert np.abs(gamma.sum(axis=0)[valid] - 1.0).max() <= 1e-12
         spans = 2.0 * k[..., 0, 0]
         assert (np.abs(w.sum(axis=0) - spans)[valid] / spans[valid]).max() <= 1e-12
+
+    def test_packed_route_matches_the_kennaugh_route(self):
+        # an extra target with off-diagonal Kennaugh entries exercises the
+        # off-diagonal part of the pull-back; the default targets are diagonal
+        model = np.diag([1.0, 0.6, 0.5]).astype(complex)
+        model[0, 1], model[0, 2], model[1, 2] = 0.3 + 0.2j, 0.15 + 0.1j, 0.2 - 0.1j
+        model += np.triu(model, 1).conj().T
+        k = kennaugh_from_coherency_array(model)
+        assert np.count_nonzero(k - np.diag(np.diag(k))) == 12
+        skew = CanonicalTarget("skew", KennaughMatrix(k))
+        targets = DEFAULT_TARGETS + (skew,)
+        rng = np.random.default_rng(29)
+        for looks in (1, 3, 25):
+            for scale in (np.exp(-20.0), 1.0, np.exp(20.0)):
+                t = random_psd_stack(rng, 600, looks, scale).reshape(20, 30, 3, 3)
+                mask = rng.random((20, 30)) < 0.9
+                packed = similarity_arrays(pack_coherency_array(t), mask, targets)
+                reference = similarity_arrays(kennaugh_from_coherency_array(t), mask, targets)
+                valid = reference[3]
+                assert np.array_equal(packed[3], valid)
+                spans = np.trace(t, axis1=-2, axis2=-1).real[valid]
+                bounds = (1e-12, 1e-12, 1e-12 * spans)
+                for got, expected, bound in zip(packed[:3], reference[:3], bounds):
+                    assert np.isnan(got[:, ~valid]).all()
+                    assert (np.abs(got[:, valid] - expected[:, valid]) <= bound).all()
+
+    def test_rejects_other_pixel_shapes(self):
+        with pytest.raises(ValueError, match="packed"):
+            similarity_arrays(np.ones((2, 3, 3, 3)), np.ones((2, 3), bool))

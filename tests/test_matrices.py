@@ -19,6 +19,7 @@ from geopolsar.matrices import (
     span_array,
     unpack_coherency_array,
 )
+from geopolsar.preprocess import deorient_array, orientation_angle
 
 from conftest import kennaugh_expansion_oracle, random_psd_stack, random_sinclair_stack
 
@@ -244,3 +245,20 @@ class TestPackedLayout:
         dot = np.einsum("nc,nc->n", pack_coherency_array(a), weights * pack_coherency_array(b))
         assert np.abs(trace.imag).max() <= 1e-13 * np.abs(trace).max()
         assert dot == pytest.approx(trace.real, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            kennaugh_from_coherency_array,
+            pack_coherency_array,
+            deorient_array,
+            orientation_angle,
+            lambda t: span_array(t, "coherency"),
+        ],
+        ids=["kennaugh", "pack", "deorient", "orientation_angle", "span"],
+    )
+    @pytest.mark.parametrize("shape", [(5, 7, 9), (9,), (4, 4), (3, 3, 2)])
+    def test_coherency_kernels_reject_other_shapes(self, kernel, shape):
+        # packed rows passed by mistake used to be misread without an error
+        with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
+            kernel(np.ones(shape))

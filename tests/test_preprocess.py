@@ -10,10 +10,20 @@ from geopolsar.preprocess import (
     orientation_angle,
     speckle_filter,
 )
-from geopolsar.matrices import CoherencyMatrix, pauli_from_sinclair_array
+from geopolsar.matrices import (
+    CoherencyMatrix,
+    pack_coherency_array,
+    pauli_from_sinclair_array,
+    unpack_coherency_array,
+)
 from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
-from conftest import random_psd_stack, random_sinclair_stack, speckle_filter_oracle
+from conftest import (
+    deorient_oracle,
+    random_psd_stack,
+    random_sinclair_stack,
+    speckle_filter_oracle,
+)
 
 
 def rotation(theta):
@@ -102,6 +112,34 @@ class TestDeorient:
         assert abs(out.t23.real) <= 1e-12
         assert out.trace == pytest.approx(t.trace, rel=1e-12)
 
+    def test_packed_kernel_matches_the_complex_oracle_bitwise(self):
+        rng = np.random.default_rng(44)
+        stacks = [
+            random_psd_stack(rng, 500, looks=looks, scale=scale)
+            for looks, scale in ((1, 1e-3), (3, 1.0), (25, 1e4))
+        ]
+        # every sign of zero and of nonzero value in every packed component,
+        # with T22 = T33 in the second grid and all magnitudes equal in the third
+        tied = rng.random(9) + 0.5
+        tied[2] = tied[1]
+        for mags in (rng.random(9) + 0.5, tied, np.ones(9)):
+            values = [np.array([0.0, -0.0, m, -m]) for m in mags]
+            grid = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, 9)
+            stacks.append(unpack_coherency_array(grid))
+        # theta = 0: Re T23 = 0 with T22 > T33, and T22 = T33 with any T23
+        t = random_psd_stack(rng, 500)
+        t[:250, 1, 2] = t[:250, 1, 2].imag * 1j
+        t[:250, 2, 1] = t[:250, 1, 2].conj()
+        t[250:, 2, 2] = t[250:, 1, 1]
+        stacks.append(t)
+        for t in stacks:
+            expected = pack_coherency_array(deorient_oracle(t))
+            assert pack_coherency_array(deorient_array(t)).tobytes() == expected.tobytes()
+            mask = rng.random(len(t)) < 0.8
+            raster = PolsarRaster(KIND_COHERENCY, t[None], mask[None], looks=4)
+            expected[~mask] = 0.0
+            assert deorient_raster(raster).data.tobytes() == expected[None].tobytes()
+
     def test_raster_wrapper_masks_propagate(self):
         rng = np.random.default_rng(37)
         data = random_psd_stack(rng, 12).reshape(3, 4, 3, 3)
@@ -129,7 +167,7 @@ class TestSpeckleFilter:
         data = np.broadcast_to(t, (6, 7, 3, 3)).copy()
         raster = PolsarRaster(KIND_COHERENCY, data, looks=1)
         out = speckle_filter(raster, PreprocessConfig(filter_window=3))
-        assert np.abs(out.data - data).max() <= 1e-12
+        assert np.abs(unpack_coherency_array(out.data) - data).max() <= 1e-12
 
     def test_matches_bruteforce_neighborhood_means(self):
         rng = np.random.default_rng(39)
@@ -154,7 +192,7 @@ class TestSpeckleFilter:
                                 acc += data[rr, cc]
                                 count += 1
                     assert out.mask[r, c]
-                    assert np.abs(out.data[r, c] - acc / count).max() <= 1e-12
+                    assert np.abs(unpack_coherency_array(out.data[r, c]) - acc / count).max() <= 1e-12
 
     @pytest.mark.parametrize("tile_pixels", [None, 50])
     def test_matches_the_sliding_window_oracle_bitwise(self, monkeypatch, tile_pixels):
@@ -203,7 +241,8 @@ class TestSpeckleFilter:
         data = random_psd_stack(rng, 30).reshape(5, 6, 3, 3)
         raster = PolsarRaster(KIND_COHERENCY, data, looks=1)
         out = speckle_filter(raster, PreprocessConfig(filter_window=3))
-        assert np.array_equal(out.data, np.conj(np.swapaxes(out.data, -2, -1)))
+        out_t = unpack_coherency_array(out.data)
+        assert np.array_equal(out_t, np.conj(np.swapaxes(out_t, -2, -1)))
 
     def test_looks_metadata_scales_with_window(self):
         data = np.zeros((4, 4, 3, 3), complex)
@@ -238,7 +277,7 @@ class TestMultilook:
             for c in range(2):
                 block = pauli[3 * r : 3 * r + 3, 5 * c : 5 * c + 5].reshape(15, 3)
                 expected = np.einsum("la,lb->ab", block, block.conj()) / 15
-                assert np.abs(out.data[r, c] - expected).max() <= 1e-12
+                assert np.abs(unpack_coherency_array(out.data[r, c]) - expected).max() <= 1e-12
 
     def test_single_pixel_blocks_are_rank_one(self):
         rng = np.random.default_rng(42)
@@ -246,7 +285,7 @@ class TestMultilook:
         out = multilook(PolsarRaster(KIND_SINCLAIR, s), 1, 1)
         for r in range(2):
             for c in range(2):
-                eigs = np.linalg.eigvalsh(out.data[r, c])
+                eigs = np.linalg.eigvalsh(unpack_coherency_array(out.data[r, c]))
                 assert eigs[0] == pytest.approx(0.0, abs=1e-12 * eigs[2])
 
     def test_masked_pixels_shrink_the_average(self):
@@ -258,7 +297,7 @@ class TestMultilook:
         pauli = pauli_from_sinclair_array(s)
         block = np.stack([pauli[1, 0], pauli[0, 1], pauli[1, 1]])
         expected = np.einsum("la,lb->ab", block, block.conj()) / 3
-        assert np.abs(out.data[0, 0] - expected).max() <= 1e-12
+        assert np.abs(unpack_coherency_array(out.data[0, 0]) - expected).max() <= 1e-12
         # a fully masked block becomes a masked output pixel
         mask2 = mask.copy()
         mask2[:2, :2] = False

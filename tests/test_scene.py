@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from geopolsar.matrices import kennaugh_from_coherency_array
+from geopolsar.matrices import kennaugh_from_coherency_array, unpack_coherency_array
 from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 from geopolsar.scene import (
     MODEL_COHERENCY,
@@ -64,6 +64,22 @@ class TestStorage:
         assert np.abs(back.data[..., 0, 1] - expected_cross).max() <= 1e-15
         assert np.array_equal(back.data[..., 0, 1], back.data[..., 1, 0])
         assert np.array_equal(back.data[..., 0, 0], s[..., 0, 0])
+
+    def test_t3_components_read_as_complex_values_into_planes(self, tmp_path):
+        # each complex component lands in its packed planes as the value
+        # re + 1j * im, signed zeros included
+        values = np.array([0.0, -0.0, 1.5, -2.5])
+        re, im = (v.ravel() for v in np.meshgrid(values, values))
+        raster = coherency_raster(np.random.default_rng(78), 1, re.size)
+        write_scene(raster, tmp_path / "scene", dtype="float64")
+        for name in ("T12", "T13", "T23"):
+            np.stack([re, im], axis=-1).tofile(tmp_path / "scene" / f"{name}.bin")
+        back = read_scene(tmp_path / "scene")
+        expected = re + 1j * im
+        for plane in (3, 4, 5):
+            assert back.data[0, :, plane].tobytes() == expected.real.tobytes()
+            assert back.data[0, :, plane + 3].tobytes() == expected.imag.tobytes()
+        assert back.mask.all()
 
     def test_masked_pixels_serialize_as_nan(self, tmp_path):
         rng = np.random.default_rng(74)
@@ -130,8 +146,8 @@ class TestStorage:
 
     def test_kennaugh_rasters_are_not_serializable(self):
         k = np.zeros((1, 1, 4, 4))
-        with pytest.raises(ValueError, match="cannot serialize"):
-            write_scene(PolsarRaster("kennaugh", k), "/tmp/unused")
+        with pytest.raises(ValueError, match="unknown raster kind 'kennaugh'"):
+            PolsarRaster("kennaugh", k)
 
 
 class TestSpecParsing:
@@ -227,7 +243,7 @@ class TestGeneration:
         raster = generate_scene(self.spec(looks=3))
         assert raster.kind == KIND_COHERENCY
         assert raster.mask.all()
-        data = raster.data
+        data = unpack_coherency_array(raster.data)
         assert np.array_equal(data, np.conj(np.swapaxes(data, -2, -1)))
         eigs = np.linalg.eigvalsh(data.reshape(-1, 3, 3))
         assert eigs.min() >= -1e-12
@@ -242,16 +258,16 @@ class TestGeneration:
         spec = self.spec(looks=10000, model="trihedral", rows=4, cols=4, span=2.0)
         raster = generate_scene(spec)
         expected = 2.0 * MODEL_COHERENCY["trihedral"]
-        err = np.abs(raster.data - expected).max()
+        err = np.abs(unpack_coherency_array(raster.data) - expected).max()
         assert err <= 0.15  # ~6 sigma at 10000 looks
-        k = kennaugh_from_coherency_array(raster.data)
+        k = kennaugh_from_coherency_array(unpack_coherency_array(raster.data))
         target = np.diag([1.0, 1.0, 1.0, -1.0])
         assert np.abs(k - target).max() <= 0.15
 
     def test_volume_region_is_dominated_by_the_volume_target(self):
         spec = self.spec(looks=25, rows=40, cols=50)
         raster = generate_scene(spec)
-        k = kennaugh_from_coherency_array(raster.data)
+        k = kennaugh_from_coherency_array(unpack_coherency_array(raster.data))
         f, gamma, w, valid = similarity_arrays(k, raster.mask)
         assert valid.all()
         rate = (np.argmax(w, axis=0) == 2).mean()
@@ -265,7 +281,7 @@ class TestGeneration:
         for looks in (16, 256):
             spec = self.spec(seed=123 + looks, looks=looks, rows=30, cols=30)
             raster = generate_scene(spec)
-            k = kennaugh_from_coherency_array(raster.data)
+            k = kennaugh_from_coherency_array(unpack_coherency_array(raster.data))
             errors[looks] = np.linalg.norm(k - target, axis=(-2, -1)).mean()
         ratio = errors[16] / errors[256]
         assert 3.2 <= ratio <= 5.0  # 16x more looks: expect a factor ~4
