@@ -10,6 +10,8 @@ category.
 Pixels and centers are packed real rows p(T) (``pack_coherency_array``), and
 one kernel scores them: d(T, V) = ln|V| + p(T) . Q with Q = W p(V^-1). Merging
 keeps D = (M + M^T) / 2 with M[i, j] = d(Vi, Vj); ties go to the first (i, j).
+Clusters are counts n_k and packed sums S_k (``_statistics``), which give the
+means and the objective sum_p d(T_p, V_k) = sum_k n_k ln|V_k| + p(S_k) . Q_k.
 
 Distances:
     pixel to center   d(T, V) = ln|V| + Tr(V^-1 T)
@@ -166,11 +168,12 @@ def _packed(t) -> np.ndarray:
 
 
 def _factor(centers: np.ndarray, epsilon: float, loaded: bool = True):
-    """(Q, ln|V'|) for (K, 3, 3) centers loaded as V' = V + epsilon (tr V / 3) I,
-    which keeps near-singular centers usable: d(T, V') = ln|V'| + p(T) . Q. If
-    loaded, Q scores the loaded pixel T' instead (diagonal + eps/3 Tr(V'^-1))."""
-    tr = np.trace(centers, axis1=-2, axis2=-1).real
-    reg = centers + (epsilon * tr / 3.0)[:, None, None] * np.eye(3)
+    """(Q, ln|V'|) for (K, 9) packed centers, unpacked here for LAPACK and loaded
+    as V' = V + epsilon (tr V / 3) I, which keeps near-singular centers usable:
+    d(T, V') = ln|V'| + p(T) . Q. If loaded, Q scores the loaded pixel T' instead
+    (diagonal + eps/3 Tr(V'^-1))."""
+    load = epsilon * centers[:, :3].sum(axis=1) / 3.0
+    reg = unpack_coherency_array(centers) + load[:, None, None] * np.eye(3)
     try:
         chol = np.linalg.cholesky(reg)
     except np.linalg.LinAlgError as exc:
@@ -190,29 +193,33 @@ def _distances(t: np.ndarray, q: np.ndarray, offset) -> np.ndarray:
 
 def wishart_pixel_distance(t, center, epsilon: float = 0.0) -> float:
     """d(T, V) = ln|V| + Tr(V^-1 T) for one pixel and one center."""
-    factors = _factor(_matrix(center)[None], epsilon, loaded=False)
+    factors = _factor(_packed(_matrix(center)[None]), epsilon, loaded=False)
     return float(_distances(_packed(_matrix(t)[None]), *factors)[0, 0])
 
 
 def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
     """Symmetrized between-cluster distance D(i, j)."""
-    centers = np.stack([_matrix(c1), _matrix(c2)])
-    m = _distances(_packed(centers), *_factor(centers, epsilon))
+    centers = _packed(np.stack([_matrix(c1), _matrix(c2)]))
+    m = _distances(centers, *_factor(centers, epsilon))
     return float(0.5 * (m[0, 1] + m[1, 0]))
 
 
-def _pixel_center_distances(t, centers, cluster_cat, groups, epsilon, pool, current=None):
+def _statistics(columns: np.ndarray, t: np.ndarray, k: int):
+    """(counts, (k, 9) packed sums) of the rows of t in each of k clusters."""
+    sums = [np.bincount(columns, t[:, c], minlength=k) for c in range(9)]
+    return np.bincount(columns, minlength=k), np.stack(sums, axis=1)
+
+
+def _pixel_center_distances(t, q, logdet, cluster_cat, groups, pool):
     """Nearest allowed cluster of every packed pixel, scored in fixed blocks.
 
-    groups lists (rows, category): those pixels may only join clusters of that
-    category, or of any when None. Pixels and centers are both loaded by
-    epsilon. Returns each pixel's winning column (ties to the lowest), its
-    distance and, given a current column per pixel, the distance to it. Blocks
-    write disjoint rows, so any worker count produces identical bytes.
+    q and logdet are the centers' ``_factor``. groups lists (rows, category):
+    those pixels may only join clusters of that category, or of any when None.
+    Returns only each pixel's winning column (ties to the lowest); the total
+    distance comes from the statistics of the pick. Blocks write disjoint
+    rows, so any worker count produces identical bytes.
     """
-    q, logdet = _factor(unpack_coherency_array(centers), epsilon)
-    pick, best = np.empty(len(t), dtype=np.intp), np.empty(len(t))
-    at_current = None if current is None else np.empty(len(t))
+    pick = np.empty(len(t), dtype=np.intp)
     blocks = []
     for rows, category in groups:
         allowed = np.ones(len(q), bool) if category is None else cluster_cat == category
@@ -224,17 +231,10 @@ def _pixel_center_distances(t, centers, cluster_cat, groups, epsilon, pool, curr
 
     def score(block):
         rows, cols, offset = block
-        tb = t[rows]
-        if current is not None:
-            at = current[rows]
-            at_current[rows] = logdet[at] + np.einsum("pc,pc->p", tb, q[at])
-        dist = _distances(tb, q[cols], offset)
-        p = np.argmin(dist, axis=1)
-        pick[rows] = cols[p]
-        best[rows] = np.take_along_axis(dist, p[:, None], 1)[:, 0]
+        pick[rows] = cols[np.argmin(_distances(t[rows], q[cols], offset), axis=1)]
 
     list(pool.map(score, blocks))
-    return pick, best, at_current
+    return pick
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +262,13 @@ def initial_clusters(
         raise ValueError("k must be >= 1")
     order = np.argsort(pixels[:, :3].sum(axis=1), kind="stable")
     k_eff = min(k, n)
-    bounds = np.append(np.arange(k_eff) * (n // k_eff), n)
-    counts = np.diff(bounds)
-    ids = start_id + np.arange(k_eff)
-    labels = np.empty(n, dtype=np.int64)
-    labels[order] = np.repeat(ids, counts)
-    ordered = pixels[order]
-    sums = [ordered[lo:hi].sum(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    bins = np.empty(n, dtype=np.intp)
+    bins[order] = np.minimum(np.arange(n) // (n // k_eff), k_eff - 1)
+    counts, sums = _statistics(bins, pixels, k_eff)
     # means times 1 / count, which is how numpy's complex mean rounds
-    state = zip(ids, unpack_coherency_array(np.stack(sums) * (1.0 / counts)[:, None]), counts)
-    return [Cluster(int(i), category, v, int(m)) for i, v, m in state], labels
+    centers = unpack_coherency_array(sums * (1.0 / counts)[:, None])
+    state = zip(range(start_id, start_id + k_eff), centers, counts)
+    return [Cluster(i, category, v, int(m)) for i, v, m in state], start_id + bins
 
 
 def merge_clusters(
@@ -294,14 +291,11 @@ def merge_clusters(
     ids = [c.id for c in work]
     sources = [c.source_ids for c in work]
     counts = np.array([c.member_count for c in work])
-    # centers average as the 3x3 matrices Cluster holds; packed rows are scored
-    centers = np.stack([c.center for c in work])
-    packed = _packed(centers)
+    centers = _packed(np.stack([c.center for c in work]))
     alive = np.ones(len(work), dtype=bool)
     n_max = 2.0 * counts.sum() / config.final_classes_per_category
-    epsilon = config.center_regularization
-    q, logdet = _factor(centers, epsilon)
-    dist = _distances(packed, q, logdet)  # d(Vi, Vj)
+    q, logdet = _factor(centers, config.center_regularization)
+    dist = _distances(centers, q, logdet)  # d(Vi, Vj)
     dist = 0.5 * (dist + dist.T)
     for _ in range(len(work) - config.final_classes_per_category):
         allowed = np.outer(alive, alive) & (counts[:, None] + counts[None, :] <= n_max)
@@ -310,16 +304,16 @@ def merge_clusters(
             break
         i, j = divmod(int(pairs[np.argmin(dist.flat[pairs])]), len(work))
         na, nb = int(counts[i]), int(counts[j])
-        centers[i] = (na * centers[i] + nb * centers[j]) / (na + nb)
+        # times 1 / count, which is how numpy's complex mean rounds
+        centers[i] = (na * centers[i] + nb * centers[j]) * (1.0 / (na + nb))
         counts[i] = na + nb
         sources[i] = tuple(sorted(sources[i] + sources[j]))
         alive[j] = False
-        packed[i] = pack_coherency_array(centers[i])
-        (q[i],), (logdet[i],) = _factor(centers[i : i + 1], epsilon)
-        row = _distances(packed[i : i + 1], q, logdet)[0]
-        column = _distances(packed, q[i : i + 1], logdet[i])[:, 0]
+        (q[i],), (logdet[i],) = _factor(centers[i : i + 1], config.center_regularization)
+        row = _distances(centers[i : i + 1], q, logdet)[0]
+        column = _distances(centers, q[i : i + 1], logdet[i])[:, 0]
         dist[i] = dist[:, i] = 0.5 * (row + column)
-    state = zip(ids, centers, counts, sources, alive)
+    state = zip(ids, unpack_coherency_array(centers), counts, sources, alive)
     return [Cluster(i, work[0].category, v, int(m), s) for i, v, m, s, a in state if a]
 
 
@@ -349,10 +343,12 @@ def iterate_classification(
     labels : (n,) final cluster id per pixel
     clusters : surviving clusters with refreshed centers and counts
     history : one record per pass with label-change counts and the total
-        Wishart distance of the assignment. Every pass scores the loaded
-        pixels T + epsilon * (tr T / 3) * I against the loaded member means,
-        and the mean of loaded pixels is the loaded mean, so each pass is a
-        Lloyd step and the total cannot rise. Centers stay plain means.
+        Wishart distance sum_k n_k ln|V'_k| + p(S_k) . Q_k of the assignment,
+        from each cluster's count and packed sum (pass 0 scores no pixel; inf
+        if a non-mixed pixel's category has no cluster left). Every pass scores
+        the loaded pixels T + epsilon * (tr T / 3) * I against the loaded member
+        means, and the mean of loaded pixels is the loaded mean, so each pass is
+        a Lloyd step and the total cannot rise. Centers stay plain means.
     """
     t = _packed(t)
     n = t.shape[0]
@@ -363,56 +359,49 @@ def iterate_classification(
     centers = _packed(np.reshape([c.center for c in work], (-1, 3, 3)))
     survivors = np.arange(len(work))
     labels = np.asarray(initial_labels, dtype=np.int64).copy()
-    # pixels grouped once by the clusters they may join: those of their own
-    # category, or every cluster when mixed
+    # pixels grouped by the clusters they may join: their category's, or all if mixed
     mixed = np.asarray(mixed, dtype=bool)
     categories = np.asarray(categories, dtype=np.int64)
-    groups = [(np.flatnonzero(~mixed & (categories == c)), c)
-              for c in np.unique(categories[~mixed])] + [(np.flatnonzero(mixed), None)]
+    own = np.unique(categories[~mixed])
+    groups = [(np.flatnonzero(~mixed & (categories == c)), c) for c in own]
+    groups.append((np.flatnonzero(mixed), None))
     history: List[Dict] = []
 
     def record(iteration, changed, objective):
-        history.append(
-            {
-                "iteration": iteration,
-                "changed": changed,
-                "changed_fraction": None if changed is None else changed / n,
-                "objective": objective,
-                "clusters": len(ids),
-            }
-        )
+        fraction = None if changed is None else changed / n
+        history.append({"iteration": iteration, "changed": changed, "changed_fraction": fraction,
+                        "objective": objective, "clusters": len(ids)})
+
+    def total(counts, sums):
+        return float(counts @ logdet + (sums * q).sum())
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-
-        def score(current=None):
-            return _pixel_center_distances(
-                t, centers, cluster_cat, groups, config.center_regularization, pool, current
-            )
-
-        # pass 0 scores the post-merge assignment; pass 1 reuses its scores
+        # pass 0 totals the post-merge assignment; pass 1 reuses its factors
         objective = 0.0
         if n and len(ids):
-            pick, best, at_current = score(np.searchsorted(ids, labels))
-            objective = float(at_current.sum())
+            q, logdet = _factor(centers, config.center_regularization)
+            objective = total(*_statistics(np.searchsorted(ids, labels), t, len(ids)))
         record(0, None, objective)
         for iteration in range(1, config.max_iterations + 1):
             if n == 0 or not len(ids):
                 break
             if iteration > 1:
-                pick, best, _ = score()
+                q, logdet = _factor(centers, config.center_regularization)
+            pick = _pixel_center_distances(t, q, logdet, cluster_cat, groups, pool)
             # clusters are id-ordered, so argmin ties resolve to the lowest id
             new_labels = ids[pick]
             changed = int(np.count_nonzero(new_labels != labels))
             labels = new_labels
-            counts = np.bincount(pick, minlength=len(ids))
-            sums = [np.bincount(pick, t[:, c], minlength=len(ids)) for c in range(9)]
+            counts, sums = _statistics(pick, t, len(ids))
+            # a pixel whose category has lost every cluster scores inf
+            objective = total(counts, sums) if np.isin(own, cluster_cat).all() else np.inf
             # emptied clusters get a zero mean and retire, as do powerless ones
-            centers = np.stack(sums, axis=1) * (1.0 / np.maximum(counts, 1))[:, None]
+            centers = sums * (1.0 / np.maximum(counts, 1))[:, None]
             keep = centers[:, :3].sum(axis=1) > 0.0
             ids, cluster_cat, counts, centers, survivors = (
                 a[keep] for a in (ids, cluster_cat, counts, centers, survivors)
             )
-            record(iteration, changed, float(best.sum()))
+            record(iteration, changed, objective)
             if changed == 0 or changed / n < config.convergence_fraction:
                 break
     state = zip([work[a] for a in survivors], unpack_coherency_array(centers), counts)

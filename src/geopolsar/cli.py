@@ -42,7 +42,7 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         nargs=2,
         metavar=("RANGE", "AZIMUTH"),
-        help="multilook factors applied to single-look complex scenes",
+        help="multilook factors for single-look Sinclair scenes (an error on coherency scenes)",
     )
 
 

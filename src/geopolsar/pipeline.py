@@ -113,6 +113,8 @@ def _prepare(raster: PolsarRaster, config: PipelineConfig, dump: Callable):
     if raster.kind == KIND_SINCLAIR:
         rf, af = config.multilook_factors or (1, 1)
         raster = multilook(raster, rf, af)
+    elif config.multilook_factors is not None:
+        raise ValueError(f"multilook applies to Sinclair scenes only, not {raster.kind}")
     if config.preprocess.deorient:
         raster = deorient_raster(raster)
         dump("deorient", lambda d: write_scene(raster, d, dtype="float64"))

@@ -106,6 +106,10 @@ def deorient(t: CoherencyMatrix) -> CoherencyMatrix:
 
 
 def deorient_raster(raster: PolsarRaster) -> PolsarRaster:
+    """Deorient every pixel of a coherency raster (ValueError for other kinds).
+
+    Masked pixels stay zero. Each pixel holds the bytes of numpy's complex
+    rotation R T R^H of ``deorient_array``, computed on the packed planes."""
     if raster.kind != KIND_COHERENCY:
         raise ValueError("deorientation requires a coherency raster")
     data = _deorient_packed(raster.data)

@@ -472,8 +472,41 @@ class TestIterate:
         )
         assert [h["iteration"] for h in history] == [0, 1, 2, 3]
         assert all(h["changed"] for h in history[1:])
-        # pass 0 scores the post-merge assignment with pass 1's matrix
+        # pass 0 totals the post-merge assignment from per-cluster counts and
+        # sums, scoring no pixel; passes 1-3 score every pixel once each
         assert len(calls) == 3
+
+        calls.clear()
+        config = ClassifierConfig(max_iterations=0)
+        _, _, history = iterate_classification(
+            t, np.zeros(500, int), np.zeros(500, bool), seeds, config,
+            initial_labels=labels0,
+        )
+        assert len(calls) == 0
+        # the oracle scores every loaded pixel against its loaded center
+        epsilon = config.center_regularization
+        loaded = [
+            Cluster(c.id, c.category, _regularize(c.center, epsilon), c.member_count)
+            for c in seeds
+        ]
+        _, _, ref_history = iterate_oracle(
+            _regularize(t, epsilon), np.zeros(500, int), np.zeros(500, bool), loaded,
+            dataclasses.replace(config, center_regularization=0.0), labels0,
+        )
+        assert [h["objective"] for h in history] == pytest.approx(
+            [h["objective"] for h in ref_history], rel=1e-12, abs=0.0
+        )
+
+        # a non-mixed pixel whose category has no cluster makes every pass
+        # that picks total inf; pass 0 totals the given assignment
+        cats = np.zeros(500, int)
+        cats[0] = 1
+        _, _, history = iterate_classification(
+            t, cats, np.zeros(500, bool), seeds, ClassifierConfig(max_iterations=1),
+            initial_labels=labels0,
+        )
+        assert len(calls) == 1
+        assert np.isfinite(history[0]["objective"]) and history[1]["objective"] == np.inf
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_matches_the_full_matrix_oracle_bitwise(self, monkeypatch, workers):

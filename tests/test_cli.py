@@ -240,6 +240,15 @@ class TestClassify:
         labels, header = read_labels(out)
         assert labels.shape == (4, 4)
 
+    @pytest.mark.parametrize("command", ["classify", "similarity"])
+    def test_multilook_on_a_coherency_scene_fails_cleanly(
+        self, demo_scene, tmp_path, capsys, command
+    ):
+        argv = [command, str(demo_scene), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--multilook", "4", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "multilook" in err
+
     def test_missing_scene_fails_cleanly(self, tmp_path, capsys):
         code = main(["classify", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 1
