@@ -1,14 +1,14 @@
 """End-to-end classification pipeline and its on-disk artifacts.
 
-Stage order: read, optional multilook (Sinclair input), optional
-deorientation, speckle filter, per-target similarity, categorization,
-span-ordered seeding, capped merging, iterative Wishart refinement,
-rendering. Coherency pixels stay packed real rows p(T) from read (or
-multilook) to refinement. The stages up to the similarity form one front end,
-``_prepare``, shared by the classify and similarity commands. Every stage
-dump goes through one hook, ``dump(stage, write)``. Stage dumps are written
-in full precision so a pipeline restarted from a dumped stage reproduces
-the final labels byte-for-byte.
+Stage order: read, optional multilook (Sinclair input; ``run_*`` multilook
+while reading), optional deorientation, speckle filter, per-target
+similarity, categorization, span-ordered seeding, capped merging, iterative
+Wishart refinement, rendering. Coherency pixels stay packed real rows p(T)
+from read (or multilook) to refinement. The stages up to the similarity form
+one front end, ``_prepare``, shared by the classify and similarity commands.
+Every stage dump goes through one hook, ``dump(stage, write)``. Stage dumps
+are written in full precision so a pipeline restarted from a dumped stage
+reproduces the final labels byte-for-byte.
 """
 
 from __future__ import annotations
@@ -272,7 +272,12 @@ def run_classify(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = classify_raster(read_scene(scene_path), config, out_dir / "stages")
+    # the read raster is passed on, not held here, so a stage frees it
+    result = classify_raster(
+        read_scene(scene_path, config.multilook_factors),
+        replace(config, multilook_factors=None),
+        out_dir / "stages",
+    )
     _write_labels(result, out_dir)
     _write_report(result.history, out_dir / "report.jsonl")
     render_map(
@@ -298,7 +303,9 @@ def run_similarity(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raster, f, gamma, w, valid = _prepare(
-        read_scene(scene_path), config, _dump_hook(None, ())
+        read_scene(scene_path, config.multilook_factors),
+        replace(config, multilook_factors=None),
+        _dump_hook(None, ()),
     )
     header = f"P5\n{raster.cols} {raster.rows}\n255\n".encode("ascii")
     for i, target in enumerate(config.targets):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
+    _SQRT1_2,
     CoherencyMatrix,
     pack_coherency_array,
-    pauli_from_sinclair_array,
     unpack_coherency_array,
 )
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
@@ -29,8 +29,8 @@ __all__ = [
     "multilook",
 ]
 
-#: Pixels per tile of deorientation and per row tile of the speckle filter; a
-#: tile's planes stay in cache.
+#: Pixels per tile of deorientation, per row tile of the speckle filter and
+#: per input row tile of multilooking; a tile's planes stay in cache.
 _FILTER_TILE_PIXELS = 32_768
 
 @dataclass
@@ -191,42 +191,78 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), raster.mask.copy(), looks)
 
 
+def _block_sums(x: np.ndarray, rf: int, af: int) -> np.ndarray:
+    """Sums over rf x af blocks: each block's rows in turn, then its columns in
+    turn."""
+    rows = sum((x[k::rf] for k in range(1, rf)), x[0::rf])
+    return sum((rows[:, k::af] for k in range(1, af)), rows[:, 0::af])
+
+
+def _multilook_tile(planes, valid: np.ndarray, rf: int, af: int, out: np.ndarray):
+    """Write the nine packed rf x af block means of a row tile into out (9, ...)
+    and return the block counts.
+
+    planes are the complex HH, HV' and VV of the tile; all arithmetic is real
+    and float64. The Pauli components a = (HH+VV)/sqrt2, b = (HH-VV)/sqrt2
+    and c = sqrt2 HV' are zeroed at invalid pixels, and T_xy sums x y*:
+    Re = xr yr + xi yi, Im = xi yr - xr yi. Empty blocks come out +0."""
+    hh, hv, vv = planes
+    with np.errstate(invalid="ignore", over="ignore"):
+        pauli = [_SQRT1_2 * op(h, v, dtype=np.float64) for op in (np.add, np.subtract)
+                 for h, v in ((hh.real, vv.real), (hh.imag, vv.imag))]
+        pauli += [2.0 * _SQRT1_2 * np.asarray(p, dtype=np.float64) for p in (hv.real, hv.imag)]
+    invalid = ~valid
+    for x in pauli:
+        x[invalid] = 0.0
+    ar, ai, br, bi, cr, ci = pauli
+    pairs = ((ar, ai, ar, ai), (br, bi, br, bi), (cr, ci, cr, ci),
+             (ar, ai, br, bi), (ar, ai, cr, ci), (br, bi, cr, ci))
+    counts = _block_sums(valid.astype(np.float64), rf, af)
+    divisor = np.maximum(counts, 1.0)
+    for c, (xr, xi, yr, yi) in enumerate(pairs):
+        np.divide(_block_sums(xr * yr + xi * yi, rf, af), divisor, out=out[c])
+    for c, (xr, xi, yr, yi) in enumerate(pairs[3:], start=6):
+        np.divide(_block_sums(xi * yr - xr * yi, rf, af), divisor, out=out[c])
+    return counts
+
+
+def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> PolsarRaster:
+    """Coherency raster of the rf x af block means of a Sinclair source of the
+    given shape, read in row tiles: ``read_rows(r0, r1, c1)`` returns the
+    planes (see `_multilook_tile`) and validity of rows r0:r1, columns :c1.
+    Trailing rows and columns that do not fill a block are dropped."""
+    if rf < 1 or af < 1:
+        raise ValueError("multilook factors must be positive integers")
+    rows, cols = shape[0] // rf, shape[1] // af
+    if rows == 0 or cols == 0:
+        raise ValueError(f"raster {shape[0]}x{shape[1]} is smaller than one {rf}x{af} block")
+    out = np.empty((9, rows, cols))
+    mask = np.empty((rows, cols), dtype=bool)
+    step = max(1, _FILTER_TILE_PIXELS // (rf * shape[1]))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        planes, valid = read_rows(r0 * rf, r1 * rf, cols * af)
+        mask[r0:r1] = _multilook_tile(planes, valid, rf, af, out[:, r0:r1]) > 0
+        del planes  # freed before the next tile is read
+    return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), mask, looks * rf * af)
+
+
 def multilook(
     raster: PolsarRaster, range_factor: int, azimuth_factor: int
 ) -> PolsarRaster:
     """Multilook a Sinclair raster into a coherency raster by block averaging.
 
     Non-overlapping blocks of range_factor rows by azimuth_factor columns are
-    averaged as Pauli outer products; trailing rows and columns that do not
-    fill a block are dropped. Output looks = input looks * block population.
+    averaged as Pauli outer products of the HH, HV and VV entries; trailing
+    rows and columns that do not fill a block are dropped. Output looks =
+    input looks * block population. Each packed product is summed in real
+    arithmetic over a block's rows, then its columns (`_multilook_tile`).
     """
     if raster.kind != KIND_SINCLAIR:
         raise ValueError("multilooking requires a Sinclair raster")
-    if range_factor < 1 or azimuth_factor < 1:
-        raise ValueError("multilook factors must be positive integers")
-    rows = raster.rows // range_factor
-    cols = raster.cols // azimuth_factor
-    if rows == 0 or cols == 0:
-        raise ValueError(
-            f"raster {raster.rows}x{raster.cols} is smaller than one "
-            f"{range_factor}x{azimuth_factor} block"
-        )
-    trim_r = rows * range_factor
-    trim_c = cols * azimuth_factor
-    pauli = pauli_from_sinclair_array(raster.data[:trim_r, :trim_c])
-    mask = raster.mask[:trim_r, :trim_c]
-    pauli = np.where(mask[..., None], pauli, 0.0)
-    pauli = pauli.reshape(rows, range_factor, cols, azimuth_factor, 3)
-    counts = (
-        mask.reshape(rows, range_factor, cols, azimuth_factor)
-        .sum(axis=(1, 3))
-        .astype(np.float64)
-    )
-    t = np.einsum("rxcya,rxcyb->rcab", pauli, pauli.conj())
-    out_mask = counts > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t /= counts[..., None, None]
-    t[~out_mask] = 0.0
-    return PolsarRaster(
-        KIND_COHERENCY, t, out_mask, raster.looks * range_factor * azimuth_factor
-    )
+
+    def read_rows(r0, r1, c1):
+        s = raster.data[r0:r1, :c1]
+        return (s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]), raster.mask[r0:r1, :c1]
+
+    return multilook_rows(raster.shape, raster.looks, range_factor, azimuth_factor, read_rows)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .matrices import coherency_from_pauli_array, pack_coherency_array
+from .preprocess import multilook_rows
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
 __all__ = [
@@ -109,32 +110,51 @@ def _parse_header(path: Path) -> SceneHeader:
         raise ValueError(f"{path}: missing header field {exc.args[0]!r}") from None
 
 
-def _read_component(
-    directory: Path, header: SceneHeader, name: str, parts: int
-) -> np.ndarray:
-    """(rows, cols, parts) values of a real (1) or complex (2) component."""
+def _component_file(directory: Path, header: SceneHeader, name: str, parts: int) -> Path:
+    """Path of a real (1) or complex (2) component file of the right size."""
     filename = header.components[name]
     path = directory / filename
     if not path.exists():
         raise ValueError(f"component {name}: file {filename!r} not found")
-    raw = np.fromfile(path, dtype=_DTYPES[header.dtype])
+    found = path.stat().st_size // np.dtype(_DTYPES[header.dtype]).itemsize
     expected = header.rows * header.cols * parts
-    if raw.size != expected:
-        raise ValueError(f"component {name}: expected {expected} values, found {raw.size}")
+    if found != expected:
+        raise ValueError(f"component {name}: expected {expected} values, found {found}")
+    return path
+
+
+def _read_component(
+    directory: Path, header: SceneHeader, name: str, parts: int
+) -> np.ndarray:
+    """(rows, cols, parts) values of a real (1) or complex (2) component."""
+    path = _component_file(directory, header, name, parts)
+    raw = np.fromfile(path, dtype=_DTYPES[header.dtype])
     return raw.reshape(header.rows, header.cols, parts)
 
 
-def read_scene(path: Union[str, Path]) -> PolsarRaster:
+def read_scene(
+    path: Union[str, Path], multilook: Optional[Tuple[int, int]] = None
+) -> PolsarRaster:
     """Load a scene directory into a raster.
 
     A T3 scene is read straight into the packed planes of a coherency raster.
     Pixels with a non-finite value in any component are masked and their
-    payload zeroed. S2 scenes average the two cross-pol channels to restore
-    monostatic symmetry before constructing the raster.
+    payload zeroed. S2 scenes average the two cross-pol channels,
+    HV' = (HV + VH) / 2, to restore monostatic symmetry.
+
+    With ``multilook = (rf, af)`` an S2 scene is multilooked as it is read
+    (a T3 scene raises): once every component file is checked, row tiles go
+    from the files to ``preprocess.multilook_rows``, which sums the packed
+    Pauli products (Re T_xy = xr yr + xi yi, Im T_xy = xi yr - xr yi) over
+    each block's rows, then its columns, and divides by the valid count. The
+    bytes are those of ``multilook(read_scene(path), rf, af)``, but the
+    full-resolution raster never exists.
     """
     directory = Path(path)
     header = _parse_header(directory / "header.txt")
     shape = (header.rows, header.cols)
+    if header.kind == "T3" and multilook is not None:
+        raise ValueError("multilook applies to Sinclair scenes only, not coherency")
     if header.kind == "T3":
         planes = np.empty((9,) + shape)
         for name, index in _LAYOUT["T3"].items():
@@ -148,16 +168,28 @@ def read_scene(path: Union[str, Path]) -> PolsarRaster:
         invalid = ~np.isfinite(planes[:6]).all(axis=0)
         planes[:, invalid] = 0.0
         return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), ~invalid, header.looks)
-    data = np.empty(shape + (2, 2), dtype=np.complex128)
-    invalid = np.zeros(shape, dtype=bool)
-    for name, (row, col) in _LAYOUT["S2"].items():
-        values = _read_component(directory, header, name, 2).astype(np.float64)
-        values = values[..., 0] + 1j * values[..., 1]
-        invalid |= ~np.isfinite(values)
-        data[..., row, col] = values
-    data[..., 0, 1] = data[..., 1, 0] = 0.5 * (data[..., 0, 1] + data[..., 1, 0])
-    data[invalid] = 0.0
-    return PolsarRaster(KIND_SINCLAIR, data, ~invalid, header.looks)
+    files = [_component_file(directory, header, name, 2) for name in _LAYOUT["S2"]]
+    # the interleaved real and imaginary parts read as complex values
+    dtype = np.result_type(_DTYPES[header.dtype], np.complex64).newbyteorder("<")
+
+    def read_rows(r0, r1, c1):
+        """HH, HV' and VV of rows r0:r1, columns :c1, and the pixels that are
+        finite in every component."""
+        count, offset = (r1 - r0) * header.cols, r0 * header.cols * dtype.itemsize
+        hh, hv, vh, vv = (
+            np.fromfile(file, dtype, count=count, offset=offset).reshape(r1 - r0, -1)[:, :c1]
+            for file in files
+        )
+        valid = np.isfinite(hh) & np.isfinite(hv) & np.isfinite(vh) & np.isfinite(vv)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return (hh, 0.5 * np.add(hv, vh, dtype=np.complex128), vv), valid
+
+    if multilook is not None:
+        return multilook_rows(shape, header.looks, *multilook, read_rows)
+    (hh, hv, vv), valid = read_rows(0, header.rows, header.cols)
+    data = np.stack([hh, hv, hv, vv], axis=-1).reshape(shape + (2, 2))
+    data[~valid] = 0.0
+    return PolsarRaster(KIND_SINCLAIR, data, valid, header.looks)
 
 
 def write_scene(

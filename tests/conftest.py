@@ -6,7 +6,9 @@ Cholesky factorizations, python loops instead of vectorized kernels) so
 agreement between the two is meaningful. The merge loop, sliding-window
 filter, complex deorientation and full-matrix refinement oracles are the
 exception: they keep the package's former, slower forms with the same
-arithmetic, so the package must match them bit for bit.
+arithmetic, so the package must match them bit for bit. The multilook
+oracle is the package's former complex form too, but the package now sums
+the same products in real arithmetic, so the two agree to rounding.
 """
 
 from pathlib import Path
@@ -367,3 +369,41 @@ def demo_scene(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo") / "scene"
     run_generate(DEMO_SPEC, out)
     return out
+
+
+def multilook_oracle(raster, range_factor, azimuth_factor):
+    """The former package multilook: Pauli vectors, a masked copy, and the
+    complex einsum of their outer products over each block."""
+    from geopolsar.matrices import pauli_from_sinclair_array
+    from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
+
+    if raster.kind != KIND_SINCLAIR:
+        raise ValueError("multilooking requires a Sinclair raster")
+    if range_factor < 1 or azimuth_factor < 1:
+        raise ValueError("multilook factors must be positive integers")
+    rows = raster.rows // range_factor
+    cols = raster.cols // azimuth_factor
+    if rows == 0 or cols == 0:
+        raise ValueError(
+            f"raster {raster.rows}x{raster.cols} is smaller than one "
+            f"{range_factor}x{azimuth_factor} block"
+        )
+    trim_r = rows * range_factor
+    trim_c = cols * azimuth_factor
+    pauli = pauli_from_sinclair_array(raster.data[:trim_r, :trim_c])
+    mask = raster.mask[:trim_r, :trim_c]
+    pauli = np.where(mask[..., None], pauli, 0.0)
+    pauli = pauli.reshape(rows, range_factor, cols, azimuth_factor, 3)
+    counts = (
+        mask.reshape(rows, range_factor, cols, azimuth_factor)
+        .sum(axis=(1, 3))
+        .astype(np.float64)
+    )
+    t = np.einsum("rxcya,rxcyb->rcab", pauli, pauli.conj())
+    out_mask = counts > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t /= counts[..., None, None]
+    t[~out_mask] = 0.0
+    return PolsarRaster(
+        KIND_COHERENCY, t, out_mask, raster.looks * range_factor * azimuth_factor
+    )

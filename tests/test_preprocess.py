@@ -20,6 +20,7 @@ from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
 from conftest import (
     deorient_oracle,
+    multilook_oracle,
     random_psd_stack,
     random_sinclair_stack,
     speckle_filter_oracle,
@@ -305,6 +306,31 @@ class TestMultilook:
         assert not out2.mask[0, 0]
         assert np.all(out2.data[0, 0] == 0.0)
         assert out2.mask[0, 1]
+
+    @pytest.mark.parametrize("tile_pixels", [None, 40])
+    def test_matches_the_complex_oracle(self, monkeypatch, tile_pixels):
+        import geopolsar.preprocess as preprocess
+
+        if tile_pixels:  # several row tiles, the last one partial
+            monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_pixels)
+        rng = np.random.default_rng(44)
+        for rows, cols in ((1, 1), (7, 11), (16, 16), (23, 31), (40, 9)):
+            s = random_sinclair_stack(rng, rows * cols, scale=3.0).reshape(rows, cols, 2, 2)
+            s[..., 1, 0] += 0.5  # the HV entry alone is the cross-pol channel
+            mask = rng.random((rows, cols)) > 0.2
+            # masked payloads are non-zero or NaN; neither may leak into a mean
+            s[~mask & (rng.random((rows, cols)) < 0.5), 1, 1] = complex(np.nan, 1.0)
+            mask[:3, :5] = False  # a fully masked block at every factor below
+            raster = PolsarRaster(KIND_SINCLAIR, s, mask, looks=2)
+            for rf, af in ((1, 1), (2, 2), (3, 5)):
+                if rows < rf or cols < af:
+                    continue
+                out, ref = multilook(raster, rf, af), multilook_oracle(raster, rf, af)
+                assert out.shape == ref.shape == (rows // rf, cols // af)
+                assert np.array_equal(out.mask, ref.mask) and not out.mask[0, 0]
+                assert out.looks == ref.looks
+                span = ref.data[..., :3].sum(axis=-1, keepdims=True)
+                assert np.all(np.abs(out.data - ref.data) <= 1e-14 * span)
 
     def test_validation(self):
         raster = PolsarRaster(KIND_SINCLAIR, np.zeros((2, 3, 2, 2), complex))

@@ -1,9 +1,11 @@
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geopolsar.matrices import kennaugh_from_coherency_array, unpack_coherency_array
+from geopolsar.preprocess import multilook
 from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 from geopolsar.scene import (
     MODEL_COHERENCY,
@@ -148,6 +150,91 @@ class TestStorage:
         k = np.zeros((1, 1, 4, 4))
         with pytest.raises(ValueError, match="unknown raster kind 'kennaugh'"):
             PolsarRaster("kennaugh", k)
+
+
+def sinclair_scene(path, rng, rows, cols, dtype="float32", mask=None):
+    """An S2 scene with broken reciprocity (VH != HV) written to path."""
+    s = random_sinclair_stack(rng, rows * cols).reshape(rows, cols, 2, 2)
+    s[..., 1, 0] = s[..., 0, 1] + (0.5 - 0.25j)
+    write_scene(PolsarRaster(KIND_SINCLAIR, s, mask), path, dtype=dtype)
+    return path
+
+
+class TestStreamedMultilook:
+    """``read_scene(path, (rf, af))`` multilooks row tiles as it reads them,
+    with the bytes of the in-memory route."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_the_in_memory_route_bytewise(self, tmp_path, monkeypatch, dtype):
+        import geopolsar.preprocess as preprocess
+
+        # 2 output rows per tile at (2, 3): 6 tiles, the last one partial
+        monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", 100)
+        rng = np.random.default_rng(79)
+        mask = rng.random((23, 17)) > 0.1
+        scene = sinclair_scene(tmp_path / "scene", rng, 23, 17, dtype, mask)
+        pixels = rng.choice(23 * 17, size=12, replace=False)
+        for i, name in enumerate(("HH", "HV", "VH", "VV")):
+            path = scene / f"{name}.bin"
+            values = np.fromfile(path, dtype=np.dtype(dtype).newbyteorder("<"))
+            for j, bad in enumerate((np.nan, np.inf, -np.inf)):
+                values[2 * pixels[3 * i + j] + j % 2] = bad
+            values.tofile(path)
+        in_memory = read_scene(scene)
+        assert in_memory.valid_count() == mask.sum() - np.count_nonzero(mask.ravel()[pixels])
+        for rf, af in ((1, 1), (2, 3), (5, 2), (23, 17)):
+            ref = multilook(in_memory, rf, af)
+            out = read_scene(scene, (rf, af))
+            assert out.kind == KIND_COHERENCY and out.looks == ref.looks
+            assert out.data.tobytes() == ref.data.tobytes(), (rf, af)
+            assert out.mask.tobytes() == ref.mask.tobytes()
+
+    def test_read_streams(self, tmp_path):
+        scene = sinclair_scene(tmp_path / "scene", np.random.default_rng(80), 512, 512)
+        tracemalloc.start()
+        try:
+            out = read_scene(scene, (2, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full-resolution complex raster alone would be 16 MiB
+        assert peak <= out.data.nbytes + out.mask.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda p: p.write_bytes(p.read_bytes()[:-8]), "component VV: expected 24 values, found 22"),
+            (lambda p: p.write_bytes(p.read_bytes() * 2), "component VV: expected 24 values, found 48"),
+            (lambda p: p.unlink(), "component VV: file 'VV.bin' not found"),
+        ],
+    )
+    def test_bad_component_files_fail_before_any_tile_is_read(
+        self, tmp_path, monkeypatch, damage, message
+    ):
+        scene = sinclair_scene(tmp_path / "scene", np.random.default_rng(81), 3, 4)
+        damage(scene / "VV.bin")
+        monkeypatch.setattr(np, "fromfile", self.no_tile_reads)
+        with pytest.raises(ValueError, match=message):
+            read_scene(scene, (2, 2))
+
+    def test_scene_smaller_than_one_block(self, tmp_path, monkeypatch):
+        scene = sinclair_scene(tmp_path / "scene", np.random.default_rng(82), 3, 4)
+        monkeypatch.setattr(np, "fromfile", self.no_tile_reads)
+        with pytest.raises(ValueError, match="raster 3x4 is smaller than one 2x5 block"):
+            read_scene(scene, (2, 5))
+
+    @staticmethod
+    def no_tile_reads(*args, **kwargs):
+        raise AssertionError("a tile was read")
+
+    def test_coherency_input_with_factors_fails(self, tmp_path):
+        raster = coherency_raster(np.random.default_rng(83), 4, 4)
+        write_scene(raster, tmp_path / "scene")
+        with pytest.raises(ValueError, match="multilook applies to Sinclair scenes only, not coherency"):
+            read_scene(tmp_path / "scene", (2, 2))
+        config = PipelineConfig(multilook_factors=(2, 2))
+        with pytest.raises(ValueError, match="multilook applies to Sinclair scenes only, not coherency"):
+            classify_raster(raster, config)
 
 
 class TestSpecParsing:
