@@ -42,7 +42,8 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         nargs=2,
         metavar=("RANGE", "AZIMUTH"),
-        help="multilook factors for single-look Sinclair scenes (an error on coherency scenes)",
+        help="block factors that multilook a Sinclair scene as it is read "
+        "(default 1 1; an error on coherency scenes)",
     )
 
 
@@ -142,7 +143,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
             deorient=not args.no_deorient,
             filter_window=args.filter_window,
         ),
-        multilook_factors=tuple(args.multilook) if args.multilook else None,
         **fields,
     )
 
@@ -154,14 +154,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "generate":
             run_generate(args.spec, args.out, seed=args.seed)
         elif args.command == "similarity":
-            any_valid = run_similarity(args.scene, args.out, _pipeline_config(args))
+            any_valid = run_similarity(
+                args.scene, args.out, _pipeline_config(args), args.multilook
+            )
             if not any_valid:
                 print(
                     "warning: scene has no valid pixels; maps are empty",
                     file=sys.stderr,
                 )
         elif args.command == "classify":
-            result = run_classify(args.scene, args.out, _pipeline_config(args))
+            result = run_classify(
+                args.scene, args.out, _pipeline_config(args), args.multilook
+            )
             last = result.history[-1] if result.history else {}
             print(
                 f"classified {int(result.valid.sum())} pixels into "

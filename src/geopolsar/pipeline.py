@@ -1,14 +1,16 @@
 """End-to-end classification pipeline and its on-disk artifacts.
 
-Stage order: read, optional multilook (Sinclair input; ``run_*`` multilook
-while reading), optional deorientation, speckle filter, per-target
-similarity, categorization, span-ordered seeding, capped merging, iterative
-Wishart refinement, rendering. Coherency pixels stay packed real rows p(T)
-from read (or multilook) to refinement. The stages up to the similarity form
-one front end, ``_prepare``, shared by the classify and similarity commands.
-Every stage dump goes through one hook, ``dump(stage, write)``. Stage dumps
-are written in full precision so a pipeline restarted from a dumped stage
-reproduces the final labels byte-for-byte.
+Stage order: read (``scene.read_scene`` multilooks a Sinclair scene as it
+reads it), optional deorientation, speckle filter, per-target similarity,
+categorization, span-ordered seeding, capped merging, iterative Wishart
+refinement, rendering. The stages take coherency rasters only;
+``preprocess.multilook`` makes one from an in-memory Sinclair raster.
+Coherency pixels stay packed real rows p(T) from read to refinement. The
+stages up to the similarity form one front end, ``_prepare``, shared by the
+classify and similarity commands. Every stage dump goes through one hook,
+``dump(stage, write)``. Stage dumps are written in full precision so a
+pipeline restarted from a dumped stage reproduces the final labels
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .classify import (
     merge_clusters,
 )
 from .geodesic import DEFAULT_TARGETS, CanonicalTarget, similarity_arrays
-from .preprocess import PreprocessConfig, deorient_raster, multilook, speckle_filter
-from .raster import KIND_SINCLAIR, PolsarRaster
+from .preprocess import PreprocessConfig, deorient_raster, speckle_filter
+from .raster import KIND_COHERENCY, PolsarRaster
 from .render import MASKED_LABEL, ClassEntry, render_map
 from .scene import read_scene, write_scene
 
@@ -55,7 +57,6 @@ class PipelineConfig:
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     targets: Tuple[CanonicalTarget, ...] = DEFAULT_TARGETS
     workers: int = 1
-    multilook_factors: Optional[Tuple[int, int]] = None
     dump_stages: Tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -67,10 +68,6 @@ class PipelineConfig:
         unknown = [s for s in self.dump_stages if s not in DUMP_STAGES]
         if unknown:
             raise ValueError(f"unknown dump stage {unknown[0]!r}")
-        if self.multilook_factors is not None:
-            rf, af = self.multilook_factors
-            if rf < 1 or af < 1:
-                raise ValueError("multilook factors must be positive integers")
 
 
 @dataclass
@@ -110,11 +107,10 @@ def _prepare(raster: PolsarRaster, config: PipelineConfig, dump: Callable):
     """Front end of classify and similarity, up to similarity_arrays; returns
     (raster, f, gamma, w, valid). Stages are called through this module's
     globals, so a wrapper installed on the module sees each call."""
-    if raster.kind == KIND_SINCLAIR:
-        rf, af = config.multilook_factors or (1, 1)
-        raster = multilook(raster, rf, af)
-    elif config.multilook_factors is not None:
-        raise ValueError(f"multilook applies to Sinclair scenes only, not {raster.kind}")
+    if raster.kind != KIND_COHERENCY:
+        raise ValueError(
+            f"the pipeline takes coherency rasters; multilook a {raster.kind} raster first"
+        )
     if config.preprocess.deorient:
         raster = deorient_raster(raster)
         dump("deorient", lambda d: write_scene(raster, d, dtype="float64"))
@@ -134,7 +130,8 @@ def classify_raster(
     config: PipelineConfig,
     dump_dir: Optional[Path] = None,
 ) -> ClassifyResult:
-    """Classify an in-memory raster; see the module docstring for stages."""
+    """Classify an in-memory coherency raster; see the module docstring for
+    stages."""
     dump = _dump_hook(dump_dir, config.dump_stages)
     raster, _, _, w, valid = _prepare(raster, config, dump)
 
@@ -261,9 +258,13 @@ def _write_report(history: List[Dict], path: Path) -> None:
 
 
 def run_classify(
-    scene_path, out_dir, config: Optional[PipelineConfig] = None
+    scene_path,
+    out_dir,
+    config: Optional[PipelineConfig] = None,
+    multilook: Optional[Tuple[int, int]] = None,
 ) -> ClassifyResult:
-    """Classify a scene directory and write all artifacts into out_dir.
+    """Classify a scene directory and write all artifacts into out_dir;
+    ``multilook`` factors go to ``read_scene``.
 
     Artifacts: labels.bin / labels.hdr (u16 little-endian, row-major,
     0xFFFF = masked), report.jsonl (one record per pass), map.ppm and
@@ -273,11 +274,7 @@ def run_classify(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the read raster is passed on, not held here, so a stage frees it
-    result = classify_raster(
-        read_scene(scene_path, config.multilook_factors),
-        replace(config, multilook_factors=None),
-        out_dir / "stages",
-    )
+    result = classify_raster(read_scene(scene_path, multilook), config, out_dir / "stages")
     _write_labels(result, out_dir)
     _write_report(result.history, out_dir / "report.jsonl")
     render_map(
@@ -291,9 +288,13 @@ def run_classify(
 
 
 def run_similarity(
-    scene_path, out_dir, config: Optional[PipelineConfig] = None
+    scene_path,
+    out_dir,
+    config: Optional[PipelineConfig] = None,
+    multilook: Optional[Tuple[int, int]] = None,
 ) -> bool:
-    """Write per-target similarity products for a scene.
+    """Write per-target similarity products for a scene; ``multilook``
+    factors go to ``read_scene``.
 
     For each target: a grayscale P5 map of f scaled [0, 1] -> [0, 255] and
     raw float32 rasters of f, gamma and w (NaN on masked pixels). Returns
@@ -303,9 +304,7 @@ def run_similarity(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raster, f, gamma, w, valid = _prepare(
-        read_scene(scene_path, config.multilook_factors),
-        replace(config, multilook_factors=None),
-        _dump_hook(None, ()),
+        read_scene(scene_path, multilook), config, _dump_hook(None, ())
     )
     header = f"P5\n{raster.cols} {raster.rows}\n255\n".encode("ascii")
     for i, target in enumerate(config.targets):

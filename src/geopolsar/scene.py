@@ -8,10 +8,12 @@ filename`` line per component file.
 kind T3 (coherency): T11, T22, T33 as real values; T12, T13, T23 as
 interleaved real/imaginary pairs. They are read into, and written from, the
 packed planes of a coherency raster. kind S2 (Sinclair): HH, HV, VH, VV as
-interleaved complex channels. ``_LAYOUT`` maps each component to its planes
-or matrix entry. Components default to float32; dtype float64 is accepted for
-full-precision intermediate dumps. A non-finite value (NaN or +-inf) in any
-component marks the pixel invalid; writers serialize masked pixels as NaN.
+interleaved complex channels, written from a Sinclair raster and multilooked
+into a coherency raster as they are read. ``_LAYOUT`` maps each component to
+its planes or matrix entry. Components default to float32; dtype float64 is
+accepted for full-precision intermediate dumps. A non-finite value (NaN or
++-inf) in any component marks the pixel invalid; writers serialize masked
+pixels as NaN.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .matrices import coherency_from_pauli_array, pack_coherency_array
 from .preprocess import multilook_rows
-from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
+from .raster import KIND_COHERENCY, PolsarRaster
 
 __all__ = [
     "SceneHeader",
@@ -97,17 +99,23 @@ def _parse_header(path: Path) -> SceneHeader:
             components[key[len("component.") :]] = value
         else:
             fields[key] = value
+    typed = (("rows", int), ("cols", int), ("looks", float), ("kind", str))
+    return SceneHeader(
+        **{key: _field(path, fields, key, read, "header field") for key, read in typed},
+        dtype=fields.get("dtype", "float32"),
+        components=components,
+    )
+
+
+def _field(path: Path, fields: Dict[str, str], key: str, read, noun: str = "field"):
+    """read(fields[key]); a missing or malformed value raises a ValueError
+    that names the file and the field."""
+    if key not in fields:
+        raise ValueError(f"{path}: missing {noun} {key!r}")
     try:
-        return SceneHeader(
-            rows=int(fields["rows"]),
-            cols=int(fields["cols"]),
-            looks=float(fields["looks"]),
-            kind=fields["kind"],
-            dtype=fields.get("dtype", "float32"),
-            components=components,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing header field {exc.args[0]!r}") from None
+        return read(fields[key])
+    except ValueError:
+        raise ValueError(f"{path}: {noun} {key!r}: {fields[key]!r} is not {read.__name__}") from None
 
 
 def _component_file(directory: Path, header: SceneHeader, name: str, parts: int) -> Path:
@@ -116,39 +124,29 @@ def _component_file(directory: Path, header: SceneHeader, name: str, parts: int)
     path = directory / filename
     if not path.exists():
         raise ValueError(f"component {name}: file {filename!r} not found")
-    found = path.stat().st_size // np.dtype(_DTYPES[header.dtype]).itemsize
+    found, stray = divmod(path.stat().st_size, np.dtype(_DTYPES[header.dtype]).itemsize)
     expected = header.rows * header.cols * parts
-    if found != expected:
-        raise ValueError(f"component {name}: expected {expected} values, found {found}")
+    if (found, stray) != (expected, 0):
+        extra = f" and {stray} stray bytes" if stray else ""
+        raise ValueError(f"component {name}: expected {expected} values, found {found}{extra}")
     return path
-
-
-def _read_component(
-    directory: Path, header: SceneHeader, name: str, parts: int
-) -> np.ndarray:
-    """(rows, cols, parts) values of a real (1) or complex (2) component."""
-    path = _component_file(directory, header, name, parts)
-    raw = np.fromfile(path, dtype=_DTYPES[header.dtype])
-    return raw.reshape(header.rows, header.cols, parts)
 
 
 def read_scene(
     path: Union[str, Path], multilook: Optional[Tuple[int, int]] = None
 ) -> PolsarRaster:
-    """Load a scene directory into a raster.
+    """Load a scene directory into the packed planes of a coherency raster.
 
-    A T3 scene is read straight into the packed planes of a coherency raster.
     Pixels with a non-finite value in any component are masked and their
-    payload zeroed. S2 scenes average the two cross-pol channels,
-    HV' = (HV + VH) / 2, to restore monostatic symmetry.
-
-    With ``multilook = (rf, af)`` an S2 scene is multilooked as it is read
-    (a T3 scene raises): once every component file is checked, row tiles go
-    from the files to ``preprocess.multilook_rows``, which sums the packed
-    Pauli products (Re T_xy = xr yr + xi yi, Im T_xy = xi yr - xr yi) over
-    each block's rows, then its columns, and divides by the valid count. The
-    bytes are those of ``multilook(read_scene(path), rf, af)``, but the
-    full-resolution raster never exists.
+    payload zeroed. An S2 scene is multilooked as it is read, by ``multilook
+    = (rf, af)`` or else (1, 1) (a T3 scene with factors raises), and its
+    cross-pol channels are averaged, HV' = (HV + VH) / 2. Once every
+    component file is checked, row tiles go from the files to
+    ``preprocess.multilook_rows``, which sums the packed Pauli products
+    (Re T_xy = xr yr + xi yi, Im T_xy = xi yr - xr yi) over each block's rows,
+    then its columns, and divides by the valid count: the bytes of
+    ``preprocess.multilook`` on the Sinclair raster of the file values, which
+    never exists.
     """
     directory = Path(path)
     header = _parse_header(directory / "header.txt")
@@ -158,7 +156,8 @@ def read_scene(
     if header.kind == "T3":
         planes = np.empty((9,) + shape)
         for name, index in _LAYOUT["T3"].items():
-            values = _read_component(directory, header, name, len(index))
+            file = _component_file(directory, header, name, len(index))
+            values = np.fromfile(file, _DTYPES[header.dtype]).reshape(shape + (len(index),))
             planes[list(index)] = np.moveaxis(values, -1, 0)
         # the signed zeros of the complex values re + 1j * im; the real planes
         # are non-finite wherever either part is
@@ -184,12 +183,7 @@ def read_scene(
         with np.errstate(invalid="ignore", over="ignore"):
             return (hh, 0.5 * np.add(hv, vh, dtype=np.complex128), vv), valid
 
-    if multilook is not None:
-        return multilook_rows(shape, header.looks, *multilook, read_rows)
-    (hh, hv, vv), valid = read_rows(0, header.rows, header.cols)
-    data = np.stack([hh, hv, hv, vv], axis=-1).reshape(shape + (2, 2))
-    data[~valid] = 0.0
-    return PolsarRaster(KIND_SINCLAIR, data, valid, header.looks)
+    return multilook_rows(shape, header.looks, *(multilook or (1, 1)), read_rows)
 
 
 def write_scene(
@@ -285,6 +279,9 @@ class SyntheticSceneSpec:
             raise ValueError("regions do not cover the raster")
 
 
+_SPEC_FIELDS = ("rows", "cols", "looks", "seed")
+
+
 def parse_scene_spec(path: Union[str, Path]) -> SyntheticSceneSpec:
     """Parse a scene spec file.
 
@@ -303,7 +300,7 @@ def parse_scene_spec(path: Union[str, Path]) -> SyntheticSceneSpec:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key != "region":
-            if key not in ("rows", "cols", "looks", "seed"):
+            if key not in _SPEC_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             fields[key] = value
             continue
@@ -328,16 +325,9 @@ def parse_scene_spec(path: Union[str, Path]) -> SyntheticSceneSpec:
         regions.append(region)
     if "seed" not in fields:
         raise ValueError(f"{path}: an explicit seed is required")
-    try:
-        return SyntheticSceneSpec(
-            rows=int(fields["rows"]),
-            cols=int(fields["cols"]),
-            looks=int(fields["looks"]),
-            seed=int(fields["seed"]),
-            regions=regions,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    return SyntheticSceneSpec(
+        **{key: _field(path, fields, key, int) for key in _SPEC_FIELDS}, regions=regions
+    )
 
 
 def generate_scene(spec: SyntheticSceneSpec) -> PolsarRaster:

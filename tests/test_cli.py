@@ -9,12 +9,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geopolsar.classify import ClassifierConfig
 from geopolsar.cli import main
+from geopolsar.pipeline import PipelineConfig, classify_raster
+from geopolsar.preprocess import multilook
 from geopolsar.raster import KIND_SINCLAIR, PolsarRaster
 from geopolsar.render import MASKED_LABEL
 from geopolsar.scene import read_scene, write_scene
 
 from conftest import DEMO_SPEC, random_sinclair_stack
+
+
+def single_look_scene(tmp_path, seed):
+    """A 16x16 float64 S2 scene with four masked pixels, and its raster."""
+    s = random_sinclair_stack(np.random.default_rng(seed), 16 * 16).reshape(16, 16, 2, 2)
+    mask = np.ones((16, 16), dtype=bool)
+    mask[5, 3:7] = False
+    raster = PolsarRaster(KIND_SINCLAIR, s, mask)
+    write_scene(raster, tmp_path / "slc", dtype="float64")
+    return raster, tmp_path / "slc"
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +253,20 @@ class TestClassify:
         labels, header = read_labels(out)
         assert labels.shape == (4, 4)
 
+    def test_single_look_scene_without_multilook(self, tmp_path):
+        """Without --multilook an S2 scene is read as multilook(raster, 1, 1)."""
+        raster, scene = single_look_scene(tmp_path, 93)
+        classifier = ClassifierConfig(initial_clusters_per_category=4, final_classes_per_category=2)
+        config = PipelineConfig(classifier=classifier, workers=2)
+        expected = classify_raster(multilook(raster, 1, 1), config)
+        out = tmp_path / "out"
+        argv = ["classify", str(scene), "--out", str(out), "--workers", "2"]
+        assert main(argv + ["--initial-clusters", "4", "--classes-per-category", "2"]) == 0
+        assert (out / "labels.bin").read_bytes() == expected.labels.astype("<u2").tobytes()
+        report = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+        assert report == json.loads(json.dumps(expected.history))
+        assert (expected.labels == MASKED_LABEL).sum() == 4
+
     @pytest.mark.parametrize("command", ["classify", "similarity"])
     def test_multilook_on_a_coherency_scene_fails_cleanly(
         self, demo_scene, tmp_path, capsys, command
@@ -335,6 +362,22 @@ class TestSimilarity:
         assert pgm.endswith(bytes(6))  # all-black map
         raw = np.fromfile(out / "w_dihedral.f32", dtype="<f4")
         assert np.isnan(raw).all()
+
+
+    def test_single_look_scene_without_multilook(self, tmp_path):
+        """Without --multilook an S2 scene is read as multilook(raster, 1, 1)."""
+        raster, scene = single_look_scene(tmp_path, 94)
+        # a float64 T3 scene reads back as the in-memory raster, bit for bit
+        write_scene(multilook(raster, 1, 1), tmp_path / "t3", dtype="float64")
+        for name in ("slc", "t3"):
+            argv = ["similarity", str(tmp_path / name), "--out", str(tmp_path / f"sim_{name}")]
+            assert main(argv) == 0
+        files = sorted(p.name for p in (tmp_path / "sim_t3").iterdir())
+        assert len(files) == 12
+        assert sorted(p.name for p in (tmp_path / "sim_slc").iterdir()) == files
+        for name in files:
+            expected = (tmp_path / "sim_t3" / name).read_bytes()
+            assert (tmp_path / "sim_slc" / name).read_bytes() == expected, name
 
 
 class TestClassifyAndSimilarityAgree:

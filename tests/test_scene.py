@@ -17,7 +17,7 @@ from geopolsar.scene import (
     write_scene,
 )
 from geopolsar.geodesic import DEFAULT_TARGETS, similarity_arrays
-from geopolsar.pipeline import PipelineConfig, classify_raster
+from geopolsar.pipeline import PipelineConfig, classify_raster, run_classify
 
 from conftest import DEMO_SPEC, random_psd_stack, random_sinclair_stack
 
@@ -61,11 +61,15 @@ class TestStorage:
         raster = PolsarRaster(KIND_SINCLAIR, s, looks=1.0)
         write_scene(raster, tmp_path / "scene", dtype="float64")
         back = read_scene(tmp_path / "scene")
-        assert back.kind == KIND_SINCLAIR
-        expected_cross = s[..., 0, 1] + 0.25
-        assert np.abs(back.data[..., 0, 1] - expected_cross).max() <= 1e-15
-        assert np.array_equal(back.data[..., 0, 1], back.data[..., 1, 0])
-        assert np.array_equal(back.data[..., 0, 0], s[..., 0, 0])
+        averaged = s.copy()
+        averaged[..., 0, 1] = averaged[..., 1, 0] = 0.5 * (s[..., 0, 1] + s[..., 1, 0])
+        ref = multilook(PolsarRaster(KIND_SINCLAIR, averaged, looks=1.0), 1, 1)
+        assert back.kind == KIND_COHERENCY and back.looks == 1.0
+        assert back.data.tobytes() == ref.data.tobytes()
+        assert back.mask.all()
+        # without the averaging, the cross-pol power would differ
+        unaveraged = multilook(raster, 1, 1)
+        assert not np.array_equal(back.data[..., 2], unaveraged.data[..., 2])
 
     def test_t3_components_read_as_complex_values_into_planes(self, tmp_path):
         # each complex component lands in its packed planes as the value
@@ -122,6 +126,20 @@ class TestStorage:
         with pytest.raises(ValueError, match="component T22: expected 4 values, found 3"):
             read_scene(tmp_path / "scene")
 
+    @pytest.mark.parametrize("stray", [1, 3])
+    @pytest.mark.parametrize("kind, name, values", [("T3", "T22", 4), ("S2", "VH", 8)])
+    def test_stray_trailing_bytes_fail(self, tmp_path, kind, name, values, stray):
+        rng = np.random.default_rng(86)
+        if kind == "T3":
+            write_scene(coherency_raster(rng, 2, 2), tmp_path / "scene")
+        else:
+            sinclair_scene(tmp_path / "scene", rng, 2, 2)
+        path = tmp_path / "scene" / f"{name}.bin"
+        path.write_bytes(path.read_bytes() + bytes(stray))
+        message = f"expected {values} values, found {values} and {stray} stray bytes"
+        with pytest.raises(ValueError, match=f"component {name}: {message}"):
+            read_scene(tmp_path / "scene")
+
     def test_header_errors_carry_location(self, tmp_path):
         scene = tmp_path / "scene"
         scene.mkdir()
@@ -135,6 +153,12 @@ class TestStorage:
             "rows = 2\ncols = 2\nlooks = 1\nkind = T9\n"
         )
         with pytest.raises(ValueError, match="unknown scene kind 'T9'"):
+            read_scene(scene)
+        (scene / "header.txt").write_text("rows = 12x8\ncols = 2\nlooks = 1\nkind = T3\n")
+        with pytest.raises(ValueError, match=r"header\.txt: header field 'rows': '12x8' is not int"):
+            read_scene(scene)
+        (scene / "header.txt").write_text("rows = 2\ncols = 2\nlooks = many\nkind = T3\n")
+        with pytest.raises(ValueError, match=r"header\.txt: header field 'looks': 'many' is not float"):
             read_scene(scene)
 
     def test_missing_components_in_header(self, tmp_path):
@@ -174,19 +198,31 @@ class TestStreamedMultilook:
         mask = rng.random((23, 17)) > 0.1
         scene = sinclair_scene(tmp_path / "scene", rng, 23, 17, dtype, mask)
         pixels = rng.choice(23 * 17, size=12, replace=False)
+        channels = {}
         for i, name in enumerate(("HH", "HV", "VH", "VV")):
             path = scene / f"{name}.bin"
             values = np.fromfile(path, dtype=np.dtype(dtype).newbyteorder("<"))
             for j, bad in enumerate((np.nan, np.inf, -np.inf)):
                 values[2 * pixels[3 * i + j] + j % 2] = bad
             values.tofile(path)
-        in_memory = read_scene(scene)
-        assert in_memory.valid_count() == mask.sum() - np.count_nonzero(mask.ravel()[pixels])
-        for rf, af in ((1, 1), (2, 3), (5, 2), (23, 17)):
-            ref = multilook(in_memory, rf, af)
-            out = read_scene(scene, (rf, af))
+            channel = np.empty((23, 17), dtype=np.complex128)
+            channel.real.flat, channel.imag.flat = values[0::2], values[1::2]
+            channels[name] = channel
+        # the in-memory Sinclair raster of the file values: a pixel that is
+        # non-finite in any channel is masked, and HV' = (HV + VH) / 2
+        valid = np.all([np.isfinite(c) for c in channels.values()], axis=0)
+        assert valid.sum() == mask.sum() - np.count_nonzero(mask.ravel()[pixels])
+        s = np.zeros((23, 17, 2, 2), dtype=np.complex128)
+        s[..., 0, 0], s[..., 1, 1] = channels["HH"], channels["VV"]
+        with np.errstate(invalid="ignore"):
+            s[..., 0, 1] = s[..., 1, 0] = 0.5 * (channels["HV"] + channels["VH"])
+        s[~valid] = 0.0
+        in_memory = PolsarRaster(KIND_SINCLAIR, s, valid, looks=1.0)
+        for factors in (None, (1, 1), (2, 3), (5, 2), (23, 17)):
+            ref = multilook(in_memory, *(factors or (1, 1)))
+            out = read_scene(scene, factors)
             assert out.kind == KIND_COHERENCY and out.looks == ref.looks
-            assert out.data.tobytes() == ref.data.tobytes(), (rf, af)
+            assert out.data.tobytes() == ref.data.tobytes(), factors
             assert out.mask.tobytes() == ref.mask.tobytes()
 
     def test_read_streams(self, tmp_path):
@@ -198,6 +234,18 @@ class TestStreamedMultilook:
         finally:
             tracemalloc.stop()
         # the full-resolution complex raster alone would be 16 MiB
+        assert peak <= out.data.nbytes + out.mask.nbytes + 4 * 2**20
+
+    def test_read_without_factors_streams(self, tmp_path):
+        scene = sinclair_scene(tmp_path / "scene", np.random.default_rng(84), 512, 512)
+        tracemalloc.start()
+        try:
+            out = read_scene(scene)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.kind == KIND_COHERENCY and out.shape == (512, 512)
+        # the full-resolution complex raster alone would be 16 MiB more
         assert peak <= out.data.nbytes + out.mask.nbytes + 4 * 2**20
 
     @pytest.mark.parametrize(
@@ -232,9 +280,13 @@ class TestStreamedMultilook:
         write_scene(raster, tmp_path / "scene")
         with pytest.raises(ValueError, match="multilook applies to Sinclair scenes only, not coherency"):
             read_scene(tmp_path / "scene", (2, 2))
-        config = PipelineConfig(multilook_factors=(2, 2))
         with pytest.raises(ValueError, match="multilook applies to Sinclair scenes only, not coherency"):
-            classify_raster(raster, config)
+            run_classify(tmp_path / "scene", tmp_path / "out", multilook=(2, 2))
+
+    def test_pipeline_rejects_sinclair_rasters(self):
+        s = random_sinclair_stack(np.random.default_rng(85), 16).reshape(4, 4, 2, 2)
+        with pytest.raises(ValueError, match="multilook"):
+            classify_raster(PolsarRaster(KIND_SINCLAIR, s), PipelineConfig())
 
 
 class TestSpecParsing:
@@ -265,6 +317,9 @@ class TestSpecParsing:
             parse_scene_spec(path)
         path.write_text("rows = 2\nregion = 0 0 2 2 cylinder 1.0\n")
         with pytest.raises(ValueError, match=r"bad\.spec:2: unknown region model"):
+            parse_scene_spec(path)
+        path.write_text("rows = 2\ncols = 2\nlooks = 2.5\nseed = 1\n")
+        with pytest.raises(ValueError, match=r"bad\.spec: field 'looks': '2\.5' is not int"):
             parse_scene_spec(path)
 
     def test_tiling_validation(self, tmp_path):
