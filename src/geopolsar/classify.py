@@ -164,6 +164,8 @@ def _matrix(value) -> np.ndarray:
 def _packed(t) -> np.ndarray:
     """(n, 9) packed rows of an (n, 3, 3) coherency stack or of packed rows."""
     t = np.asarray(t)
+    if t.shape[1:] not in ((9,), (3, 3)):
+        raise ValueError(f"expected pixels of shape (n, 9) or (n, 3, 3), got {t.shape}")
     return t.astype(float, copy=False) if t.ndim == 2 else pack_coherency_array(t)
 
 

@@ -119,41 +119,33 @@ class SimilarityTriple:
     def __post_init__(self):
         if not (self.f.keys() == self.gamma.keys() == self.w.keys()):
             raise ValueError("f, gamma and w must share the same target names")
-        if any(v < 0.0 for m in (self.f, self.gamma, self.w) for v in m.values()):
+        # written so that NaN fails both checks
+        if not all(v >= 0.0 for m in (self.f, self.gamma, self.w) for v in m.values()):
             raise ValueError("similarity entries must be nonnegative")
         total = sum(self.gamma.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"gamma must sum to 1, got {total!r}")
 
 
 def similarity_triple(
     k: KennaughMatrix, targets: Sequence[CanonicalTarget] = DEFAULT_TARGETS
 ) -> SimilarityTriple:
-    """Similarities, normalized shares and power weights for one pixel.
+    """Similarities, normalized shares and power weights for one pixel, as
+    ``similarity_arrays`` of a 1x1 stack; raises why it would mask the pixel.
 
-    Raises for pixels equidistant-degenerate to every target (sum f == 0);
-    that cannot occur with the three built-in targets on a nonzero pixel.
+    sum f == 0 cannot occur with the three built-in targets on a nonzero pixel.
     """
-    if len(targets) == 0:
-        raise ValueError("no targets")
-    k11 = k.k11
-    if k11 < 0.0:
-        raise ValueError("negative span")
-    f = {}
-    for target in targets:
-        fi = similarity(k, target)
-        if fi < 0.0:
-            if fi < -_NEGATIVE_F_TOLERANCE:
-                raise ValueError(
-                    f"similarity out of range for target {target.name!r}"
-                )
-            fi = 0.0
-        f[target.name] = fi
-    total = sum(f.values())
-    if total <= 0.0:
+    pixel = k.matrix[None, None]
+    f, gamma, w, valid = similarity_arrays(pixel, np.ones((1, 1), bool), targets)
+    if not valid[0, 0]:
+        if k.k11 < 0.0:
+            raise ValueError("negative span")
+        for target in targets:  # a zero matrix raises "degenerate" here
+            if similarity(k, target) < -_NEGATIVE_F_TOLERANCE:
+                raise ValueError(f"similarity out of range for target {target.name!r}")
         raise ValueError("equidistant-degenerate pixel")
-    gamma = {name: fi / total for name, fi in f.items()}
-    w = {name: 2.0 * k11 * g for name, g in gamma.items()}
+    names = [t.name for t in targets]
+    f, gamma, w = (dict(zip(names, a[:, 0, 0].tolist())) for a in (f, gamma, w))
     return SimilarityTriple(f, gamma, w)
 
 

@@ -2,9 +2,11 @@
 
 Small immutable value types for single-pixel matrices (Sinclair, Pauli,
 coherency, Kennaugh) together with vectorized ``*_array`` kernels that
-operate on numpy stacks of matrices. The value types validate their
-physical invariants on construction; the kernels are pure functions and
-safe to run concurrently over disjoint slices.
+operate on numpy stacks of matrices. Each conversion and the span exist
+once, in the kernels, and the single-pixel functions call them; the
+coherent Kennaugh matrix is the Kennaugh map of k k^H. The value types
+validate their physical invariants on construction; the kernels are pure
+functions and safe to run concurrently over disjoint slices.
 
 Conventions: Pauli basis ordering (HH+VV, HH-VV, 2HV) with a 1/sqrt(2)
 normalization, so the squared Pauli norm equals the span
@@ -168,13 +170,9 @@ class CoherencyMatrix:
             dtype=np.complex128,
         )
 
-    @property
-    def trace(self) -> float:
-        return self.t11 + self.t22 + self.t33
-
 
 class KennaughMatrix:
-    """4x4 real symmetric Kennaugh matrix.
+    """4x4 real symmetric Kennaugh matrix with finite entries.
 
     The input upper triangle is mirrored onto the lower one, so symmetry
     holds exactly in floating point. The backing array is read-only.
@@ -186,6 +184,8 @@ class KennaughMatrix:
         v = np.array(values, dtype=np.float64)
         if v.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("Kennaugh matrix entries must be finite")
         scale = max(float(np.abs(v).max()), np.finfo(float).tiny)
         if np.abs(v - v.T).max() > _SYMMETRY_TOLERANCE * scale:
             raise ValueError("Kennaugh matrix must be symmetric")
@@ -220,11 +220,7 @@ def pauli_from_sinclair_array(s) -> np.ndarray:
     hh = s[..., 0, 0]
     hv = s[..., 0, 1]
     vv = s[..., 1, 1]
-    out = np.empty(s.shape[:-2] + (3,), dtype=np.complex128)
-    out[..., 0] = _SQRT1_2 * (hh + vv)
-    out[..., 1] = _SQRT1_2 * (hh - vv)
-    out[..., 2] = _SQRT1_2 * 2.0 * hv
-    return out
+    return _SQRT1_2 * np.stack([hh + vv, hh - vv, 2.0 * hv], axis=-1)
 
 
 def coherency_from_pauli_array(k) -> np.ndarray:
@@ -245,38 +241,10 @@ def coherency_from_pauli_array(k) -> np.ndarray:
 
 
 def kennaugh_from_sinclair_array(s) -> np.ndarray:
-    """Kennaugh stacks (..., 4, 4) from Sinclair stacks (..., 2, 2).
-
-    Direct expansion in the Pauli sums a = HH+VV, b = HH-VV, c = 2HV; all
-    entries are manifestly real, so no imaginary residue can appear.
-    """
-    s = np.asarray(s, dtype=np.complex128)
-    hh = s[..., 0, 0]
-    hv = s[..., 0, 1]
-    vv = s[..., 1, 1]
-    a = hh + vv
-    b = hh - vv
-    c = 2.0 * hv
-    aa = (a * a.conj()).real
-    bb = (b * b.conj()).real
-    cc = (c * c.conj()).real
-    ab = a * b.conj()
-    ac = a * c.conj()
-    bc = b * c.conj()
-    k = np.empty(s.shape[:-2] + (4, 4), dtype=np.float64)
-    k[..., 0, 0] = 0.25 * (aa + bb + cc)
-    k[..., 0, 1] = 0.5 * ab.real
-    k[..., 0, 2] = 0.5 * ac.real
-    k[..., 0, 3] = 0.5 * bc.imag
-    k[..., 1, 1] = 0.25 * (aa + bb - cc)
-    k[..., 1, 2] = 0.5 * bc.real
-    k[..., 1, 3] = 0.5 * ac.imag
-    k[..., 2, 2] = 0.25 * (aa - bb + cc)
-    k[..., 2, 3] = -0.5 * ab.imag
-    k[..., 3, 3] = 0.25 * (-aa + bb + cc)
-    for i, j in _UPPER4:
-        k[..., j, i] = k[..., i, j]
-    return k
+    """Coherent Kennaugh stacks (..., 4, 4) from Sinclair stacks (..., 2, 2):
+    the Kennaugh map of the single-look coherency matrix k k^H."""
+    k = pauli_from_sinclair_array(s)[..., None, :]
+    return kennaugh_from_coherency_array(coherency_from_pauli_array(k))
 
 
 def _coherency_stack(t) -> np.ndarray:
@@ -371,9 +339,7 @@ def coherency_from_pauli(samples: Sequence[PauliVector]) -> CoherencyMatrix:
 
     Raises ValueError("no samples") for an empty sequence.
     """
-    if len(samples) == 0:
-        raise ValueError("no samples")
-    stack = np.stack([p.vector for p in samples])
+    stack = np.reshape([p.vector for p in samples], (-1, 3))
     return CoherencyMatrix.from_matrix(coherency_from_pauli_array(stack))
 
 
@@ -387,18 +353,20 @@ def kennaugh_from_coherency(t: CoherencyMatrix) -> KennaughMatrix:
     return KennaughMatrix(kennaugh_from_coherency_array(t.matrix))
 
 
+_SPAN_KINDS = (
+    (SinclairMatrix, "sinclair"),
+    (CoherencyMatrix, "coherency"),
+    (KennaughMatrix, "kennaugh"),
+)
+
+
 def span(
     value: Union[SinclairMatrix, PauliVector, CoherencyMatrix, KennaughMatrix]
 ) -> float:
     """Span (total power) of any of the matrix value types."""
-    if isinstance(value, SinclairMatrix):
-        return (
-            abs(value.s_hh) ** 2 + 2.0 * abs(value.s_hv) ** 2 + abs(value.s_vv) ** 2
-        )
     if isinstance(value, PauliVector):
         return value.norm_squared()
-    if isinstance(value, CoherencyMatrix):
-        return value.trace
-    if isinstance(value, KennaughMatrix):
-        return 2.0 * value.k11
+    for cls, kind in _SPAN_KINDS:
+        if isinstance(value, cls):
+            return float(span_array(value.matrix, kind))
     raise TypeError(f"unsupported type {type(value).__name__}")

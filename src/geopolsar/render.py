@@ -81,7 +81,7 @@ def render_map(
     """Render a u16 label raster to a P6 PPM plus a CSV legend.
 
     labels holds class ids, with MASKED_LABEL marking masked pixels. Every
-    class id present in the raster must appear in classes.
+    label in the raster must be MASKED_LABEL or a class id in classes.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2:
@@ -94,9 +94,11 @@ def render_map(
             entry.category_index, entry.class_index, classes_per_category
         )
         known[entry.class_id] = True
-    if not known[labels].all():
-        missing = int(labels[~known[labels]].flat[0])
-        raise ValueError(f"label {missing} has no class entry")
+    unknown = (labels < 0) | (labels > MASKED_LABEL)
+    if not unknown.any():
+        unknown = ~known[labels]
+    if unknown.any():
+        raise ValueError(f"label {int(labels[unknown].flat[0])} has no class entry")
     rgb = lut[labels]
 
     image_path = Path(image_path)

@@ -3,7 +3,8 @@
 A scene is a directory holding ``header.txt`` plus one flat little-endian
 binary file per matrix component, row-major. The header carries ``key =
 value`` lines: rows, cols, looks, kind, dtype, and one ``component.NAME =
-filename`` line per component file.
+filename`` line per component file; ``#`` starts a comment, so no
+filename may contain one.
 
 kind T3 (coherency): T11, T22, T33 as real values; T12, T13, T23 as
 interleaved real/imaginary pairs. They are read into, and written from, the
@@ -85,16 +86,23 @@ class SceneHeader:
             raise ValueError(f"header missing components: {', '.join(missing)}")
 
 
-def _parse_header(path: Path) -> SceneHeader:
-    fields: Dict[str, str] = {}
-    components: Dict[str, str] = {}
+def _key_values(path: Path):
+    """(line number, key, value) of each ``key = value`` line of a header or
+    spec file. Blank lines and ``#`` comments, whole-line or inline, are skipped."""
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
+def _parse_header(path: Path) -> SceneHeader:
+    fields: Dict[str, str] = {}
+    components: Dict[str, str] = {}
+    for _, key, value in _key_values(path):
         if key.startswith("component."):
             components[key[len("component.") :]] = value
         else:
@@ -292,13 +300,7 @@ def parse_scene_spec(path: Union[str, Path]) -> SyntheticSceneSpec:
     path = Path(path)
     fields: Dict[str, str] = {}
     regions: List[Region] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in _key_values(path):
         if key != "region":
             if key not in _SPEC_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")

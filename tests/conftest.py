@@ -3,7 +3,9 @@
 The reference implementations here deliberately use different numerics
 than the package (explicit Kronecker products, det/inv instead of
 Cholesky factorizations, python loops instead of vectorized kernels) so
-agreement between the two is meaningful. The merge loop, sliding-window
+agreement between the two is meaningful. The Kronecker expansion oracle
+anchors acceptance criterion 3, since the package's coherent Kennaugh
+matrix is itself the coherency route. The merge loop, sliding-window
 filter, complex deorientation and full-matrix refinement oracles are the
 exception: they keep the package's former, slower forms with the same
 arithmetic, so the package must match them bit for bit. The multilook

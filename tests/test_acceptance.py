@@ -27,7 +27,6 @@ from geopolsar.geodesic import (
 from geopolsar.matrices import (
     coherency_from_pauli_array,
     kennaugh_from_coherency_array,
-    kennaugh_from_sinclair_array,
     pauli_from_sinclair_array,
     span_array,
     unpack_coherency_array,
@@ -35,7 +34,7 @@ from geopolsar.matrices import (
 from geopolsar.preprocess import deorient_array, orientation_angle
 from geopolsar.render import MASKED_LABEL
 
-from conftest import random_psd_stack, random_sinclair_stack
+from conftest import kennaugh_expansion_oracle, random_psd_stack, random_sinclair_stack
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +87,14 @@ def test_criterion_02_scale_invariance_fuzz():
 
 
 def test_criterion_03_conversion_routes_agree():
-    """1e4 Sinclair matrices: the direct coherent construction and the
-    route through the Pauli coherency matrix agree to 1e-12 after span
-    normalization; < 5 s."""
+    """1e4 Sinclair matrices: the literal construction K = (1/2) A* (S kron
+    S*) A^H and the route through the Pauli coherency matrix agree to 1e-12
+    after span normalization; < 5 s."""
     start = time.perf_counter()
     rng = np.random.default_rng(1003)
     s = random_sinclair_stack(rng, 10_000)
     s /= np.sqrt(span_array(s, "sinclair"))[:, None, None]
-    direct = kennaugh_from_sinclair_array(s)
+    direct = kennaugh_expansion_oracle(s)
     pauli = pauli_from_sinclair_array(s)
     via_coherency = kennaugh_from_coherency_array(
         coherency_from_pauli_array(pauli[:, None, :])

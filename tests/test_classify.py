@@ -196,6 +196,11 @@ class TestInitialClusters:
         with pytest.raises(ValueError, match="k must be"):
             initial_clusters(random_psd_stack(np.random.default_rng(55), 2), 0)
 
+    @pytest.mark.parametrize("shape", [(5, 4), (6, 12), (2, 3, 9), (4, 3, 4), (9,)])
+    def test_other_pixel_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(n, 9\) or \(n, 3, 3\)"):
+            initial_clusters(np.ones(shape), 2)
+
 
 class TestMerge:
     def test_identical_pair_merges_first(self):
@@ -435,6 +440,20 @@ class TestIterate:
         assert np.array_equal(out_labels, labels)
         assert len(history) == 1
         assert history[0]["iteration"] == 0
+
+    @pytest.mark.parametrize("shape", [(20, 4), (20, 12), (20, 3, 4)])
+    def test_other_pixel_shapes_rejected(self, shape):
+        rng = np.random.default_rng(61)
+        _, clusters, labels = two_blob_data(rng, n_per=10)
+        with pytest.raises(ValueError, match=r"shape \(n, 9\) or \(n, 3, 3\)"):
+            iterate_classification(
+                np.ones(shape),
+                np.zeros(20, int),
+                np.zeros(20, bool),
+                clusters,
+                ClassifierConfig(),
+                initial_labels=labels,
+            )
 
     def test_worker_count_does_not_change_results(self):
         rng = np.random.default_rng(62)

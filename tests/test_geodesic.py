@@ -21,6 +21,8 @@ from geopolsar.matrices import (
     pack_coherency_array,
 )
 
+from geopolsar.scene import read_scene
+
 from conftest import random_psd_stack
 
 # closed forms of the pairwise distances between the canonical targets:
@@ -157,6 +159,10 @@ class TestSimilarityTriple:
         with pytest.raises(ValueError, match="equidistant-degenerate"):
             similarity_triple(k, targets=(TRIHEDRAL, DIHEDRAL))
 
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="degenerate Kennaugh matrix"):
+            similarity_triple(KennaughMatrix(np.zeros((4, 4))))
+
     def test_strongly_negative_similarity_rejected(self):
         k = KennaughMatrix(np.diag([0.0, -1.0, -1.0, 1.0]))
         with pytest.raises(ValueError, match="similarity out of range"):
@@ -178,22 +184,41 @@ class TestSimilarityTriple:
         with pytest.raises(ValueError, match="sum to 1"):
             SimilarityTriple(f={"x": 1.0}, gamma={"x": 0.5}, w={"x": 1.0})
 
+    def test_non_finite_entries_rejected(self):
+        for nan_at in ("f", "gamma", "w"):
+            entries = {"f": {"x": 1.0}, "gamma": {"x": 1.0}, "w": {"x": 1.0}}
+            entries[nan_at] = {"x": np.nan}
+            with pytest.raises(ValueError, match="nonnegative"):
+                SimilarityTriple(**entries)
+        with pytest.raises(ValueError, match="sum to 1"):
+            SimilarityTriple(f={"x": 1.0}, gamma={"x": np.inf}, w={"x": 1.0})
+
 
 class TestSimilarityArrays:
     def test_matches_scalar_path(self):
+        # f is 1 - GD per target, floored at 0; gamma = f / sum f; w = 2 k11 gamma
         rng = np.random.default_rng(26)
         k = random_kennaugh_stack(rng, 40).reshape(5, 8, 4, 4)
         mask = np.ones((5, 8), dtype=bool)
         f, gamma, w, valid = similarity_arrays(k, mask)
         assert valid.all()
-        names = [t.name for t in DEFAULT_TARGETS]
-        for r in range(5):
-            for c in range(8):
-                triple = similarity_triple(KennaughMatrix(k[r, c]))
-                for ti, name in enumerate(names):
-                    assert f[ti, r, c] == pytest.approx(triple.f[name], abs=1e-14)
-                    assert gamma[ti, r, c] == pytest.approx(triple.gamma[name], abs=1e-14)
-                    assert w[ti, r, c] == pytest.approx(triple.w[name], rel=1e-12, abs=1e-14)
+        for ti, target in enumerate(DEFAULT_TARGETS):
+            gd = geodesic_distance_array(k, target.kennaugh.matrix)
+            assert np.abs(f[ti] - np.maximum(1.0 - gd, 0.0)).max() <= 1e-14
+        assert np.abs(gamma - f / f.sum(axis=0)).max() <= 1e-14
+        expected_w = 2.0 * k[..., 0, 0] * gamma
+        assert (np.abs(w - expected_w) <= np.maximum(1e-12 * np.abs(expected_w), 1e-14)).all()
+
+    def test_share_and_weight_conservation_on_packed_rows(self, demo_scene):
+        rng = np.random.default_rng(30)
+        fuzzed = pack_coherency_array(random_psd_stack(rng, 5000)).reshape(50, 100, 9)
+        demo = read_scene(demo_scene)
+        for p, mask in ((fuzzed, np.ones((50, 100), bool)), (demo.data, demo.mask)):
+            f, gamma, w, valid = similarity_arrays(p, mask)
+            assert valid.all()
+            assert np.abs(gamma.sum(axis=0) - 1.0).max() <= 1e-12
+            spans = (p[..., 0] + p[..., 1]) + p[..., 2]
+            assert (np.abs(w.sum(axis=0) - spans) / spans).max() <= 1e-12
 
     def test_masked_and_degenerate_pixels(self):
         rng = np.random.default_rng(27)

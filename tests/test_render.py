@@ -65,6 +65,11 @@ class TestRenderMap:
         labels = np.array([[0, 7]], dtype=np.uint16)
         with pytest.raises(ValueError, match="label 7 has no class entry"):
             render_map(labels, [entry(0, 0, 0)], 5, tmp_path / "map.ppm")
+        # labels outside the u16 range neither wrap onto MASKED_LABEL nor index past the table
+        for label in (-1, 70000):
+            labels = np.array([[0, label]], dtype=np.int64)
+            with pytest.raises(ValueError, match=f"label {label} has no class entry"):
+                render_map(labels, [entry(0, 0, 0)], 5, tmp_path / "map.ppm")
 
     def test_byte_identical_rerenders(self, tmp_path):
         rng = np.random.default_rng(81)

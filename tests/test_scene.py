@@ -161,6 +161,18 @@ class TestStorage:
         with pytest.raises(ValueError, match=r"header\.txt: header field 'looks': 'many' is not float"):
             read_scene(scene)
 
+    def test_header_inline_comments_are_stripped(self, tmp_path):
+        rng = np.random.default_rng(87)
+        write_scene(coherency_raster(rng, 2, 3), tmp_path / "scene")
+        expected = read_scene(tmp_path / "scene")
+        header = tmp_path / "scene" / "header.txt"
+        lines = [f"{line}  # note" for line in header.read_text().splitlines()]
+        header.write_text("# hand-edited\n\n" + "\n".join(lines) + "\n")
+        got = read_scene(tmp_path / "scene")
+        assert got.shape == (2, 3) and got.looks == expected.looks
+        assert np.array_equal(got.data, expected.data)
+        assert np.array_equal(got.mask, expected.mask)
+
     def test_missing_components_in_header(self, tmp_path):
         scene = tmp_path / "scene"
         scene.mkdir()
