@@ -7,11 +7,11 @@ distance. Non-mixed pixels only ever compete among clusters of their own
 category; mixed pixels compete globally and adopt the winning cluster's
 category.
 
-Pixels and centers are packed real rows p(T) (``pack_coherency_array``), and
-one kernel scores them: d(T, V) = ln|V| + p(T) . Q with Q = W p(V^-1). Merging
-keeps D = (M + M^T) / 2 with M[i, j] = d(Vi, Vj); ties go to the first (i, j).
-Clusters are counts n_k and packed sums S_k (``_statistics``), which give the
-means and the objective sum_p d(T_p, V_k) = sum_k n_k ln|V_k| + p(S_k) . Q_k.
+Pixels and centers are packed real rows p(T) (``packed_rows``), and one kernel
+scores them: d(T, V) = ln|V| + p(T) . Q with Q = W p(V^-1), W = PACKED_WEIGHTS.
+Merging keeps D = (M + M^T) / 2 with M[i, j] = d(Vi, Vj); ties go to the first
+(i, j). Clusters are counts n_k and packed sums S_k (``_statistics``), which give
+the means and the objective sum_p d(T_p, V_k) = sum_k n_k ln|V_k| + p(S_k) . Q_k.
 
 Distances:
     pixel to center   d(T, V) = ln|V| + Tr(V^-1 T)
@@ -28,7 +28,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .geodesic import SimilarityTriple
-from .matrices import CoherencyMatrix, pack_coherency_array, unpack_coherency_array
+from .matrices import (
+    PACKED_WEIGHTS, CoherencyMatrix, packed_rows, span_array, unpack_coherency_array
+)
 
 __all__ = [
     "ClassifierConfig",
@@ -166,7 +168,7 @@ def _packed(t) -> np.ndarray:
     t = np.asarray(t)
     if t.shape[1:] not in ((9,), (3, 3)):
         raise ValueError(f"expected pixels of shape (n, 9) or (n, 3, 3), got {t.shape}")
-    return t.astype(float, copy=False) if t.ndim == 2 else pack_coherency_array(t)
+    return packed_rows(t)
 
 
 def _factor(centers: np.ndarray, epsilon: float, loaded: bool = True):
@@ -174,17 +176,17 @@ def _factor(centers: np.ndarray, epsilon: float, loaded: bool = True):
     as V' = V + epsilon (tr V / 3) I, which keeps near-singular centers usable:
     d(T, V') = ln|V'| + p(T) . Q. If loaded, Q scores the loaded pixel T' instead
     (diagonal + eps/3 Tr(V'^-1))."""
-    load = epsilon * centers[:, :3].sum(axis=1) / 3.0
+    load = epsilon * span_array(centers, "coherency") / 3.0
     reg = unpack_coherency_array(centers) + load[:, None, None] * np.eye(3)
     try:
         chol = np.linalg.cholesky(reg)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular cluster center") from exc
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
-    q = pack_coherency_array(np.linalg.inv(reg))
-    q[:, 3:] *= 2.0  # Tr(AB) = p(A) . W p(B): off-diagonal entries count twice
+    q = packed_rows(np.linalg.inv(reg))
+    q *= PACKED_WEIGHTS  # Tr(AB) = p(A) . W p(B)
     if loaded:
-        q[:, :3] += epsilon / 3.0 * q[:, :3].sum(axis=1, keepdims=True)
+        q[:, :3] += epsilon / 3.0 * span_array(q, "coherency")[:, None]
     return q, logdet
 
 
@@ -262,7 +264,7 @@ def initial_clusters(
         return [], np.empty(0, dtype=np.int64)
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = np.argsort(pixels[:, :3].sum(axis=1), kind="stable")
+    order = np.argsort(span_array(pixels, "coherency"), kind="stable")
     k_eff = min(k, n)
     bins = np.empty(n, dtype=np.intp)
     bins[order] = np.minimum(np.arange(n) // (n // k_eff), k_eff - 1)
@@ -382,7 +384,10 @@ def iterate_classification(
         objective = 0.0
         if n and len(ids):
             q, logdet = _factor(centers, config.center_regularization)
-            objective = total(*_statistics(np.searchsorted(ids, labels), t, len(ids)))
+            columns = np.minimum(np.searchsorted(ids, labels), len(ids) - 1)
+            if labels.shape != (n,) or (ids[columns] != labels).any():
+                raise ValueError(f"initial_labels must name a known cluster for each of {n} pixels")
+            objective = total(*_statistics(columns, t, len(ids)))
         record(0, None, objective)
         for iteration in range(1, config.max_iterations + 1):
             if n == 0 or not len(ids):
@@ -399,7 +404,7 @@ def iterate_classification(
             objective = total(counts, sums) if np.isin(own, cluster_cat).all() else np.inf
             # emptied clusters get a zero mean and retire, as do powerless ones
             centers = sums * (1.0 / np.maximum(counts, 1))[:, None]
-            keep = centers[:, :3].sum(axis=1) > 0.0
+            keep = span_array(centers, "coherency") > 0.0
             ids, cluster_cat, counts, centers, survivors = (
                 a[keep] for a in (ids, cluster_cat, counts, centers, survivors)
             )

@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .matrices import KennaughMatrix, kennaugh_from_coherency_array, unpack_coherency_array
+from .matrices import PACKED_WEIGHTS, KennaughMatrix, kennaugh_from_coherency_array, span_array
 
 __all__ = [
     "CanonicalTarget",
@@ -82,6 +82,8 @@ def geodesic_distance_array(k1, k2) -> np.ndarray:
     """Geodesic distance over broadcast stacks of 4x4 Kennaugh matrices."""
     k1 = np.asarray(k1, dtype=np.float64)
     k2 = np.asarray(k2, dtype=np.float64)
+    if not (np.isfinite(k1).all() and np.isfinite(k2).all()):
+        raise ValueError("Kennaugh matrix entries must be finite")
     d1 = _frobenius_dot(k1, k1)
     d2 = _frobenius_dot(k2, k2)
     if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
@@ -164,9 +166,9 @@ def similarity_arrays(
     Parameters
     ----------
     pixels : (rows, cols, 4, 4) Kennaugh stack, or (rows, cols, 9) packed
-        coherency rows (``matrices.pack_coherency_array``), which are scored
+        coherency rows (``matrices.packed_rows``), which are scored
         without a Kennaugh stack; the two routes agree to rounding
-    mask : (rows, cols) bool array, True = valid
+    mask : (rows, cols) bool array over the pixel grid, True = valid
     targets : ordered target registry
 
     Returns
@@ -184,20 +186,22 @@ def similarity_arrays(
     elif x.shape[-1:] == (9,):
         # K(T) is linear in p = p(T), so no Kennaugh stack is formed: Tr(K(T) K_t)
         # = p . A_t with A_t the target pulled back through the packed basis,
-        # ||K(T)||^2 = p . W p with W = diag(1, 1, 1, 2, ..., 2) the basis' Gram
-        # matrix, and k11 = span / 2
-        basis = kennaugh_from_coherency_array(unpack_coherency_array(np.eye(9)))
+        # ||K(T)||^2 = p . W p with W = PACKED_WEIGHTS the basis' Gram matrix,
+        # and k11 = span / 2
+        basis = kennaugh_from_coherency_array(np.eye(9))
         pullback = np.einsum("cij,tij->ct", basis, tmat)
         planes = np.moveaxis(x, -1, 0)
         dots, d_pix = np.zeros((len(tmat),) + x.shape[:-1]), np.zeros(x.shape[:-1])
-        for plane, weights, gram in zip(planes, pullback, _frobenius_dot(basis, basis)):
+        for plane, weights, gram in zip(planes, pullback, PACKED_WEIGHTS):
             d_pix += gram * (plane * plane)
             for row, weight in zip(dots, weights):
                 if weight:  # a diagonal target weighs only the diagonal planes
                     row += weight * plane
-        k11 = 0.5 * ((planes[0] + planes[1]) + planes[2])
+        k11 = 0.5 * span_array(x, "coherency")
     else:
         raise ValueError(f"expected (rows, cols, 4, 4) or packed (rows, cols, 9), got {x.shape}")
+    if np.shape(mask) != d_pix.shape:
+        raise ValueError(f"mask shape {np.shape(mask)} does not match the pixel grid {d_pix.shape}")
     valid = np.asarray(mask, bool) & (d_pix > 0.0) & (k11 >= 0.0)
 
     d_t = _frobenius_dot(tmat, tmat)

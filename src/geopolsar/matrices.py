@@ -6,7 +6,8 @@ operate on numpy stacks of matrices. Each conversion and the span exist
 once, in the kernels, and the single-pixel functions call them; the
 coherent Kennaugh matrix is the Kennaugh map of k k^H. The value types
 validate their physical invariants on construction; the kernels are pure
-functions and safe to run concurrently over disjoint slices.
+functions and safe to run concurrently over disjoint slices. Coherency
+input is read by one converter, ``packed_rows``, into packed real rows p(T).
 
 Conventions: Pauli basis ordering (HH+VV, HH-VV, 2HV) with a 1/sqrt(2)
 normalization, so the squared Pauli norm equals the span
@@ -23,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "PSD_TOLERANCE",
+    "PACKED_WEIGHTS",
     "SinclairMatrix",
     "PauliVector",
     "CoherencyMatrix",
@@ -37,6 +39,7 @@ __all__ = [
     "kennaugh_from_sinclair_array",
     "kennaugh_from_coherency_array",
     "span_array",
+    "packed_rows",
     "pack_coherency_array",
     "unpack_coherency_array",
 ]
@@ -55,8 +58,10 @@ _UPPER4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # Packed real layout p(T) of a 3x3 Hermitian matrix, the on-disk T3 order:
 # [T11, T22, T33, Re T12, Re T13, Re T23, Im T12, Im T13, Im T23]. For
-# Hermitian A and B, Tr(AB) = p(A) . W p(B) with W = diag(1, 1, 1, 2, ..., 2).
+# Hermitian A and B, Tr(AB) = p(A) . W p(B) with the weights W below.
 _PACKED = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+PACKED_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+PACKED_WEIGHTS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,9 @@ class CoherencyMatrix:
     """3x3 Hermitian positive semidefinite coherency matrix.
 
     Only the upper triangle is stored: real diagonal (t11, t22, t33) and
-    complex off-diagonal terms (t12, t13, t23). Construction rejects a
-    negative diagonal and eigenvalues below -PSD_TOLERANCE * trace.
+    complex off-diagonal terms (t12, t13, t23). Construction rejects
+    non-finite entries, a negative diagonal and eigenvalues below
+    -PSD_TOLERANCE * trace.
     """
 
     t11: float
@@ -131,6 +137,8 @@ class CoherencyMatrix:
         object.__setattr__(self, "t12", complex(self.t12))
         object.__setattr__(self, "t13", complex(self.t13))
         object.__setattr__(self, "t23", complex(self.t23))
+        if not np.isfinite([self.t11, self.t22, self.t33, self.t12, self.t13, self.t23]).all():
+            raise ValueError("coherency matrix entries must be finite")
         tr = self.t11 + self.t22 + self.t33
         scale = abs(self.t11) + abs(self.t22) + abs(self.t33)
         floor = -PSD_TOLERANCE * max(scale, np.finfo(float).tiny)
@@ -247,36 +255,25 @@ def kennaugh_from_sinclair_array(s) -> np.ndarray:
     return kennaugh_from_coherency_array(coherency_from_pauli_array(k))
 
 
-def _coherency_stack(t) -> np.ndarray:
-    """t as complex stacks (..., 3, 3); packed rows (..., 9) are not misread."""
-    t = np.asarray(t, dtype=np.complex128)
-    if t.shape[-2:] != (3, 3):
-        raise ValueError(f"expected coherency stacks (..., 3, 3), got shape {t.shape}")
-    return t
+def packed_rows(t) -> np.ndarray:
+    """Packed rows (..., 9) of coherency data: rows pass through as float64, with
+    no copy when they already are; anything else is packed as (..., 3, 3) stacks."""
+    t = np.asarray(t)
+    return t.astype(np.float64, copy=False) if t.shape[-1:] == (9,) else pack_coherency_array(t)
 
 
 def kennaugh_from_coherency_array(t) -> np.ndarray:
-    """Kennaugh stacks (..., 4, 4) from coherency stacks (..., 3, 3)."""
-    t = _coherency_stack(t)
-    t11 = t[..., 0, 0].real
-    t22 = t[..., 1, 1].real
-    t33 = t[..., 2, 2].real
-    t12 = t[..., 0, 1]
-    t13 = t[..., 0, 2]
-    t23 = t[..., 1, 2]
-    k = np.empty(t.shape[:-2] + (4, 4), dtype=np.float64)
-    k[..., 0, 0] = 0.5 * (t11 + t22 + t33)
-    k[..., 0, 1] = t12.real
-    k[..., 0, 2] = t13.real
-    k[..., 0, 3] = t23.imag
+    """Kennaugh stacks (..., 4, 4) from coherency data (``packed_rows``)."""
+    p = packed_rows(t)
+    t11, t22, t33, re12, re13, re23, im12, im13, im23 = np.moveaxis(p, -1, 0)
+    k = np.empty(p.shape[:-1] + (4, 4), dtype=np.float64)
+    k[..., 0, 0] = 0.5 * span_array(p, "coherency")
     k[..., 1, 1] = 0.5 * (t11 + t22 - t33)
-    k[..., 1, 2] = t23.real
-    k[..., 1, 3] = t13.imag
     k[..., 2, 2] = 0.5 * (t11 - t22 + t33)
-    k[..., 2, 3] = -t12.imag
     k[..., 3, 3] = 0.5 * (-t11 + t22 + t33)
-    for i, j in _UPPER4:
-        k[..., j, i] = k[..., i, j]
+    # the strict upper triangle in _UPPER4 order, mirrored
+    for (i, j), entry in zip(_UPPER4, (re12, re13, im23, re23, im13, -im12)):
+        k[..., i, j] = k[..., j, i] = entry
     return k
 
 
@@ -284,7 +281,9 @@ def pack_coherency_array(t) -> np.ndarray:
     """Packed real rows (..., 9) of Hermitian stacks (..., 3, 3), read from the
     upper triangle. The rows view a component-major buffer, so each packed
     column is contiguous."""
-    t = _coherency_stack(t)
+    t = np.asarray(t, dtype=np.complex128)
+    if t.shape[-2:] != (3, 3):
+        raise ValueError(f"expected coherency stacks (..., 3, 3), got shape {t.shape}")
     parts = [t[..., i, j].real for i, j in _PACKED]
     parts += [t[..., i, j].imag for i, j in _PACKED[3:]]
     return np.moveaxis(np.array(parts), 0, -1)
@@ -304,7 +303,7 @@ def unpack_coherency_array(p) -> np.ndarray:
 def span_array(data, kind: str) -> np.ndarray:
     """Total scattered power per matrix in a stack.
 
-    kind is one of 'sinclair', 'coherency', 'kennaugh'.
+    kind is one of 'sinclair', 'coherency' (``packed_rows``), 'kennaugh'.
     """
     data = np.asarray(data)
     if kind == "sinclair":
@@ -317,7 +316,8 @@ def span_array(data, kind: str) -> np.ndarray:
             + (vv * vv.conj()).real
         )
     if kind == "coherency":
-        return np.trace(_coherency_stack(data), axis1=-2, axis2=-1).real
+        p = packed_rows(data)
+        return (p[..., 0] + p[..., 1]) + p[..., 2]
     if kind == "kennaugh":
         return 2.0 * data[..., 0, 0].real
     raise ValueError(f"unknown matrix kind {kind!r}")

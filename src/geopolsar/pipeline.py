@@ -31,6 +31,7 @@ from .classify import (
     merge_clusters,
 )
 from .geodesic import DEFAULT_TARGETS, CanonicalTarget, similarity_arrays
+from .matrices import span_array
 from .preprocess import PreprocessConfig, deorient_raster, speckle_filter
 from .raster import KIND_COHERENCY, PolsarRaster
 from .render import MASKED_LABEL, ClassEntry, render_map
@@ -199,10 +200,8 @@ def classify_raster(
     )
 
     # dense class ids ordered by category, then center power, then seed id
-    def sort_key(cluster: Cluster):
-        return (cluster.category, np.trace(cluster.center).real, cluster.id)
-
-    ordered = sorted(clusters, key=sort_key)
+    power = {c.id: float(span_array(c.center, "coherency")) for c in clusters}
+    ordered = sorted(clusters, key=lambda c: (c.category, power[c.id], c.id))
     id_to_class = np.full(n_targets * k0, MASKED_LABEL, dtype=np.int64)
     for rank, cluster in enumerate(ordered):
         id_to_class[cluster.id] = rank
@@ -218,7 +217,7 @@ def classify_raster(
                 category=config.targets[cluster.category].name,
                 class_index=class_index,
                 pixels=cluster.member_count,
-                center_trace=float(np.trace(cluster.center).real),
+                center_trace=power[cluster.id],
             )
         )
 

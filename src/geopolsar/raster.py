@@ -3,8 +3,8 @@
 A PolsarRaster couples a per-pixel payload with a validity mask and the
 number of looks already averaged into each pixel. A Sinclair raster holds
 (rows, cols, 2, 2) complex matrices. A coherency raster holds packed real
-rows p(T) (``matrices.pack_coherency_array``) of shape (rows, cols, 9) at 72
-bytes per pixel, over a component-major buffer, so each of the nine planes
+rows p(T) (``matrices.packed_rows``) of shape (rows, cols, 9) at 72 bytes
+per pixel, over a component-major buffer, so each of the nine planes
 ``data[..., c]`` is contiguous. Rasters are treated as immutable:
 operations return new instances and never write into an input array, which
 keeps read-only sharing across worker threads safe.
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrices import pack_coherency_array, span_array
+from .matrices import packed_rows, span_array
 
 __all__ = [
     "KIND_SINCLAIR",
@@ -37,10 +37,10 @@ class PolsarRaster:
     """Image of per-pixel matrices with a validity mask.
 
     data has shape (rows, cols, 2, 2) for a Sinclair raster and packed shape
-    (rows, cols, 9) for a coherency raster; a (rows, cols, 3, 3) Hermitian
-    stack passed as coherency data is packed here. mask has shape (rows,
-    cols) with True marking valid pixels. Invalid pixels carry zeroed
-    payloads and are excluded from every statistic downstream.
+    (rows, cols, 9) for a coherency raster, read by ``packed_rows`` (so a
+    (rows, cols, 3, 3) Hermitian stack is packed). mask has shape (rows, cols)
+    with True marking valid pixels. Invalid pixels carry zeroed payloads and
+    are excluded from every statistic downstream.
     """
 
     kind: str
@@ -52,11 +52,8 @@ class PolsarRaster:
         if self.kind not in _KIND_SHAPE:
             raise ValueError(f"unknown raster kind {self.kind!r}")
         if self.kind == KIND_COHERENCY:
-            data = np.asarray(self.data)
-            if data.shape[-2:] == (3, 3):
-                data = pack_coherency_array(data)
             # component-major, without a copy when it already is
-            planes = np.ascontiguousarray(np.moveaxis(data, -1, 0), dtype=np.float64)
+            planes = np.ascontiguousarray(np.moveaxis(packed_rows(self.data), -1, 0))
             self.data = np.moveaxis(planes, 0, -1)
         else:
             self.data = np.asarray(self.data, dtype=np.complex128)
@@ -94,8 +91,4 @@ class PolsarRaster:
 
     def span(self) -> np.ndarray:
         """Per-pixel span; zero on masked pixels."""
-        if self.kind == KIND_COHERENCY:
-            out = (self.data[..., 0] + self.data[..., 1]) + self.data[..., 2]
-        else:
-            out = span_array(self.data, self.kind)
-        return np.where(self.mask, out, 0.0)
+        return np.where(self.mask, span_array(self.data, self.kind), 0.0)

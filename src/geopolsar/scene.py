@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .matrices import coherency_from_pauli_array, pack_coherency_array
+from .matrices import coherency_from_pauli_array, pack_coherency_array, span_array
 from .preprocess import multilook_rows
 from .raster import KIND_COHERENCY, PolsarRaster
 
@@ -349,7 +349,7 @@ def generate_scene(spec: SyntheticSceneSpec) -> PolsarRaster:
         )
         looks = region.looks if region.looks is not None else spec.looks
         sigma = region.span * MODEL_COHERENCY[region.model]
-        delta = _SAMPLING_FLOOR * np.trace(sigma).real
+        delta = _SAMPLING_FLOOR * span_array(sigma, "coherency")
         chol = np.linalg.cholesky(sigma + delta * np.eye(3))
         shape = (region.row1 - region.row0, region.col1 - region.col0)
         z = rng.standard_normal(shape + (looks, 3)) + 1j * rng.standard_normal(

@@ -455,6 +455,25 @@ class TestIterate:
                 initial_labels=labels,
             )
 
+    @pytest.mark.parametrize("fault", ["merged_away_id", "unknown_id", "negative_id", "too_short", "too_long"])
+    def test_initial_labels_must_name_a_cluster_per_pixel(self, fault):
+        # a merged-away id used to be booked to the next cluster; an unknown id
+        # or a label array of the wrong length raised from inside numpy
+        t, clusters, labels = two_blob_data(np.random.default_rng(64), n_per=10)
+        clusters[1] = dataclasses.replace(clusters[1], id=2, source_ids=(2,))
+        labels = np.where(labels == 1, 2, labels)
+        labels = {
+            "merged_away_id": np.where(np.arange(20) == 3, 1, labels),
+            "unknown_id": np.where(np.arange(20) == 3, 999, labels),
+            "negative_id": np.where(np.arange(20) == 3, -1, labels),
+            "too_short": labels[:-1],
+            "too_long": np.append(labels, 0),
+        }[fault]
+        with pytest.raises(ValueError, match="initial_labels must name a known cluster for each of 20 pixels"):
+            iterate_classification(
+                t, np.zeros(20, int), np.zeros(20, bool), clusters, ClassifierConfig(), initial_labels=labels
+            )
+
     def test_worker_count_does_not_change_results(self):
         rng = np.random.default_rng(62)
         t = random_psd_stack(rng, 500, looks=3)

@@ -88,6 +88,17 @@ class TestDistance:
         with pytest.raises(ValueError, match="degenerate"):
             CanonicalTarget("null", KennaughMatrix(np.zeros((4, 4))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # used to return NaN, with an "invalid value" warning for inf
+        m = np.eye(4)
+        m[0, 0] = bad
+        target = TRIHEDRAL.kennaugh.matrix
+        for pair in ((m, target), (target, m), (np.full((4, 4), bad), target)):
+            for distance in (geodesic_distance, geodesic_distance_array):
+                with pytest.raises(ValueError, match="Kennaugh matrix entries must be finite"):
+                    distance(*pair)
+
     def test_antipodal_inputs_reach_two(self):
         # sign-flipped matrices are maximally distant; only reachable with
         # unphysical inputs but the kernel stays well defined
@@ -275,3 +286,11 @@ class TestSimilarityArrays:
     def test_rejects_other_pixel_shapes(self):
         with pytest.raises(ValueError, match="packed"):
             similarity_arrays(np.ones((2, 3, 3, 3)), np.ones((2, 3), bool))
+
+    @pytest.mark.parametrize("mask_shape", [(3,), (1, 3), (2, 1), (3, 2), (2, 3, 1)])
+    def test_mask_must_cover_the_pixel_grid(self, mask_shape):
+        # a (cols,) mask used to broadcast over every row without an error
+        t = random_psd_stack(np.random.default_rng(36), 6).reshape(2, 3, 3, 3)
+        for pixels in (kennaugh_from_coherency_array(t), pack_coherency_array(t)):
+            with pytest.raises(ValueError, match=r"mask shape .* does not match the pixel grid \(2, 3\)"):
+                similarity_arrays(pixels, np.ones(mask_shape, bool))

@@ -13,6 +13,7 @@ from geopolsar.matrices import (
     kennaugh_from_sinclair,
     kennaugh_from_sinclair_array,
     pack_coherency_array,
+    packed_rows,
     pauli_from_sinclair,
     pauli_from_sinclair_array,
     span,
@@ -20,10 +21,25 @@ from geopolsar.matrices import (
     unpack_coherency_array,
 )
 from geopolsar.preprocess import deorient_array, orientation_angle
+from geopolsar.raster import KIND_COHERENCY, PolsarRaster
 
 from conftest import kennaugh_expansion_oracle, random_psd_stack, random_sinclair_stack
 
 SQRT2 = np.sqrt(2.0)
+
+# kernels that take coherency stacks (..., 3, 3); the span and the Kennaugh map
+# also read packed rows (..., 9)
+PACKED_READERS = {
+    "kennaugh": kennaugh_from_coherency_array,
+    "span": lambda t: span_array(t, "coherency"),
+}
+STACK_KERNELS = {
+    "kennaugh": kennaugh_from_coherency_array,
+    "pack": pack_coherency_array,
+    "deorient": deorient_array,
+    "orientation_angle": orientation_angle,
+    "span": PACKED_READERS["span"],
+}
 
 
 class TestPauli:
@@ -95,6 +111,14 @@ class TestCoherency:
         m[0, 1] = 1j
         with pytest.raises(ValueError, match="Hermitian"):
             CoherencyMatrix.from_matrix(m)
+
+    @pytest.mark.parametrize(
+        "entries", [(np.nan, 1, 1), (np.inf, 1, 1), (1, 1, 1, np.nan)], ids=["nan", "inf", "nan-t12"]
+    )
+    def test_non_finite_entries_rejected(self, entries):
+        # these used to construct: NaN and inf slipped past every comparison
+        with pytest.raises(ValueError, match="coherency matrix entries must be finite"):
+            CoherencyMatrix(*entries)
 
     def test_tiny_negative_eigenvalue_tolerated(self):
         # eigenvalues dip ~1e-14 below zero; well inside the tolerance
@@ -247,18 +271,43 @@ class TestPackedLayout:
         assert dot == pytest.approx(trace.real, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize(
-        "kernel",
+        "kernel, shape",
         [
-            kennaugh_from_coherency_array,
-            pack_coherency_array,
-            deorient_array,
-            orientation_angle,
-            lambda t: span_array(t, "coherency"),
+            pytest.param(kernel, shape, id=f"shape{i}-{name}")
+            for i, shape in enumerate([(5, 7, 9), (9,), (4, 4), (3, 3, 2), (5, 7, 8)])
+            for name, kernel in STACK_KERNELS.items()
+            # the span and the Kennaugh map read packed rows (..., 9)
+            if shape[-1] != 9 or name not in PACKED_READERS
         ],
-        ids=["kennaugh", "pack", "deorient", "orientation_angle", "span"],
     )
-    @pytest.mark.parametrize("shape", [(5, 7, 9), (9,), (4, 4), (3, 3, 2)])
     def test_coherency_kernels_reject_other_shapes(self, kernel, shape):
         # packed rows passed by mistake used to be misread without an error
         with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
             kernel(np.ones(shape))
+
+    @pytest.mark.parametrize("kernel", list(PACKED_READERS.values()), ids=list(PACKED_READERS))
+    @pytest.mark.parametrize("shape", [(5, 7, 9), (9,)])
+    def test_coherency_kernels_read_packed_rows(self, kernel, shape):
+        p = np.random.default_rng(72).standard_normal(shape)
+        assert kernel(p).tobytes() == kernel(unpack_coherency_array(p)).tobytes()
+
+    def test_packed_rows_pass_through_and_pack(self):
+        p = np.random.default_rng(73).standard_normal((4, 9))
+        assert packed_rows(p) is p
+        assert packed_rows(p.astype(np.float32)).dtype == np.float64
+        t = unpack_coherency_array(p)
+        assert packed_rows(t).tobytes() == pack_coherency_array(t).tobytes()
+
+    def test_span_and_kennaugh_agree_bitwise_across_layouts_and_scales(self):
+        rng = np.random.default_rng(74)
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            t = random_psd_stack(rng, 2000) * scale
+            p = pack_coherency_array(t)
+            mask = rng.random((40, 50)) < 0.9
+            for kernel in PACKED_READERS.values():
+                assert kernel(p).tobytes() == kernel(t).tobytes()
+            planes = PolsarRaster(KIND_COHERENCY, p.reshape(40, 50, 9), mask).span()
+            stack = PolsarRaster(KIND_COHERENCY, t.reshape(40, 50, 3, 3), mask).span()
+            assert planes.tobytes() == stack.tobytes()
+            assert planes[mask].tobytes() == span_array(t, "coherency")[mask.ravel()].tobytes()
+            assert span_array(t, "coherency").tobytes() == np.trace(t, axis1=1, axis2=2).real.tobytes()
