@@ -47,6 +47,17 @@ def _add_preprocess_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# the classify flags that set a ClassifierConfig field: flag, field, metavar, help
+_CLASSIFIER_FLAGS = (
+    ("--initial-clusters", "initial_clusters_per_category", "N", "seed clusters per category"),
+    ("--classes-per-category", "final_classes_per_category", "N", "final classes per category"),
+    ("--max-iterations", "max_iterations", "N", "refinement passes"),
+    ("--convergence-fraction", "convergence_fraction", "X",
+     "stop once the changed-label fraction drops below X"),
+    ("--mixed-threshold", "mixed_threshold", "X", "mixed pixel when max(w)/sum(w) <= X"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geopolsar",
@@ -69,42 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cls.add_argument("scene", type=Path, help="scene directory")
     cls.add_argument("--out", type=Path, required=True, help="output directory")
     _add_preprocess_flags(cls)
-    cls.add_argument(
-        "--initial-clusters",
-        type=int,
-        default=defaults.initial_clusters_per_category,
-        metavar="N",
-        help="seed clusters per category (default %(default)s)",
-    )
-    cls.add_argument(
-        "--classes-per-category",
-        type=int,
-        default=defaults.final_classes_per_category,
-        metavar="N",
-        help="final classes per category (default %(default)s)",
-    )
-    cls.add_argument(
-        "--max-iterations",
-        type=int,
-        default=defaults.max_iterations,
-        metavar="N",
-        help="refinement passes (default %(default)s)",
-    )
-    cls.add_argument(
-        "--convergence-fraction",
-        type=float,
-        default=defaults.convergence_fraction,
-        metavar="X",
-        help="stop once the changed-label fraction drops below X "
-        "(default %(default)s)",
-    )
-    cls.add_argument(
-        "--mixed-threshold",
-        type=float,
-        default=defaults.mixed_threshold,
-        metavar="X",
-        help="mixed pixel when max(w)/sum(w) <= X (default %(default)s)",
-    )
+    for flag, name, metavar, text in _CLASSIFIER_FLAGS:
+        default = getattr(defaults, name)
+        cls.add_argument(flag, type=type(default), default=default, dest=name, metavar=metavar,
+                         help=f"{text} (default %(default)s)")
     cls.add_argument(
         "--workers",
         type=int,
@@ -129,11 +108,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         stages = DUMP_STAGES if "all" in args.dump_stage else args.dump_stage
         fields = dict(
             classifier=ClassifierConfig(
-                initial_clusters_per_category=args.initial_clusters,
-                final_classes_per_category=args.classes_per_category,
-                max_iterations=args.max_iterations,
-                convergence_fraction=args.convergence_fraction,
-                mixed_threshold=args.mixed_threshold,
+                **{name: getattr(args, name) for _, name, _, _ in _CLASSIFIER_FLAGS}
             ),
             workers=args.workers,
             dump_stages=tuple(stages),

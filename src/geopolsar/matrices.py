@@ -39,6 +39,7 @@ __all__ = [
     "kennaugh_from_sinclair_array",
     "kennaugh_from_coherency_array",
     "span_array",
+    "packed_outer",
     "packed_rows",
     "pack_coherency_array",
     "unpack_coherency_array",
@@ -222,20 +223,37 @@ class KennaughMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _stacks(x, n: int, noun: str, dtype=None) -> np.ndarray:
+    """x as an array, checked to be a stack of n x n matrices."""
+    x = np.asarray(x, dtype=dtype)
+    if x.shape[-2:] != (n, n):
+        raise ValueError(f"expected {noun} stacks (..., {n}, {n}), got shape {x.shape}")
+    return x
+
+
+def packed_outer(kr, ki):
+    """The nine packed planes p(k k^H) of Pauli vectors k with component real
+    parts kr and imaginary parts ki (arrays, or scalars for zeros), in real
+    arithmetic: Re T_xy = xr yr + xi yi, Im T_xy = xi yr - xr yi. Every outer
+    product of the package (look means, multilook, scene generation) sums these."""
+    for i, j in _PACKED:
+        yield kr[i] * kr[j] + ki[i] * ki[j]
+    for i, j in _PACKED[3:]:
+        yield ki[i] * kr[j] - kr[i] * ki[j]
+
+
 def pauli_from_sinclair_array(s) -> np.ndarray:
     """Pauli vectors, shape (..., 3), from Sinclair stacks of shape (..., 2, 2)."""
-    s = np.asarray(s, dtype=np.complex128)
-    hh = s[..., 0, 0]
-    hv = s[..., 0, 1]
-    vv = s[..., 1, 1]
+    s = _stacks(s, 2, "Sinclair", np.complex128)
+    hh, hv, vv = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
     return _SQRT1_2 * np.stack([hh + vv, hh - vv, 2.0 * hv], axis=-1)
 
 
 def coherency_from_pauli_array(k) -> np.ndarray:
     """Coherency stacks (..., 3, 3) as the mean outer product over axis -2.
 
-    Input has shape (..., L, 3) with L >= 1 looks. The (i, j) and (j, i)
-    accumulations run in the same order, so the result is exactly Hermitian.
+    Input has shape (..., L, 3) with L >= 1 looks. The ``packed_outer`` planes
+    are summed over the looks and unpacked, so the result is exactly Hermitian.
     """
     k = np.asarray(k, dtype=np.complex128)
     if k.ndim < 2 or k.shape[-1] != 3:
@@ -243,9 +261,8 @@ def coherency_from_pauli_array(k) -> np.ndarray:
     looks = k.shape[-2]
     if looks < 1:
         raise ValueError("no samples")
-    t = np.einsum("...la,...lb->...ab", k, k.conj())
-    t /= looks
-    return t
+    planes = packed_outer(np.moveaxis(k.real, -1, 0), np.moveaxis(k.imag, -1, 0))
+    return unpack_coherency_array(np.stack([p.sum(axis=-1) / looks for p in planes], axis=-1))
 
 
 def kennaugh_from_sinclair_array(s) -> np.ndarray:
@@ -256,10 +273,15 @@ def kennaugh_from_sinclair_array(s) -> np.ndarray:
 
 
 def packed_rows(t) -> np.ndarray:
-    """Packed rows (..., 9) of coherency data: rows pass through as float64, with
-    no copy when they already are; anything else is packed as (..., 3, 3) stacks."""
+    """Packed rows (..., 9) of coherency data: real rows pass through as float64,
+    with no copy when they already are, and complex rows raise; anything else
+    is packed as (..., 3, 3) stacks."""
     t = np.asarray(t)
-    return t.astype(np.float64, copy=False) if t.shape[-1:] == (9,) else pack_coherency_array(t)
+    if t.shape[-1:] != (9,):
+        return pack_coherency_array(t)
+    if np.iscomplexobj(t):
+        raise ValueError(f"packed coherency rows must be real, got {t.dtype}")
+    return t.astype(np.float64, copy=False)
 
 
 def kennaugh_from_coherency_array(t) -> np.ndarray:
@@ -281,9 +303,7 @@ def pack_coherency_array(t) -> np.ndarray:
     """Packed real rows (..., 9) of Hermitian stacks (..., 3, 3), read from the
     upper triangle. The rows view a component-major buffer, so each packed
     column is contiguous."""
-    t = np.asarray(t, dtype=np.complex128)
-    if t.shape[-2:] != (3, 3):
-        raise ValueError(f"expected coherency stacks (..., 3, 3), got shape {t.shape}")
+    t = _stacks(t, 3, "coherency", np.complex128)
     parts = [t[..., i, j].real for i, j in _PACKED]
     parts += [t[..., i, j].imag for i, j in _PACKED[3:]]
     return np.moveaxis(np.array(parts), 0, -1)
@@ -305,21 +325,15 @@ def span_array(data, kind: str) -> np.ndarray:
 
     kind is one of 'sinclair', 'coherency' (``packed_rows``), 'kennaugh'.
     """
-    data = np.asarray(data)
     if kind == "sinclair":
-        hh = data[..., 0, 0]
-        hv = data[..., 0, 1]
-        vv = data[..., 1, 1]
-        return (
-            (hh * hh.conj()).real
-            + 2.0 * (hv * hv.conj()).real
-            + (vv * vv.conj()).real
-        )
+        data = _stacks(data, 2, "Sinclair")
+        hh, hv, vv = data[..., 0, 0], data[..., 0, 1], data[..., 1, 1]
+        return (hh * hh.conj()).real + 2.0 * (hv * hv.conj()).real + (vv * vv.conj()).real
     if kind == "coherency":
         p = packed_rows(data)
         return (p[..., 0] + p[..., 1]) + p[..., 2]
     if kind == "kennaugh":
-        return 2.0 * data[..., 0, 0].real
+        return 2.0 * _stacks(data, 4, "Kennaugh")[..., 0, 0].real
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 

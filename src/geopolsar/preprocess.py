@@ -15,6 +15,7 @@ from .matrices import (
     _SQRT1_2,
     CoherencyMatrix,
     pack_coherency_array,
+    packed_outer,
     unpack_coherency_array,
 )
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
@@ -204,8 +205,8 @@ def _multilook_tile(planes, valid: np.ndarray, rf: int, af: int, out: np.ndarray
 
     planes are the complex HH, HV' and VV of the tile; all arithmetic is real
     and float64. The Pauli components a = (HH+VV)/sqrt2, b = (HH-VV)/sqrt2
-    and c = sqrt2 HV' are zeroed at invalid pixels, and T_xy sums x y*:
-    Re = xr yr + xi yi, Im = xi yr - xr yi. Empty blocks come out +0."""
+    and c = sqrt2 HV' are zeroed at invalid pixels, and each block sums their
+    ``packed_outer`` products. Empty blocks come out +0."""
     hh, hv, vv = planes
     with np.errstate(invalid="ignore", over="ignore"):
         pauli = [_SQRT1_2 * op(h, v, dtype=np.float64) for op in (np.add, np.subtract)
@@ -214,15 +215,10 @@ def _multilook_tile(planes, valid: np.ndarray, rf: int, af: int, out: np.ndarray
     invalid = ~valid
     for x in pauli:
         x[invalid] = 0.0
-    ar, ai, br, bi, cr, ci = pauli
-    pairs = ((ar, ai, ar, ai), (br, bi, br, bi), (cr, ci, cr, ci),
-             (ar, ai, br, bi), (ar, ai, cr, ci), (br, bi, cr, ci))
     counts = _block_sums(valid.astype(np.float64), rf, af)
     divisor = np.maximum(counts, 1.0)
-    for c, (xr, xi, yr, yi) in enumerate(pairs):
-        np.divide(_block_sums(xr * yr + xi * yi, rf, af), divisor, out=out[c])
-    for c, (xr, xi, yr, yi) in enumerate(pairs[3:], start=6):
-        np.divide(_block_sums(xi * yr - xr * yi, rf, af), divisor, out=out[c])
+    for c, product in enumerate(packed_outer(pauli[0::2], pauli[1::2])):
+        np.divide(_block_sums(product, rf, af), divisor, out=out[c])
     return counts
 
 
@@ -255,8 +251,7 @@ def multilook(
     Non-overlapping blocks of range_factor rows by azimuth_factor columns are
     averaged as Pauli outer products of the HH, HV and VV entries; trailing
     rows and columns that do not fill a block are dropped. Output looks =
-    input looks * block population. Each packed product is summed in real
-    arithmetic over a block's rows, then its columns (`_multilook_tile`).
+    input looks * block population; see `_multilook_tile`.
     """
     if raster.kind != KIND_SINCLAIR:
         raise ValueError("multilooking requires a Sinclair raster")

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .matrices import coherency_from_pauli_array, pack_coherency_array, span_array
+from .matrices import pack_coherency_array, packed_outer, span_array, unpack_coherency_array
 from .preprocess import multilook_rows
 from .raster import KIND_COHERENCY, PolsarRaster
 
@@ -61,6 +61,9 @@ MODEL_COHERENCY = {
 #: Relative diagonal loading applied before Cholesky sampling so that
 #: rank-deficient canonical models stay decomposable.
 _SAMPLING_FLOOR = 1e-6
+
+#: Rows per generation chunk; each chunk of a region has its own substream.
+_CHUNK_ROWS = 64
 
 
 @dataclass
@@ -150,11 +153,8 @@ def read_scene(
     = (rf, af)`` or else (1, 1) (a T3 scene with factors raises), and its
     cross-pol channels are averaged, HV' = (HV + VH) / 2. Once every
     component file is checked, row tiles go from the files to
-    ``preprocess.multilook_rows``, which sums the packed Pauli products
-    (Re T_xy = xr yr + xi yi, Im T_xy = xi yr - xr yi) over each block's rows,
-    then its columns, and divides by the valid count: the bytes of
-    ``preprocess.multilook`` on the Sinclair raster of the file values, which
-    never exists.
+    ``preprocess.multilook_rows``, with the bytes of ``preprocess.multilook``
+    on the Sinclair raster of the file values, which never exists.
     """
     directory = Path(path)
     header = _parse_header(directory / "header.txt")
@@ -332,30 +332,44 @@ def parse_scene_spec(path: Union[str, Path]) -> SyntheticSceneSpec:
     )
 
 
+def _bartlett_planes(rng, looks: int, shape) -> list:
+    """Packed planes of W = A A^H ~ CW(L, I): the ``packed_outer`` products of
+    the first min(L, 3) columns of the lower-triangular Bartlett factor A
+    (Goodman 1963), with |A_jj|^2 ~ Gamma(L - j, 1) and CN(0, 1) entries below
+    the diagonal. For L < 3, W has rank L, as a mean of L outer products has."""
+    zr, zi = np.sqrt(0.5) * rng.standard_normal((2, 3) + shape)  # A10, A20, A21
+    m = min(looks, 3)
+    d = [np.sqrt(rng.standard_gamma(looks - j, shape)) for j in range(m)] + [0.0] * (3 - m)
+    columns = [((d[0], zr[0], zr[1]), (0.0, zi[0], zi[1])),
+               ((0.0, d[1], zr[2]), (0.0, 0.0, zi[2])),
+               ((0.0, 0.0, d[2]), (0.0, 0.0, 0.0))]
+    products = [packed_outer(kr, ki) for kr, ki in columns[:m]]
+    return [sum(terms[1:], terms[0]) for terms in zip(*products)]
+
+
 def generate_scene(spec: SyntheticSceneSpec) -> PolsarRaster:
     """Sample a coherency raster from the region models.
 
-    Every pixel draws L independent circular complex Gaussian Pauli vectors
-    with covariance span * model + delta * I (delta = 1e-6 * span) via the
-    Cholesky factor, and averages their outer products. Each region uses an
-    independent substream spawned from the scene seed and the region index,
-    so the output is reproducible regardless of generation order.
+    Every pixel is an L-look sample coherency matrix T of Sigma = span * model
+    + 1e-6 * span * I, drawn from its complex Wishart law: L T = C W C^H with
+    C = chol(Sigma) and W from `_bartlett_planes`, the congruence being one real
+    9x9 matrix on packed rows. Each ``_CHUNK_ROWS``-row chunk of a region draws
+    from the substream (seed, region index, chunk index), so the bytes depend
+    on neither generation order nor memory.
     """
     planes = np.empty((9, spec.rows, spec.cols))
     for idx, region in enumerate(spec.regions):
-        # hash-derived per-region substream: independent of generation order
-        rng = np.random.default_rng(
-            np.random.SeedSequence(spec.seed, spawn_key=(idx,))
-        )
         looks = region.looks if region.looks is not None else spec.looks
         sigma = region.span * MODEL_COHERENCY[region.model]
         delta = _SAMPLING_FLOOR * span_array(sigma, "coherency")
         chol = np.linalg.cholesky(sigma + delta * np.eye(3))
-        shape = (region.row1 - region.row0, region.col1 - region.col0)
-        z = rng.standard_normal(shape + (looks, 3)) + 1j * rng.standard_normal(
-            shape + (looks, 3)
-        )
-        z *= np.sqrt(0.5)
-        t = pack_coherency_array(coherency_from_pauli_array(z @ chol.T))
-        planes[:, region.row0 : region.row1, region.col0 : region.col1] = np.moveaxis(t, -1, 0)
+        # column k maps the k-th packed basis matrix E_k to p(C E_k C^H) / L
+        basis = unpack_coherency_array(np.eye(9))
+        congruence = pack_coherency_array(chol @ basis @ chol.conj().T).T / looks
+        cols = slice(region.col0, region.col1)
+        for chunk, r0 in enumerate(range(region.row0, region.row1, _CHUNK_ROWS)):
+            shape = (min(_CHUNK_ROWS, region.row1 - r0), region.col1 - region.col0)
+            rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(idx, chunk)))
+            w = np.stack(_bartlett_planes(rng, looks, shape)).reshape(9, -1)
+            planes[:, r0 : r0 + shape[0], cols] = (congruence @ w).reshape((9,) + shape)
     return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), None, float(spec.looks))

@@ -10,7 +10,9 @@ filter, complex deorientation and full-matrix refinement oracles are the
 exception: they keep the package's former, slower forms with the same
 arithmetic, so the package must match them bit for bit. The multilook
 oracle is the package's former complex form too, but the package now sums
-the same products in real arithmetic, so the two agree to rounding.
+the same products in real arithmetic, so the two agree to rounding. The
+per-look scene generator is the package's former sampler; the package now
+draws the same law another way, so the two agree in distribution only.
 """
 
 from pathlib import Path
@@ -409,3 +411,27 @@ def multilook_oracle(raster, range_factor, azimuth_factor):
     return PolsarRaster(
         KIND_COHERENCY, t, out_mask, raster.looks * range_factor * azimuth_factor
     )
+
+
+def per_look_scene_oracle(spec):
+    """The former package generator: every pixel draws L circular complex
+    Gaussian Pauli vectors of covariance span * model + delta * I through the
+    Cholesky factor and averages their outer products, one substream per
+    region."""
+    from geopolsar.matrices import coherency_from_pauli_array, pack_coherency_array
+    from geopolsar.raster import KIND_COHERENCY, PolsarRaster
+    from geopolsar.scene import _SAMPLING_FLOOR, MODEL_COHERENCY
+
+    planes = np.empty((9, spec.rows, spec.cols))
+    for idx, region in enumerate(spec.regions):
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(idx,)))
+        looks = region.looks if region.looks is not None else spec.looks
+        sigma = region.span * MODEL_COHERENCY[region.model]
+        delta = _SAMPLING_FLOOR * np.trace(sigma).real
+        chol = np.linalg.cholesky(sigma + delta * np.eye(3))
+        shape = (region.row1 - region.row0, region.col1 - region.col0)
+        z = rng.standard_normal(shape + (looks, 3)) + 1j * rng.standard_normal(shape + (looks, 3))
+        z *= np.sqrt(0.5)
+        t = pack_coherency_array(coherency_from_pauli_array(z @ chol.T))
+        planes[:, region.row0 : region.row1, region.col0 : region.col1] = np.moveaxis(t, -1, 0)
+    return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), None, float(spec.looks))

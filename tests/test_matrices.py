@@ -291,6 +291,29 @@ class TestPackedLayout:
         p = np.random.default_rng(72).standard_normal(shape)
         assert kernel(p).tobytes() == kernel(unpack_coherency_array(p)).tobytes()
 
+    @pytest.mark.parametrize(
+        "kernel, trailing",
+        [
+            pytest.param(lambda s: span_array(s, "sinclair"), "2, 2", id="span-sinclair"),
+            pytest.param(pauli_from_sinclair_array, "2, 2", id="pauli"),
+            pytest.param(kennaugh_from_sinclair_array, "2, 2", id="kennaugh-sinclair"),
+            pytest.param(lambda k: span_array(k, "kennaugh"), "4, 4", id="span-kennaugh"),
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(5, 3, 3), (5, 2, 4), (4,)])
+    def test_sinclair_and_kennaugh_kernels_reject_other_shapes(self, kernel, trailing, shape):
+        # a (5, 3, 3) stack used to read as Sinclair spans of 4 and Kennaugh spans of 2
+        with pytest.raises(ValueError, match=rf"\(\.\.\., {trailing}\), got shape"):
+            kernel(np.ones(shape))
+
+    def test_complex_packed_rows_rejected(self):
+        # the imaginary parts used to be dropped with only a ComplexWarning
+        rows = np.ones((4, 4, 9), dtype=complex)
+        with pytest.raises(ValueError, match="packed coherency rows must be real"):
+            packed_rows(rows)
+        with pytest.raises(ValueError, match="packed coherency rows must be real"):
+            PolsarRaster(KIND_COHERENCY, rows)
+
     def test_packed_rows_pass_through_and_pack(self):
         p = np.random.default_rng(73).standard_normal((4, 9))
         assert packed_rows(p) is p

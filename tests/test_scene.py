@@ -4,10 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geopolsar.matrices import kennaugh_from_coherency_array, unpack_coherency_array
+from geopolsar.matrices import (
+    kennaugh_from_coherency_array,
+    pack_coherency_array,
+    unpack_coherency_array,
+)
 from geopolsar.preprocess import multilook
 from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 from geopolsar.scene import (
+    _CHUNK_ROWS,
     MODEL_COHERENCY,
     Region,
     SyntheticSceneSpec,
@@ -19,7 +24,7 @@ from geopolsar.scene import (
 from geopolsar.geodesic import DEFAULT_TARGETS, similarity_arrays
 from geopolsar.pipeline import PipelineConfig, classify_raster, run_classify
 
-from conftest import DEMO_SPEC, random_psd_stack, random_sinclair_stack
+from conftest import DEMO_SPEC, per_look_scene_oracle, random_psd_stack, random_sinclair_stack
 
 
 def coherency_raster(rng, rows, cols, looks=4.0):
@@ -444,6 +449,87 @@ class TestGeneration:
         assert set(MODEL_COHERENCY) == {t.name for t in DEFAULT_TARGETS}
         for model in MODEL_COHERENCY.values():
             assert np.trace(model).real == pytest.approx(1.0)
+
+
+#: A unit-trace model with every off-diagonal entry nonzero, so the packed
+#: congruence mixes all nine planes.
+TILTED = np.array(
+    [
+        [0.5, 0.1 + 0.15j, -0.05j],
+        [0.1 - 0.15j, 0.3, 0.08 + 0.02j],
+        [0.05j, 0.08 - 0.02j, 0.2],
+    ]
+)
+
+
+def moment_statistics(raster, sigma):
+    """Per-pixel statistics (pixels, 15) and their expectations under the
+    complex Wishart law T ~ CW(L, sigma) / L, whose covariances are
+    Cov(T_ij, T_kl) = sigma_il sigma_kj / L: the nine packed entries (mean
+    p(sigma)), (T_ii - sigma_ii)^2 (mean sigma_ii^2 / L) and
+    |T_ij - sigma_ij|^2 for i < j (mean sigma_ii sigma_jj / L)."""
+    p = raster.data.reshape(-1, 9)
+    mean = pack_coherency_array(sigma)
+    dev = (p - mean) ** 2
+    diagonal = mean[:3]
+    stats = np.concatenate([p, dev[:, :3], dev[:, 3:6] + dev[:, 6:]], axis=1)
+    cross = [diagonal[i] * diagonal[j] for i, j in ((0, 1), (0, 2), (1, 2))]
+    expected = np.concatenate([mean, diagonal**2, cross]) / np.r_[np.ones(9), np.full(6, raster.looks)]
+    return stats, expected
+
+
+def standard_error(stats):
+    return stats.std(axis=0, ddof=1) / np.sqrt(len(stats))
+
+
+class TestBartlettSampler:
+    """The direct Wishart sampler against the law it samples and against the
+    former per-look draw. Sampling bounds are six standard errors, estimated
+    from the samples themselves."""
+
+    @pytest.fixture(autouse=True)
+    def tilted_model(self, monkeypatch):
+        monkeypatch.setitem(MODEL_COHERENCY, "tilted", TILTED)
+
+    # the covariance of span 2 tilted regions, sampling floor included
+    sigma = 2.0 * TILTED + 2e-6 * np.eye(3)
+
+    def spec(self, looks, model="tilted", seed=61, size=128):
+        return SyntheticSceneSpec(size, size, looks, seed, [Region(0, 0, size, size, model, 2.0)])
+
+    @pytest.mark.parametrize("looks", [1, 2, 3, 25])
+    def test_moments_follow_the_wishart_law(self, looks):
+        stats, expected = moment_statistics(generate_scene(self.spec(looks)), self.sigma)
+        assert (np.abs(stats.mean(axis=0) - expected) / standard_error(stats)).max() <= 6.0
+
+    @pytest.mark.parametrize("looks", [1, 2, 3, 25])
+    def test_moments_match_the_per_look_oracle(self, looks):
+        stats, _ = moment_statistics(generate_scene(self.spec(looks)), self.sigma)
+        oracle, _ = moment_statistics(per_look_scene_oracle(self.spec(looks, seed=62)), self.sigma)
+        gap = np.abs(stats.mean(axis=0) - oracle.mean(axis=0))
+        assert (gap / np.hypot(standard_error(stats), standard_error(oracle))).max() <= 6.0
+
+    @pytest.mark.parametrize("model", ["tilted", "trihedral"])
+    @pytest.mark.parametrize("looks", [1, 2])
+    def test_pixels_below_three_looks_are_psd_with_rank_at_most_looks(self, looks, model):
+        raster = generate_scene(self.spec(looks, model=model, size=64))
+        eigs = np.linalg.eigvalsh(unpack_coherency_array(raster.data).reshape(-1, 3, 3))
+        trace = raster.span().reshape(-1, 1)
+        assert (eigs >= -1e-12 * trace).all()
+        assert (np.abs(eigs[:, : 3 - looks]) <= 1e-12 * trace).all()
+
+    def test_a_chunk_keeps_its_bytes_when_the_region_grows_taller(self):
+        rows = _CHUNK_ROWS
+
+        def spec(height):
+            return SyntheticSceneSpec(
+                height + 3, 10, 4, 31,
+                [Region(0, 0, 3, 10, "dihedral", 1.0), Region(3, 0, height + 3, 10, "tilted", 1.0)],
+            )
+
+        short, tall = generate_scene(spec(rows + 5)), generate_scene(spec(3 * rows))
+        # the region's first chunk is full in both; its second is not in the short one
+        assert short.data[: rows + 3].tobytes() == tall.data[: rows + 3].tobytes()
 
 
 @pytest.mark.parametrize("component, value", [("T11", np.inf), ("T23", -np.inf)])
