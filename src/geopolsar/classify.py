@@ -76,8 +76,8 @@ class ClassifierConfig:
             raise ValueError("convergence_fraction must lie in [0, 1]")
         if not 0.0 < self.mixed_threshold <= 1.0:
             raise ValueError("mixed_threshold must lie in (0, 1]")
-        if self.center_regularization < 0.0:
-            raise ValueError("center_regularization must be >= 0")
+        if not 0.0 <= self.center_regularization < np.inf:
+            raise ValueError("center_regularization must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,11 @@ def _packed(t) -> np.ndarray:
     return packed_rows(t)
 
 
-def _factor(centers: np.ndarray, epsilon: float, loaded: bool = True):
-    """(Q, ln|V'|) for (K, 9) packed centers, unpacked here for LAPACK and loaded
-    as V' = V + epsilon (tr V / 3) I, which keeps near-singular centers usable:
-    d(T, V') = ln|V'| + p(T) . Q. If loaded, Q scores the loaded pixel T' instead
-    (diagonal + eps/3 Tr(V'^-1))."""
+def _factor(centers: np.ndarray, epsilon: float):
+    """(Q, ln|V'|) for (K, 9) packed centers, unpacked here for LAPACK. Pixel
+    and center are both loaded, X' = X + epsilon (tr X / 3) I, which keeps
+    near-singular centers usable: d(T', V') = ln|V'| + p(T) . Q, with Q the
+    weighted p(V'^-1) plus eps/3 Tr(V'^-1) on its diagonal entries."""
     load = epsilon * span_array(centers, "coherency") / 3.0
     reg = unpack_coherency_array(centers) + load[:, None, None] * np.eye(3)
     try:
@@ -185,26 +185,22 @@ def _factor(centers: np.ndarray, epsilon: float, loaded: bool = True):
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
     q = packed_rows(np.linalg.inv(reg))
     q *= PACKED_WEIGHTS  # Tr(AB) = p(A) . W p(B)
-    if loaded:
-        q[:, :3] += epsilon / 3.0 * span_array(q, "coherency")[:, None]
+    q[:, :3] += epsilon / 3.0 * span_array(q, "coherency")[:, None]
     return q, logdet
 
 
-def _distances(t: np.ndarray, q: np.ndarray, offset) -> np.ndarray:
-    """p(T) . Q + offset (ln|V|) for packed rows against factored centers."""
-    return np.dot(t, q.T) + offset
-
-
 def wishart_pixel_distance(t, center, epsilon: float = 0.0) -> float:
-    """d(T, V) = ln|V| + Tr(V^-1 T) for one pixel and one center."""
-    factors = _factor(_packed(_matrix(center)[None]), epsilon, loaded=False)
-    return float(_distances(_packed(_matrix(t)[None]), *factors)[0, 0])
+    """d(T', V') = ln|V'| + Tr(V'^-1 T') for one pixel and one center, both
+    loaded as X' = X + epsilon (tr X / 3) I, as refinement scores them."""
+    q, logdet = _factor(_packed(_matrix(center)[None]), epsilon)
+    return float((np.dot(_packed(_matrix(t)[None]), q.T) + logdet)[0, 0])
 
 
 def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
     """Symmetrized between-cluster distance D(i, j)."""
     centers = _packed(np.stack([_matrix(c1), _matrix(c2)]))
-    m = _distances(centers, *_factor(centers, epsilon))
+    q, logdet = _factor(centers, epsilon)
+    m = np.dot(centers, q.T) + logdet
     return float(0.5 * (m[0, 1] + m[1, 0]))
 
 
@@ -235,7 +231,7 @@ def _pixel_center_distances(t, q, logdet, cluster_cat, groups, pool):
 
     def score(block):
         rows, cols, offset = block
-        pick[rows] = cols[np.argmin(_distances(t[rows], q[cols], offset), axis=1)]
+        pick[rows] = cols[np.argmin(np.dot(t[rows], q[cols].T) + offset, axis=1)]
 
     list(pool.map(score, blocks))
     return pick
@@ -244,6 +240,15 @@ def _pixel_center_distances(t, q, logdet, cluster_cat, groups, pool):
 # ---------------------------------------------------------------------------
 # clustering
 # ---------------------------------------------------------------------------
+
+
+def _table(clusters: Sequence[Cluster]):
+    """(clusters sorted by id, their ids, categories and counts as int64
+    arrays, their (K, 9) packed centers)."""
+    work = sorted(clusters, key=lambda c: c.id)
+    ids, cats, counts = (np.array([getattr(c, name) for c in work], dtype=np.int64)
+                         for name in ("id", "category", "member_count"))
+    return work, ids, cats, counts, _packed(np.reshape([c.center for c in work], (-1, 3, 3)))
 
 
 def initial_clusters(
@@ -287,19 +292,14 @@ def merge_clusters(
     bitwise symmetric (K, K) distance matrix is refreshed only in the merged
     row and column; ties go to the first pair in row-major upper-triangle order.
     """
-    work = sorted(clusters, key=lambda c: c.id)
-    if not work:
-        return []
-    if len({c.category for c in work}) != 1:
+    work, _, cluster_cat, counts, centers = _table(clusters)
+    if len(np.unique(cluster_cat)) > 1:
         raise ValueError("merge_clusters expects clusters of a single category")
-    ids = [c.id for c in work]
     sources = [c.source_ids for c in work]
-    counts = np.array([c.member_count for c in work])
-    centers = _packed(np.stack([c.center for c in work]))
     alive = np.ones(len(work), dtype=bool)
     n_max = 2.0 * counts.sum() / config.final_classes_per_category
     q, logdet = _factor(centers, config.center_regularization)
-    dist = _distances(centers, q, logdet)  # d(Vi, Vj)
+    dist = np.dot(centers, q.T) + logdet  # d(Vi, Vj)
     dist = 0.5 * (dist + dist.T)
     for _ in range(len(work) - config.final_classes_per_category):
         allowed = np.outer(alive, alive) & (counts[:, None] + counts[None, :] <= n_max)
@@ -314,11 +314,11 @@ def merge_clusters(
         sources[i] = tuple(sorted(sources[i] + sources[j]))
         alive[j] = False
         (q[i],), (logdet[i],) = _factor(centers[i : i + 1], config.center_regularization)
-        row = _distances(centers[i : i + 1], q, logdet)[0]
-        column = _distances(centers, q[i : i + 1], logdet[i])[:, 0]
+        row = (np.dot(centers[i : i + 1], q.T) + logdet)[0]
+        column = (np.dot(centers, q[i : i + 1].T) + logdet[i])[:, 0]
         dist[i] = dist[:, i] = 0.5 * (row + column)
-    state = zip(ids, unpack_coherency_array(centers), counts, sources, alive)
-    return [Cluster(i, work[0].category, v, int(m), s) for i, v, m, s, a in state if a]
+    state = zip(work, unpack_coherency_array(centers), counts, sources, alive)
+    return [Cluster(c.id, c.category, v, int(m), s) for c, v, m, s, a in state if a]
 
 
 def iterate_classification(
@@ -356,11 +356,7 @@ def iterate_classification(
     """
     t = _packed(t)
     n = t.shape[0]
-    work = sorted(clusters, key=lambda c: c.id)
-    ids = np.array([c.id for c in work], dtype=np.int64)
-    cluster_cat = np.array([c.category for c in work], dtype=np.int64)
-    counts = np.array([c.member_count for c in work], dtype=np.int64)
-    centers = _packed(np.reshape([c.center for c in work], (-1, 3, 3)))
+    work, ids, cluster_cat, counts, centers = _table(clusters)
     survivors = np.arange(len(work))
     labels = np.asarray(initial_labels, dtype=np.int64).copy()
     # pixels grouped by the clusters they may join: their category's, or all if mixed

@@ -41,6 +41,10 @@ __all__ = [
 _NEGATIVE_F_TOLERANCE = 1e-9
 
 
+def _frobenius_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ij->...", a, b)
+
+
 @dataclass(frozen=True)
 class CanonicalTarget:
     """Named elementary scatterer with its Kennaugh matrix."""
@@ -49,7 +53,8 @@ class CanonicalTarget:
     kennaugh: KennaughMatrix
 
     def __post_init__(self):
-        if self.kennaugh.frobenius_norm() == 0.0:
+        # the rule of geodesic_distance_array: the squared norm must not be 0
+        if not _frobenius_dot(self.kennaugh.matrix, self.kennaugh.matrix) > 0.0:
             raise ValueError("degenerate Kennaugh matrix")
 
 
@@ -62,10 +67,6 @@ RANDOM_VOLUME = CanonicalTarget(
 # Ordered registry; ties in later argmax operations resolve to the first
 # entry, so the order is part of the classifier contract.
 DEFAULT_TARGETS: Tuple[CanonicalTarget, ...] = (TRIHEDRAL, DIHEDRAL, RANDOM_VOLUME)
-
-
-def _frobenius_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...ij->...", a, b)
 
 
 def _geodesic(dot, d1, d2) -> np.ndarray:

@@ -138,7 +138,7 @@ class CoherencyMatrix:
         object.__setattr__(self, "t12", complex(self.t12))
         object.__setattr__(self, "t13", complex(self.t13))
         object.__setattr__(self, "t23", complex(self.t23))
-        if not np.isfinite([self.t11, self.t22, self.t33, self.t12, self.t13, self.t23]).all():
+        if not np.isfinite(self._row).all():
             raise ValueError("coherency matrix entries must be finite")
         tr = self.t11 + self.t22 + self.t33
         scale = abs(self.t11) + abs(self.t22) + abs(self.t33)
@@ -159,25 +159,19 @@ class CoherencyMatrix:
         scale = max(float(np.abs(m).max()), np.finfo(float).tiny)
         if np.abs(m - m.conj().T).max() > _SYMMETRY_TOLERANCE * scale:
             raise ValueError("coherency matrix must be Hermitian")
-        return cls(
-            m[0, 0].real,
-            m[1, 1].real,
-            m[2, 2].real,
-            m[0, 1],
-            m[0, 2],
-            m[1, 2],
-        )
+        p = pack_coherency_array(m).tolist()
+        return cls(*p[:3], *map(complex, p[3:6], p[6:]))
+
+    @property
+    def _row(self) -> np.ndarray:
+        """The packed row p(T) (``pack_coherency_array``)."""
+        t12, t13, t23 = self.t12, self.t13, self.t23
+        return np.array([self.t11, self.t22, self.t33, t12.real, t13.real, t23.real,
+                         t12.imag, t13.imag, t23.imag])
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.t11, self.t12, self.t13],
-                [np.conj(self.t12), self.t22, self.t23],
-                [np.conj(self.t13), np.conj(self.t23), self.t33],
-            ],
-            dtype=np.complex128,
-        )
+        return unpack_coherency_array(self._row)
 
 
 class KennaughMatrix:
@@ -210,9 +204,6 @@ class KennaughMatrix:
     @property
     def k11(self) -> float:
         return float(self._values[0, 0])
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.einsum("ij,ij->", self._values, self._values)))
 
     def __repr__(self):
         return f"KennaughMatrix({self._values.tolist()!r})"

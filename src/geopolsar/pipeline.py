@@ -203,11 +203,10 @@ def classify_raster(
     power = {c.id: float(span_array(c.center, "coherency")) for c in clusters}
     ordered = sorted(clusters, key=lambda c: (c.category, power[c.id], c.id))
     id_to_class = np.full(n_targets * k0, MASKED_LABEL, dtype=np.int64)
-    for rank, cluster in enumerate(ordered):
-        id_to_class[cluster.id] = rank
     classes: List[ClassEntry] = []
     within: Dict[int, int] = {}
     for rank, cluster in enumerate(ordered):
+        id_to_class[cluster.id] = rank
         class_index = within.get(cluster.category, 0)
         within[cluster.category] = class_index + 1
         classes.append(
@@ -272,7 +271,8 @@ def run_classify(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the read raster is passed on, not held here, so a stage frees it
+    # no name here holds the read raster, but classify_raster's parameter
+    # keeps it alive until _prepare returns, so it lasts through similarity
     result = classify_raster(read_scene(scene_path, multilook), config, out_dir / "stages")
     _write_labels(result, out_dir)
     _write_report(result.history, out_dir / "report.jsonl")

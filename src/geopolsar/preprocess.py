@@ -158,10 +158,6 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     if raster.kind != KIND_COHERENCY:
         raise ValueError("speckle filtering requires a coherency raster")
     window = config.filter_window
-    if window == 1:
-        return PolsarRaster(
-            raster.kind, raster.data.copy(), raster.mask.copy(), raster.looks
-        )
     rows, cols = raster.shape
     half = window // 2
     step = max(1, _FILTER_TILE_PIXELS // cols)

@@ -198,7 +198,8 @@ def write_scene(
     raster: PolsarRaster, path: Union[str, Path], dtype: str = "float32"
 ) -> None:
     """Write a coherency or Sinclair raster as a scene directory; masked
-    pixels are written as NaN."""
+    pixels are written as NaN. A finite value that the file dtype cannot hold
+    raises a ValueError naming its component."""
     if dtype not in _DTYPES:
         raise ValueError(f"unknown scene dtype {dtype!r}")
     kind = "T3" if raster.kind == KIND_COHERENCY else "S2"
@@ -219,7 +220,11 @@ def write_scene(
             entry = raster.data[(..., *index)]
             values = np.stack([entry.real, entry.imag], axis=-1)
         values[~raster.mask] = np.nan
-        np.ascontiguousarray(values, dtype=_DTYPES[dtype]).tofile(directory / f"{name}.bin")
+        with np.errstate(over="ignore"):
+            cast = np.ascontiguousarray(values, dtype=_DTYPES[dtype])
+        if (np.isfinite(cast) != np.isfinite(values)).any():
+            raise ValueError(f"component {name}: finite values beyond the {dtype} range")
+        cast.tofile(directory / f"{name}.bin")
         lines.append(f"component.{name} = {name}.bin")
     (directory / "header.txt").write_text("\n".join(lines) + "\n")
 
@@ -251,8 +256,8 @@ class Region:
             raise ValueError(
                 f"bad region bounds ({self.row0} {self.col0} {self.row1} {self.col1})"
             )
-        if not self.span > 0:
-            raise ValueError("region span must be positive")
+        if not 0 < self.span < np.inf:
+            raise ValueError("region span must be positive and finite")
         if self.looks is not None and self.looks < 1:
             raise ValueError("region looks must be >= 1")
 

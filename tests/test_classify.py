@@ -71,6 +71,18 @@ class TestDistances:
             ref = wishart_center_oracle(v[i], v[(i + 7) % 50])
             assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
+    def test_pixel_distance_loads_pixel_and_center(self):
+        # d(T', V') with X' = X + eps (tr X / 3) I on both sides, as refinement scores
+        rng = np.random.default_rng(53)
+        t = random_psd_stack(rng, 40)
+        v = random_psd_stack(rng, 40, looks=8)
+        v[::4] = 1e3 * np.diag([1.0, 1e-6, 1e-6])  # near-singular centers
+        t[::3] *= 1e4  # a pixel far stronger than its center
+        epsilon = 1e-6
+        for ti, vi in zip(t, v):
+            ref = wishart_pixel_oracle(_regularize(ti, epsilon), _regularize(vi, epsilon))
+            assert wishart_pixel_distance(ti, vi, epsilon) == pytest.approx(ref, rel=1e-12)
+
     def test_center_distance_symmetric(self):
         rng = np.random.default_rng(52)
         v = random_psd_stack(rng, 20, looks=8)
@@ -203,6 +215,9 @@ class TestInitialClusters:
 
 
 class TestMerge:
+    def test_no_clusters_merge_to_none(self):
+        assert merge_clusters([], ClassifierConfig()) == []
+
     def test_identical_pair_merges_first(self):
         a = np.diag([1.0, 1.0, 1.0]).astype(complex)
         far = np.diag([50.0, 1.0, 0.1]).astype(complex)
@@ -680,3 +695,8 @@ class TestIterate:
             ClassifierConfig(mixed_threshold=0.0)
         with pytest.raises(ValueError):
             ClassifierConfig(convergence_fraction=1.5)
+
+    @pytest.mark.parametrize("epsilon", [-1e-6, np.nan, np.inf])
+    def test_center_regularization_must_be_finite_and_nonnegative(self, epsilon):
+        with pytest.raises(ValueError, match="center_regularization must be finite and >= 0"):
+            ClassifierConfig(center_regularization=epsilon)

@@ -88,6 +88,14 @@ class TestDistance:
         with pytest.raises(ValueError, match="degenerate"):
             CanonicalTarget("null", KennaughMatrix(np.zeros((4, 4))))
 
+    def test_target_with_an_underflowing_norm_rejected(self):
+        # nonzero entries whose squares underflow leave the geodesic nothing to divide by
+        tiny = KennaughMatrix(1e-200 * TRIHEDRAL.kennaugh.matrix)
+        with pytest.raises(ValueError, match="degenerate"):
+            geodesic_distance(TRIHEDRAL.kennaugh, tiny)
+        with pytest.raises(ValueError, match="degenerate"):
+            CanonicalTarget("tiny", tiny)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
         # used to return NaN, with an "invalid value" warning for inf

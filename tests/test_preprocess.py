@@ -154,6 +154,19 @@ class TestDeorient:
         with pytest.raises(ValueError, match="coherency"):
             deorient_raster(PolsarRaster(KIND_SINCLAIR, np.zeros((2, 2, 2, 2))))
 
+    def test_raster_bytes_do_not_depend_on_the_tile_size(self, monkeypatch):
+        import geopolsar.preprocess as preprocess
+
+        rng = np.random.default_rng(40)
+        data = random_psd_stack(rng, 37 * 53).reshape(37, 53, 3, 3)
+        data[..., 2, 2] = data[..., 1, 1]  # T22 = T33 takes arctan2's edge cases
+        data[::5, :, 1, 2] = data[::5, :, 2, 1] = 0.0
+        raster = PolsarRaster(KIND_COHERENCY, data, rng.random((37, 53)) < 0.8, looks=4)
+        expected = deorient_raster(raster).data.tobytes()
+        for tile_pixels in (1, 7, 37, 1000):
+            monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_pixels)
+            assert deorient_raster(raster).data.tobytes() == expected
+
 
 class TestSpeckleFilter:
     def test_window_one_is_identity(self):

@@ -22,7 +22,7 @@ from geopolsar.scene import (
     write_scene,
 )
 from geopolsar.geodesic import DEFAULT_TARGETS, similarity_arrays
-from geopolsar.pipeline import PipelineConfig, classify_raster, run_classify
+from geopolsar.pipeline import PipelineConfig, classify_raster, run_classify, run_generate
 
 from conftest import DEMO_SPEC, per_look_scene_oracle, random_psd_stack, random_sinclair_stack
 
@@ -115,6 +115,26 @@ class TestStorage:
         back = read_scene(tmp_path / "scene")
         assert not back.mask[1, 1]
         assert back.valid_count() == 8
+
+    def test_values_beyond_the_file_dtype_raise(self, tmp_path):
+        rng = np.random.default_rng(79)
+        raster = coherency_raster(rng, 3, 4)
+        raster.data[1, 2, 4] = 5e38  # Re T13, finite in float64 only
+        with pytest.raises(ValueError, match="component T13: finite values beyond the float32"):
+            write_scene(raster, tmp_path / "f32")
+        write_scene(raster, tmp_path / "f64", dtype="float64")
+        back = read_scene(tmp_path / "f64")
+        assert back.mask.all() and np.array_equal(back.data, raster.data)
+        s = random_sinclair_stack(rng, 12).reshape(3, 4, 2, 2)
+        s[0, 1, 1, 0] = complex(1.0, -4e38)
+        with pytest.raises(ValueError, match="component VH: finite values beyond the float32"):
+            write_scene(PolsarRaster(KIND_SINCLAIR, s), tmp_path / "s2")
+
+    def test_generating_beyond_float32_fails(self, tmp_path):
+        spec = tmp_path / "big.spec"
+        spec.write_text("rows = 8\ncols = 8\nlooks = 4\nseed = 1\nregion = 0 0 8 8 trihedral 3e38\n")
+        with pytest.raises(ValueError, match="component T11: finite values beyond the float32"):
+            run_generate(spec, tmp_path / "scene")
 
     def test_missing_component_file(self, tmp_path):
         rng = np.random.default_rng(76)
@@ -360,6 +380,13 @@ class TestSpecParsing:
             Region(2, 0, 1, 4, "trihedral", 1.0)
         with pytest.raises(ValueError, match="span must be positive"):
             Region(0, 0, 1, 1, "trihedral", 0.0)
+
+    @pytest.mark.parametrize("span", ["inf", "nan", "-inf"])
+    def test_span_must_be_finite(self, tmp_path, span):
+        path = tmp_path / "bad.spec"
+        path.write_text(f"rows = 2\ncols = 2\nlooks = 1\nseed = 1\nregion = 0 0 2 2 trihedral {span}\n")
+        with pytest.raises(ValueError, match=r"bad\.spec:5: region span must be positive and finite"):
+            parse_scene_spec(path)
 
 
 class TestGeneration:
