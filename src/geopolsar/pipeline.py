@@ -7,10 +7,10 @@ refinement, rendering. The stages take coherency rasters only;
 ``preprocess.multilook`` makes one from an in-memory Sinclair raster.
 Coherency pixels stay packed real rows p(T) from read to refinement. The
 stages up to the similarity form one front end, ``_prepare``, shared by the
-classify and similarity commands. Every stage dump goes through one hook,
-``dump(stage, write)``. Stage dumps are written in full precision so a
-pipeline restarted from a dumped stage reproduces the final labels
-byte-for-byte.
+classify and similarity commands; it deorients, filters and scores one row
+tile at a time. Every stage dump goes through one hook, ``dump(stage,
+write)``. Stage dumps are written in full precision so a pipeline restarted
+from a dumped stage reproduces the final labels byte-for-byte.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from .classify import (
 )
 from .geodesic import DEFAULT_TARGETS, CanonicalTarget, similarity_arrays
 from .matrices import span_array
+from . import preprocess
 from .preprocess import PreprocessConfig, deorient_raster, speckle_filter
 from .raster import KIND_COHERENCY, PolsarRaster
 from .render import MASKED_LABEL, ClassEntry, render_map
-from .scene import read_scene, write_scene
+from .scene import generate_scene, parse_scene_spec, read_scene, write_scene
 
 __all__ = [
     "DUMP_STAGES",
@@ -83,13 +84,15 @@ class ClassifyResult:
 
 
 def _dump_hook(dump_dir: Optional[Path], stages: Tuple[str, ...]) -> Callable:
-    """dump(stage, write) calls write(dump_dir / stage_<stage>) if requested."""
+    """dump(stage[, write]) writes dump_dir / stage_<stage> if requested; True if it is."""
 
-    def dump(stage: str, write: Callable[[Path], None]) -> None:
-        if dump_dir is not None and stage in stages:
+    def dump(stage: str, write: Optional[Callable[[Path], None]] = None) -> bool:
+        requested = dump_dir is not None and stage in stages
+        if requested and write is not None:
             directory = dump_dir / f"stage_{stage}"
             directory.mkdir(parents=True, exist_ok=True)
             write(directory)
+        return requested
 
     return dump
 
@@ -104,26 +107,51 @@ def _write_similarity(directory: Path, targets, f, gamma, w, dtype: str) -> None
             stack[i].astype(dtype).tofile(path)
 
 
-def _prepare(raster: PolsarRaster, config: PipelineConfig, dump: Callable):
-    """Front end of classify and similarity, up to similarity_arrays; returns
-    (raster, f, gamma, w, valid). Stages are called through this module's
-    globals, so a wrapper installed on the module sees each call."""
+def _prepare(raster: PolsarRaster, config: PipelineConfig, dump: Callable, classify: bool):
+    """Front end of classify and similarity: one pass over output row tiles of
+    ``preprocess._FILTER_TILE_PIXELS``, each deoriented and filtered with
+    window // 2 halo rows, then its own rows scored. Returns the full-size
+    (raster, f, gamma, w, valid); the deoriented, filtered raster only for
+    classify and f and gamma only for similarity or their dump, else None.
+    Stages are called through this module's globals, which wrappers can hook."""
     if raster.kind != KIND_COHERENCY:
         raise ValueError(
             f"the pipeline takes coherency rasters; multilook a {raster.kind} raster first"
         )
-    if config.preprocess.deorient:
-        raster = deorient_raster(raster)
-        dump("deorient", lambda d: write_scene(raster, d, dtype="float64"))
-    if config.preprocess.filter_window > 1:
-        raster = speckle_filter(raster, config.preprocess)
+    pre, (rows, cols), n_targets = config.preprocess, raster.shape, len(config.targets)
+    half = pre.filter_window // 2
+    # full-size buffers are component-major, so PolsarRaster takes them uncopied
+    deoriented = np.empty((9, rows, cols)) if pre.deorient and dump("deorient") else None
+    keep = (pre.deorient or half) and (classify or dump("filter"))
+    filtered = np.empty((9, rows, cols)) if keep else None
+    keep = not classify or dump("similarity")
+    f, gamma = (np.empty((n_targets, rows, cols)) if keep else None for _ in range(2))
+    w, valid = np.empty((n_targets, rows, cols)), np.empty((rows, cols), dtype=bool)
+    step = max(1, preprocess._FILTER_TILE_PIXELS // cols)
+    for r0 in range(0, rows or 1, step):  # one empty tile when there are no rows
+        r1 = min(r0 + step, rows)
+        lo, hi = max(r0 - half, 0), min(r1 + half, rows)
+        tile = PolsarRaster(KIND_COHERENCY, raster.data[lo:hi], raster.mask[lo:hi], raster.looks)
+        deoriented_tile = deorient_raster(tile) if pre.deorient else tile
+        tile = speckle_filter(deoriented_tile, pre) if half else deoriented_tile
+        own = [t.data[r0 - lo : r1 - lo] for t in (deoriented_tile, tile)]
+        scores = similarity_arrays(own[1], raster.mask[r0:r1], config.targets)
+        parts = [np.moveaxis(x, -1, 0) for x in own] + list(scores)
+        for buffer, part in zip((deoriented, filtered, f, gamma, w, valid), parts):
+            if buffer is not None:
+                buffer[..., r0:r1, :] = part
+        del deoriented_tile, own, scores, parts  # freed before the next tile is read
+
+    def whole(planes, looks):
+        return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), raster.mask, looks)
+
+    if pre.deorient:
+        dump("deorient", lambda d: write_scene(whole(deoriented, raster.looks), d, "float64"))
+    raster = raster if filtered is None else whole(filtered, tile.looks)
+    if half:
         dump("filter", lambda d: write_scene(raster, d, dtype="float64"))
-    f, gamma, w, valid = similarity_arrays(raster.data, raster.mask, config.targets)
-    dump(
-        "similarity",
-        lambda d: _write_similarity(d, config.targets, f, gamma, w, "<f8"),
-    )
-    return raster, f, gamma, w, valid
+    dump("similarity", lambda d: _write_similarity(d, config.targets, f, gamma, w, "<f8"))
+    return (raster if classify else None), f, gamma, w, valid
 
 
 def classify_raster(
@@ -134,14 +162,19 @@ def classify_raster(
     """Classify an in-memory coherency raster; see the module docstring for
     stages."""
     dump = _dump_hook(dump_dir, config.dump_stages)
-    raster, _, _, w, valid = _prepare(raster, config, dump)
+    return _classify(_prepare(raster, config, dump, True), config, dump)
 
+
+def _classify(prepared, config: PipelineConfig, dump: Callable) -> ClassifyResult:
+    """Classify the output of ``_prepare``, taken whole so w can be freed."""
+    raster, _, _, w, valid = prepared
+    del prepared  # w and any f and gamma are freed after categorize
     rows, cols = raster.shape
     n_targets = len(config.targets)
-    w_flat = w.reshape(n_targets, -1)
     categories, mixed, cat_valid = categorize_arrays(
-        w_flat, config.classifier.mixed_threshold
+        w.reshape(n_targets, -1), config.classifier.mixed_threshold
     )
+    del w
     valid = valid.reshape(-1) & cat_valid
     categories_img = np.where(valid, categories, -1).reshape(rows, cols)
     mixed_img = (mixed & valid).reshape(rows, cols)
@@ -156,8 +189,9 @@ def classify_raster(
     dump("category", write_category)
 
     pixel_index = np.flatnonzero(valid)
-    # packed rows of the valid pixels, each packed column kept contiguous
-    t_flat = np.take(np.moveaxis(raster.data, -1, 0).reshape(9, -1), pixel_index, 1).T
+    # packed rows of the valid pixels, each packed column contiguous (a view if all are)
+    planes = np.moveaxis(raster.data, -1, 0).reshape(9, -1)
+    t_flat = (planes if pixel_index.size == valid.size else np.take(planes, pixel_index, 1)).T
     cat_flat = categories[pixel_index]
     mixed_flat = mixed[pixel_index]
 
@@ -271,9 +305,11 @@ def run_classify(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # no name here holds the read raster, but classify_raster's parameter
-    # keeps it alive until _prepare returns, so it lasts through similarity
-    result = classify_raster(read_scene(scene_path, multilook), config, out_dir / "stages")
+    # only _prepare holds the read raster, unless it comes back unfiltered
+    dump = _dump_hook(out_dir / "stages", config.dump_stages)
+    result = _classify(
+        _prepare(read_scene(scene_path, multilook), config, dump, True), config, dump
+    )
     _write_labels(result, out_dir)
     _write_report(result.history, out_dir / "report.jsonl")
     render_map(
@@ -302,10 +338,10 @@ def run_similarity(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raster, f, gamma, w, valid = _prepare(
-        read_scene(scene_path, multilook), config, _dump_hook(None, ())
+    _, f, gamma, w, valid = _prepare(
+        read_scene(scene_path, multilook), config, _dump_hook(None, ()), False
     )
-    header = f"P5\n{raster.cols} {raster.rows}\n255\n".encode("ascii")
+    header = f"P5\n{valid.shape[1]} {valid.shape[0]}\n255\n".encode("ascii")
     for i, target in enumerate(config.targets):
         scaled = np.where(
             valid, np.round(np.clip(f[i], 0.0, 1.0) * 255.0), 0.0
@@ -317,8 +353,6 @@ def run_similarity(
 
 def run_generate(spec_path, out_dir, seed: Optional[int] = None) -> PolsarRaster:
     """Generate a synthetic scene from a spec file and write it."""
-    from .scene import parse_scene_spec, generate_scene
-
     spec = parse_scene_spec(spec_path)
     if seed is not None:
         spec = replace(spec, seed=seed)

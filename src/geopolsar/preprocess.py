@@ -30,8 +30,9 @@ __all__ = [
     "multilook",
 ]
 
-#: Pixels per tile of deorientation, per row tile of the speckle filter and
-#: per input row tile of multilooking; a tile's planes stay in cache.
+#: Pixels per output row tile of the pipeline's front end (deorient, filter,
+#: similarity) and per input row tile of multilooking; a tile's planes stay
+#: in cache.
 _FILTER_TILE_PIXELS = 32_768
 
 @dataclass
@@ -62,32 +63,29 @@ def orientation_angle(t) -> np.ndarray:
 
 
 def _deorient_packed(p: np.ndarray) -> np.ndarray:
-    """Deorient packed rows (..., 9) tile by tile, with the bytes of numpy's
-    complex arithmetic on the unpacked stack: a real * complex product
-    (x + 0j)(a + ib) is (x a - 0 b) + i(x b + 0 a), whose zero terms fix the
-    signs of zeros."""
+    """Deorient packed rows (..., 9) in one pass over their planes, with the
+    bytes of numpy's complex arithmetic on the unpacked stack: a real *
+    complex product (x + 0j)(a + ib) is (x a - 0 b) + i(x b + 0 a), whose
+    zero terms fix the signs of zeros."""
     planes = np.moveaxis(p, -1, 0).reshape(9, -1)
-    result = np.empty_like(planes)
-    for s0 in range(0, planes.shape[1], _FILTER_TILE_PIXELS):
-        tile = slice(s0, s0 + _FILTER_TILE_PIXELS)
-        t11, t22, t33, r12, r13, r23, i12, i13, i23 = planes[:, tile]
-        out = result[:, tile]
-        theta = _angle(t22, t33, r23)
-        c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
-        cc, ss, cs2 = c * c, s * s, 2.0 * c * s
-        zr12, zr13, zi12, zi13, zi23 = (0.0 * v for v in (r12, r13, i12, i13, i23))
-        out[0] = t11
-        out[1] = cc * t22 + ss * t33 + cs2 * r23
-        out[2] = ss * t22 + cc * t33 - cs2 * r23
-        out[3] = (c * r12 - zi12) + (s * r13 - zi13)  # T'12 = c T12 + s T13
-        out[6] = (c * i12 + zr12) + (s * i13 + zr13)
-        out[4] = (-s * r12 - zi12) + (c * r13 - zi13)  # T'13 = -s T12 + c T13
-        out[7] = (-s * i12 + zr12) + (c * i13 + zr13)
-        # T'23 = c s (T33 - T22) + c^2 T23 - s^2 conj(T23); a zero imaginary
-        # part comes out +0 there, which the trailing + 0.0 reproduces
-        out[5] = (c * s * (t33 - t22) + (cc * r23 - zi23)) - (ss * r23 + zi23)
-        out[8] = (cc * i23 + ss * i23) + 0.0
-    return np.moveaxis(result.reshape((9,) + p.shape[:-1]), 0, -1)
+    t11, t22, t33, r12, r13, r23, i12, i13, i23 = planes
+    out = np.empty_like(planes)
+    theta = _angle(t22, t33, r23)
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    cc, ss, cs2 = c * c, s * s, 2.0 * c * s
+    zr12, zr13, zi12, zi13, zi23 = (0.0 * v for v in (r12, r13, i12, i13, i23))
+    out[0] = t11
+    out[1] = cc * t22 + ss * t33 + cs2 * r23
+    out[2] = ss * t22 + cc * t33 - cs2 * r23
+    out[3] = (c * r12 - zi12) + (s * r13 - zi13)  # T'12 = c T12 + s T13
+    out[6] = (c * i12 + zr12) + (s * i13 + zr13)
+    out[4] = (-s * r12 - zi12) + (c * r13 - zi13)  # T'13 = -s T12 + c T13
+    out[7] = (-s * i12 + zr12) + (c * i13 + zr13)
+    # T'23 = c s (T33 - T22) + c^2 T23 - s^2 conj(T23); a zero imaginary
+    # part comes out +0 there, which the trailing + 0.0 reproduces
+    out[5] = (c * s * (t33 - t22) + (cc * r23 - zi23)) - (ss * r23 + zi23)
+    out[8] = (cc * i23 + ss * i23) + 0.0
+    return np.moveaxis(out.reshape((9,) + p.shape[:-1]), 0, -1)
 
 
 def deorient_array(t) -> np.ndarray:
@@ -134,9 +132,12 @@ def _pairwise_sum(terms):
     return sum(terms[full:], (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
 
 
-def _box_sum(padded: np.ndarray, window: int, rows: int, cols: int) -> np.ndarray:
-    """Window sums of a plane zero-padded by window // 2: each window row
-    pairwise, then the rows top to bottom from +0.0."""
+def _box_sum(plane, mask: np.ndarray, window: int) -> np.ndarray:
+    """Window sums of a plane's mask pixels, zero-padded by window // 2: each
+    window row pairwise, then the rows top to bottom from +0.0."""
+    (rows, cols), half = mask.shape, window // 2
+    padded = np.zeros((rows + 2 * half, cols + 2 * half))
+    np.copyto(padded[half : half + rows, half : half + cols], plane, where=mask)
     rowsums = _pairwise_sum([padded[:, b : b + cols] for b in range(window)])
     return sum((rowsums[a : a + rows] for a in range(window)), 0.0)
 
@@ -149,39 +150,26 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     Invalid pixels stay invalid and contribute to no mean. The looks
     metadata is multiplied by the nominal window population.
 
-    The nine packed planes are summed row tile by row tile in `_box_sum`'s
-    order, and each real and imaginary pair is divided with the rounding of
-    complex / real division. The bytes are those of numpy's complex sums over
+    The nine packed planes are summed in one pass in `_box_sum`'s order, and
+    each real and imaginary pair is divided with the rounding of complex /
+    real division. The bytes are those of numpy's complex sums over
     (window, window) sliding views of the unpacked stack, except with one
     column, where numpy adds a window as one run and they agree to rounding.
     """
     if raster.kind != KIND_COHERENCY:
         raise ValueError("speckle filtering requires a coherency raster")
-    window = config.filter_window
-    rows, cols = raster.shape
-    half = window // 2
-    step = max(1, _FILTER_TILE_PIXELS // cols)
+    window, mask = config.filter_window, raster.mask
     planes = np.moveaxis(raster.data, -1, 0)
     out = np.empty_like(planes)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for r0 in range(0, rows, step):
-            r1 = min(r0 + step, rows)
-            lo, hi = max(r0 - half, 0), min(r1 + half, rows)
-            padded = np.zeros((r1 - r0 + 2 * half, cols + 2 * half))
-            inner = padded[lo - r0 + half : hi - r0 + half, half : half + cols]
-
-            def box_sum(plane):
-                np.copyto(inner, plane, where=raster.mask[lo:hi])
-                return _box_sum(padded, window, r1 - r0, cols)
-
-            scale = 1.0 / box_sum(1.0)
-            # the diagonal planes, then Re T12, T13, T23 with their imaginary parts
-            for c in range(6):
-                s_re = box_sum(planes[c, lo:hi])
-                s_im = box_sum(planes[c + 3, lo:hi]) if c >= 3 else 0.0
-                np.multiply(s_re + s_im * 0.0, scale, out=out[c, r0:r1])
-                if c >= 3:
-                    np.multiply(s_im - s_re * 0.0, scale, out=out[c + 3, r0:r1])
+        scale = 1.0 / _box_sum(1.0, mask, window)
+        # the diagonal planes, then Re T12, T13, T23 with their imaginary parts
+        for c in range(6):
+            s_re = _box_sum(planes[c], mask, window)
+            s_im = _box_sum(planes[c + 3], mask, window) if c >= 3 else 0.0
+            np.multiply(s_re + s_im * 0.0, scale, out=out[c])
+            if c >= 3:
+                np.multiply(s_im - s_re * 0.0, scale, out=out[c + 3])
     # a valid pixel counts itself, so every valid window is populated
     out[:, ~raster.mask] = 0.0
     looks = raster.looks * window * window

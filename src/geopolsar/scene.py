@@ -199,12 +199,10 @@ def write_scene(
 ) -> None:
     """Write a coherency or Sinclair raster as a scene directory; masked
     pixels are written as NaN. A finite value that the file dtype cannot hold
-    raises a ValueError naming its component."""
+    raises a ValueError naming its component, before any file is written."""
     if dtype not in _DTYPES:
         raise ValueError(f"unknown scene dtype {dtype!r}")
     kind = "T3" if raster.kind == KIND_COHERENCY else "S2"
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
     lines = [
         f"rows = {raster.rows}",
         f"cols = {raster.cols}",
@@ -212,6 +210,7 @@ def write_scene(
         f"kind = {kind}",
         f"dtype = {dtype}",
     ]
+    casts = {}
     for name, index in _LAYOUT[kind].items():
         # (rows, cols, parts): real and imaginary parts interleave in the file
         if kind == "T3":
@@ -224,8 +223,12 @@ def write_scene(
             cast = np.ascontiguousarray(values, dtype=_DTYPES[dtype])
         if (np.isfinite(cast) != np.isfinite(values)).any():
             raise ValueError(f"component {name}: finite values beyond the {dtype} range")
-        cast.tofile(directory / f"{name}.bin")
+        casts[name] = cast
         lines.append(f"component.{name} = {name}.bin")
+    directory = Path(path)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, cast in casts.items():
+        cast.tofile(directory / f"{name}.bin")
     (directory / "header.txt").write_text("\n".join(lines) + "\n")
 
 

@@ -130,6 +130,13 @@ class TestStorage:
         with pytest.raises(ValueError, match="component VH: finite values beyond the float32"):
             write_scene(PolsarRaster(KIND_SINCLAIR, s), tmp_path / "s2")
 
+    def test_a_value_beyond_the_file_dtype_leaves_no_component_file(self, tmp_path):
+        raster = coherency_raster(np.random.default_rng(80), 2, 2)
+        raster.data[0, 1, 4] = 5e38  # Re T13, the fifth component in file order
+        with pytest.raises(ValueError, match="component T13"):
+            write_scene(raster, tmp_path / "scene")
+        assert not list((tmp_path / "scene").glob("*.bin"))
+
     def test_generating_beyond_float32_fails(self, tmp_path):
         spec = tmp_path / "big.spec"
         spec.write_text("rows = 8\ncols = 8\nlooks = 4\nseed = 1\nregion = 0 0 8 8 trihedral 3e38\n")
