@@ -1,21 +1,22 @@
 """End-to-end classification pipeline and its on-disk artifacts.
 
-Stage order: read (``scene.read_scene`` multilooks a Sinclair scene as it
-reads it), optional deorientation, speckle filter, per-target similarity,
-categorization, span-ordered seeding, capped merging, iterative Wishart
-refinement, rendering. The stages take coherency rasters only;
-``preprocess.multilook`` makes one from an in-memory Sinclair raster.
-Coherency pixels stay packed real rows p(T) from read to refinement. The
-stages up to the similarity form one front end, ``_prepare``, shared by the
-classify and similarity commands; it deorients, filters and scores one row
-tile at a time. Every stage dump goes through one hook, ``dump(stage,
-write)``. Stage dumps are written in full precision so a pipeline restarted
-from a dumped stage reproduces the final labels byte-for-byte.
-"""
+Stage order: read, optional deorientation, speckle filter, per-target
+similarity, categorization, span-ordered seeding, capped merging, iterative
+Wishart refinement, rendering. Coherency pixels stay packed real rows p(T)
+from read to refinement. The stages up to the similarity form one front
+end, ``_prepare``, shared by the classify and similarity commands: one pass
+over output row tiles, each taken from a ``RowSource`` (``scene.open_scene``
+reads, and multilooks, only the rows a tile needs), deoriented and filtered
+with halo rows, then scored. Only refinement needs the whole scene: classify
+keeps the filtered planes and w, similarity writes each tile as it comes.
+Every stage dump goes through one hook, ``dump(stage)``, in full precision,
+so a pipeline restarted from a dumped stage reproduces the final labels
+byte-for-byte."""
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -34,9 +35,16 @@ from .geodesic import DEFAULT_TARGETS, CanonicalTarget, similarity_arrays
 from .matrices import span_array
 from . import preprocess
 from .preprocess import PreprocessConfig, deorient_raster, speckle_filter
-from .raster import KIND_COHERENCY, PolsarRaster
+from .raster import KIND_COHERENCY, PolsarRaster, RowSource
 from .render import MASKED_LABEL, ClassEntry, render_map
-from .scene import generate_scene, parse_scene_spec, read_scene, write_scene
+from .scene import (
+    FileAppender,
+    append_scene,
+    generate_scene,
+    open_scene,
+    parse_scene_spec,
+    write_scene,
+)
 
 __all__ = [
     "DUMP_STAGES",
@@ -84,74 +92,53 @@ class ClassifyResult:
 
 
 def _dump_hook(dump_dir: Optional[Path], stages: Tuple[str, ...]) -> Callable:
-    """dump(stage[, write]) writes dump_dir / stage_<stage> if requested; True if it is."""
-
-    def dump(stage: str, write: Optional[Callable[[Path], None]] = None) -> bool:
-        requested = dump_dir is not None and stage in stages
-        if requested and write is not None:
-            directory = dump_dir / f"stage_{stage}"
-            directory.mkdir(parents=True, exist_ok=True)
-            write(directory)
-        return requested
-
-    return dump
+    """dump(stage) is the directory dump_dir / stage_<stage> of a requested
+    stage, else None; it is created on the first file written into it."""
+    return lambda stage: dump_dir / f"stage_{stage}" if dump_dir and stage in stages else None
 
 
-def _write_similarity(directory: Path, targets, f, gamma, w, dtype: str) -> None:
-    """Raw per-target rasters f_<name>, gamma_<name>, w_<name>; the file
-    suffix names the dtype (f64 for stage dumps, f32 for similarity)."""
+def _append_similarity(files: FileAppender, targets, scores, dtype: str) -> None:
+    """Append a tile's f, gamma and w to the raw per-target rasters f_<name>,
+    gamma_<name> and w_<name>, whose file suffix names the dtype (f64 for
+    stage dumps, f32 for similarity)."""
     suffix = f"f{np.dtype(dtype).itemsize * 8}"
     for i, target in enumerate(targets):
-        for prefix, stack in (("f", f), ("gamma", gamma), ("w", w)):
-            path = directory / f"{prefix}_{target.name}.{suffix}"
-            stack[i].astype(dtype).tofile(path)
+        for prefix, stack in zip(("f", "gamma", "w"), scores):
+            files.append(f"{prefix}_{target.name}.{suffix}", stack[i].astype(dtype))
 
 
-def _prepare(raster: PolsarRaster, config: PipelineConfig, dump: Callable, classify: bool):
+def _prepare(source: RowSource, config: PipelineConfig, dump: Callable):
     """Front end of classify and similarity: one pass over output row tiles of
-    ``preprocess._FILTER_TILE_PIXELS``, each deoriented and filtered with
-    window // 2 halo rows, then its own rows scored. Returns the full-size
-    (raster, f, gamma, w, valid); the deoriented, filtered raster only for
-    classify and f and gamma only for similarity or their dump, else None.
-    Stages are called through this module's globals, which wrappers can hook."""
-    if raster.kind != KIND_COHERENCY:
-        raise ValueError(
-            f"the pipeline takes coherency rasters; multilook a {raster.kind} raster first"
-        )
-    pre, (rows, cols), n_targets = config.preprocess, raster.shape, len(config.targets)
+    ``preprocess._FILTER_TILE_PIXELS``, each read from the source, deoriented
+    and filtered with window // 2 halo rows, then its own rows scored. Yields
+    (r0, r1, data, (f, gamma, w, valid)) per tile of rows r0:r1, data being
+    their filtered packed rows, and appends each tile to the requested stage
+    dumps. Stages are called through this module's globals, which wrappers
+    can hook."""
+    pre, (rows, cols) = config.preprocess, source.shape
     half = pre.filter_window // 2
-    # full-size buffers are component-major, so PolsarRaster takes them uncopied
-    deoriented = np.empty((9, rows, cols)) if pre.deorient and dump("deorient") else None
-    keep = (pre.deorient or half) and (classify or dump("filter"))
-    filtered = np.empty((9, rows, cols)) if keep else None
-    keep = not classify or dump("similarity")
-    f, gamma = (np.empty((n_targets, rows, cols)) if keep else None for _ in range(2))
-    w, valid = np.empty((n_targets, rows, cols)), np.empty((rows, cols), dtype=bool)
-    step = max(1, preprocess._FILTER_TILE_PIXELS // cols)
-    for r0 in range(0, rows or 1, step):  # one empty tile when there are no rows
-        r1 = min(r0 + step, rows)
-        lo, hi = max(r0 - half, 0), min(r1 + half, rows)
-        tile = PolsarRaster(KIND_COHERENCY, raster.data[lo:hi], raster.mask[lo:hi], raster.looks)
-        deoriented_tile = deorient_raster(tile) if pre.deorient else tile
-        tile = speckle_filter(deoriented_tile, pre) if half else deoriented_tile
-        own = [t.data[r0 - lo : r1 - lo] for t in (deoriented_tile, tile)]
-        scores = similarity_arrays(own[1], raster.mask[r0:r1], config.targets)
-        parts = [np.moveaxis(x, -1, 0) for x in own] + list(scores)
-        for buffer, part in zip((deoriented, filtered, f, gamma, w, valid), parts):
-            if buffer is not None:
-                buffer[..., r0:r1, :] = part
-        del deoriented_tile, own, scores, parts  # freed before the next tile is read
-
-    def whole(planes, looks):
-        return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), raster.mask, looks)
-
-    if pre.deorient:
-        dump("deorient", lambda d: write_scene(whole(deoriented, raster.looks), d, "float64"))
-    raster = raster if filtered is None else whole(filtered, tile.looks)
-    if half:
-        dump("filter", lambda d: write_scene(raster, d, dtype="float64"))
-    dump("similarity", lambda d: _write_similarity(d, config.targets, f, gamma, w, "<f8"))
-    return (raster if classify else None), f, gamma, w, valid
+    step = max(1, preprocess._FILTER_TILE_PIXELS // max(cols, 1))
+    with ExitStack() as stack:
+        dumps = {
+            stage: stack.enter_context(FileAppender(dump(stage)))
+            for stage in ("deorient", "filter", "similarity")
+            if dump(stage)
+        }
+        for r0 in range(0, rows or 1, step):  # one empty tile when there are no rows
+            r1 = min(r0 + step, rows)
+            lo, hi = max(r0 - half, 0), min(r1 + half, rows)
+            tile = source.rows(lo, hi)
+            deoriented = deorient_raster(tile) if pre.deorient else tile
+            tile = speckle_filter(deoriented, pre) if half else deoriented
+            own = slice(r0 - lo, r1 - lo)
+            for stage, t, on in (("deorient", deoriented, pre.deorient), ("filter", tile, half)):
+                if on and stage in dumps:
+                    append_scene(dumps[stage], t.slice_rows(r0 - lo, r1 - lo), rows, "float64")
+            del deoriented  # freed before the similarity's temporaries
+            scores = similarity_arrays(tile.data[own], tile.mask[own], config.targets)
+            if "similarity" in dumps:
+                _append_similarity(dumps["similarity"], config.targets, scores[:3], "<f8")
+            yield r0, r1, tile.data[own], scores
 
 
 def classify_raster(
@@ -161,16 +148,24 @@ def classify_raster(
 ) -> ClassifyResult:
     """Classify an in-memory coherency raster; see the module docstring for
     stages."""
-    dump = _dump_hook(dump_dir, config.dump_stages)
-    return _classify(_prepare(raster, config, dump, True), config, dump)
+    if raster.kind != KIND_COHERENCY:
+        raise ValueError(
+            f"the pipeline takes coherency rasters; multilook a {raster.kind} raster first"
+        )
+    source = RowSource(raster.shape, raster.looks, raster.slice_rows)
+    return _classify(source, config, _dump_hook(dump_dir, config.dump_stages))
 
 
-def _classify(prepared, config: PipelineConfig, dump: Callable) -> ClassifyResult:
-    """Classify the output of ``_prepare``, taken whole so w can be freed."""
-    raster, _, _, w, valid = prepared
-    del prepared  # w and any f and gamma are freed after categorize
-    rows, cols = raster.shape
-    n_targets = len(config.targets)
+def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> ClassifyResult:
+    """Classify the rows of a source; only the filtered planes, w and the
+    validity are kept at full size, and w is freed after categorize."""
+    (rows, cols), n_targets = source.shape, len(config.targets)
+    # component-major, so each packed column of t_flat is contiguous
+    planes = np.empty((9, rows, cols))
+    w, valid = np.empty((n_targets, rows, cols)), np.empty((rows, cols), dtype=bool)
+    for r0, r1, data, scores in _prepare(source, config, dump):
+        planes[:, r0:r1], w[:, r0:r1], valid[r0:r1] = np.moveaxis(data, -1, 0), *scores[2:]
+    del data, scores  # the last tile's, which would live through refinement
     categories, mixed, cat_valid = categorize_arrays(
         w.reshape(n_targets, -1), config.classifier.mixed_threshold
     )
@@ -180,17 +175,14 @@ def _classify(prepared, config: PipelineConfig, dump: Callable) -> ClassifyResul
     mixed_img = (mixed & valid).reshape(rows, cols)
     valid_img = valid.reshape(rows, cols)
 
-    def write_category(directory: Path) -> None:
-        for name, image in (("category", categories_img), ("mixed", mixed_img)):
-            np.where(valid_img, image, 0xFF).astype(np.uint8).tofile(
-                directory / f"{name}.u8"
-            )
-
-    dump("category", write_category)
+    if dump("category"):
+        with FileAppender(dump("category")) as files:
+            for name, image in (("category", categories_img), ("mixed", mixed_img)):
+                files.append(f"{name}.u8", np.where(valid_img, image, 0xFF).astype(np.uint8))
 
     pixel_index = np.flatnonzero(valid)
-    # packed rows of the valid pixels, each packed column contiguous (a view if all are)
-    planes = np.moveaxis(raster.data, -1, 0).reshape(9, -1)
+    # packed rows of the valid pixels (a view if all are)
+    planes = planes.reshape(9, -1)
     t_flat = (planes if pixel_index.size == valid.size else np.take(planes, pixel_index, 1)).T
     cat_flat = categories[pixel_index]
     mixed_flat = mixed[pixel_index]
@@ -218,10 +210,9 @@ def _classify(prepared, config: PipelineConfig, dump: Callable) -> ClassifyResul
             seed_to_merged[list(cluster.source_ids)] = cluster.id
         merged.extend(merged_ci)
     labels0 = seed_to_merged[labels0]
-    dump(
-        "merge",
-        lambda d: label_image(labels0).astype("<u2").tofile(d / "labels_initial.bin"),
-    )
+    if dump("merge"):
+        with FileAppender(dump("merge")) as files:
+            files.append("labels_initial.bin", label_image(labels0).astype("<u2"))
 
     labels, clusters, history = iterate_classification(
         t_flat,
@@ -296,7 +287,7 @@ def run_classify(
     multilook: Optional[Tuple[int, int]] = None,
 ) -> ClassifyResult:
     """Classify a scene directory and write all artifacts into out_dir;
-    ``multilook`` factors go to ``read_scene``.
+    ``multilook`` factors go to ``open_scene``.
 
     Artifacts: labels.bin / labels.hdr (u16 little-endian, row-major,
     0xFFFF = masked), report.jsonl (one record per pass), map.ppm and
@@ -305,11 +296,8 @@ def run_classify(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # only _prepare holds the read raster, unless it comes back unfiltered
     dump = _dump_hook(out_dir / "stages", config.dump_stages)
-    result = _classify(
-        _prepare(read_scene(scene_path, multilook), config, dump, True), config, dump
-    )
+    result = _classify(open_scene(scene_path, multilook), config, dump)
     _write_labels(result, out_dir)
     _write_report(result.history, out_dir / "report.jsonl")
     render_map(
@@ -328,8 +316,8 @@ def run_similarity(
     config: Optional[PipelineConfig] = None,
     multilook: Optional[Tuple[int, int]] = None,
 ) -> bool:
-    """Write per-target similarity products for a scene; ``multilook``
-    factors go to ``read_scene``.
+    """Write per-target similarity products for a scene, tile by tile;
+    ``multilook`` factors go to ``open_scene``.
 
     For each target: a grayscale P5 map of f scaled [0, 1] -> [0, 255] and
     raw float32 rasters of f, gamma and w (NaN on masked pixels). Returns
@@ -338,17 +326,18 @@ def run_similarity(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, f, gamma, w, valid = _prepare(
-        read_scene(scene_path, multilook), config, _dump_hook(None, ()), False
-    )
-    header = f"P5\n{valid.shape[1]} {valid.shape[0]}\n255\n".encode("ascii")
-    for i, target in enumerate(config.targets):
-        scaled = np.where(
-            valid, np.round(np.clip(f[i], 0.0, 1.0) * 255.0), 0.0
-        ).astype(np.uint8)
-        (out_dir / f"f_{target.name}.pgm").write_bytes(header + scaled.tobytes())
-    _write_similarity(out_dir, config.targets, f, gamma, w, "<f4")
-    return bool(valid.any())
+    source, any_valid = open_scene(scene_path, multilook), False
+    header = f"P5\n{source.shape[1]} {source.shape[0]}\n255\n".encode("ascii")
+    with FileAppender(out_dir) as files:
+        for target in config.targets:
+            files.append(f"f_{target.name}.pgm", header)
+        for _, _, _, (f, gamma, w, valid) in _prepare(source, config, _dump_hook(None, ())):
+            for i, target in enumerate(config.targets):
+                scaled = np.where(valid, np.round(np.clip(f[i], 0.0, 1.0) * 255.0), 0.0)
+                files.append(f"f_{target.name}.pgm", scaled.astype(np.uint8))
+            _append_similarity(files, config.targets, (f, gamma, w), "<f4")
+            any_valid |= bool(valid.any())
+    return any_valid
 
 
 def run_generate(spec_path, out_dir, seed: Optional[int] = None) -> PolsarRaster:

@@ -18,7 +18,7 @@ from .matrices import (
     packed_outer,
     unpack_coherency_array,
 )
-from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
+from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster, RowSource
 
 __all__ = [
     "PreprocessConfig",
@@ -206,25 +206,30 @@ def _multilook_tile(planes, valid: np.ndarray, rf: int, af: int, out: np.ndarray
     return counts
 
 
-def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> PolsarRaster:
-    """Coherency raster of the rf x af block means of a Sinclair source of the
-    given shape, read in row tiles: ``read_rows(r0, r1, c1)`` returns the
-    planes (see `_multilook_tile`) and validity of rows r0:r1, columns :c1.
-    Trailing rows and columns that do not fill a block are dropped."""
+def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> RowSource:
+    """Row source of the rf x af block means of a Sinclair source of the given
+    shape: its ``rows(lo, hi)`` reads input rows lo*rf:hi*rf in row tiles,
+    where ``read_rows(r0, r1, c1)`` returns the planes (see `_multilook_tile`)
+    and validity of rows r0:r1, columns :c1. Trailing rows and columns that
+    do not fill a block are dropped."""
     if rf < 1 or af < 1:
         raise ValueError("multilook factors must be positive integers")
     rows, cols = shape[0] // rf, shape[1] // af
     if rows == 0 or cols == 0:
         raise ValueError(f"raster {shape[0]}x{shape[1]} is smaller than one {rf}x{af} block")
-    out = np.empty((9, rows, cols))
-    mask = np.empty((rows, cols), dtype=bool)
-    step = max(1, _FILTER_TILE_PIXELS // (rf * shape[1]))
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        planes, valid = read_rows(r0 * rf, r1 * rf, cols * af)
-        mask[r0:r1] = _multilook_tile(planes, valid, rf, af, out[:, r0:r1]) > 0
-        del planes  # freed before the next tile is read
-    return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), mask, looks * rf * af)
+
+    def block_rows(lo: int, hi: int) -> PolsarRaster:
+        out = np.empty((9, hi - lo, cols))
+        mask = np.empty((hi - lo, cols), dtype=bool)
+        step = max(1, _FILTER_TILE_PIXELS // (rf * shape[1]))
+        for r0 in range(0, hi - lo, step):
+            r1 = min(r0 + step, hi - lo)
+            planes, valid = read_rows((lo + r0) * rf, (lo + r1) * rf, cols * af)
+            mask[r0:r1] = _multilook_tile(planes, valid, rf, af, out[:, r0:r1]) > 0
+            del planes  # freed before the next tile is read
+        return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), mask, looks * rf * af)
+
+    return RowSource((rows, cols), looks * rf * af, block_rows)
 
 
 def multilook(
@@ -244,4 +249,5 @@ def multilook(
         s = raster.data[r0:r1, :c1]
         return (s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]), raster.mask[r0:r1, :c1]
 
-    return multilook_rows(raster.shape, raster.looks, range_factor, azimuth_factor, read_rows)
+    source = multilook_rows(raster.shape, raster.looks, range_factor, azimuth_factor, read_rows)
+    return source.rows(0, source.shape[0])

@@ -7,13 +7,14 @@ rows p(T) (``matrices.packed_rows``) of shape (rows, cols, 9) at 72 bytes
 per pixel, over a component-major buffer, so each of the nine planes
 ``data[..., c]`` is contiguous. Rasters are treated as immutable:
 operations return new instances and never write into an input array, which
-keeps read-only sharing across worker threads safe.
+keeps read-only sharing across worker threads safe. A RowSource yields a
+coherency raster in row bands, read or computed on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "KIND_SINCLAIR",
     "KIND_COHERENCY",
     "PolsarRaster",
+    "RowSource",
 ]
 
 KIND_SINCLAIR = "sinclair"
@@ -86,9 +88,23 @@ class PolsarRaster:
     def shape(self) -> tuple:
         return self.data.shape[:2]
 
+    def slice_rows(self, lo: int, hi: int) -> "PolsarRaster":
+        """Rows lo:hi, as a raster."""
+        return PolsarRaster(self.kind, self.data[lo:hi], self.mask[lo:hi], self.looks)
+
     def valid_count(self) -> int:
         return int(self.mask.sum())
 
     def span(self) -> np.ndarray:
         """Per-pixel span; zero on masked pixels."""
         return np.where(self.mask, span_array(self.data, self.kind), 0.0)
+
+
+class RowSource(NamedTuple):
+    """Coherency rows made on demand: ``rows(lo, hi)`` is the raster of rows
+    lo:hi of a raster of this shape and looks. ``RowSource(r.shape, r.looks,
+    r.slice_rows)`` is the source of an in-memory raster r."""
+
+    shape: Tuple[int, int]
+    looks: float
+    rows: Callable[[int, int], PolsarRaster]

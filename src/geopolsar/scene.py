@@ -7,18 +7,20 @@ filename`` line per component file; ``#`` starts a comment, so no
 filename may contain one.
 
 kind T3 (coherency): T11, T22, T33 as real values; T12, T13, T23 as
-interleaved real/imaginary pairs. They are read into, and written from, the
-packed planes of a coherency raster. kind S2 (Sinclair): HH, HV, VH, VV as
+interleaved real/imaginary pairs, read into and written from the packed
+planes of a coherency raster. kind S2 (Sinclair): HH, HV, VH, VV as
 interleaved complex channels, written from a Sinclair raster and multilooked
 into a coherency raster as they are read. ``_LAYOUT`` maps each component to
-its planes or matrix entry. Components default to float32; dtype float64 is
-accepted for full-precision intermediate dumps. A non-finite value (NaN or
-+-inf) in any component marks the pixel invalid; writers serialize masked
-pixels as NaN.
+its planes or matrix entry. Components default to float32; float64 serves
+full-precision stage dumps. A non-finite value (NaN or +-inf) in any
+component marks the pixel invalid; writers serialize masked pixels as NaN.
+Both ways go by row tiles: ``open_scene`` reads the rows asked of it, and
+``append_scene`` appends a tile to a ``FileAppender``.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -27,11 +29,14 @@ import numpy as np
 
 from .matrices import pack_coherency_array, packed_outer, span_array, unpack_coherency_array
 from .preprocess import multilook_rows
-from .raster import KIND_COHERENCY, PolsarRaster
+from .raster import KIND_COHERENCY, PolsarRaster, RowSource
 
 __all__ = [
     "SceneHeader",
+    "FileAppender",
+    "open_scene",
     "read_scene",
+    "append_scene",
     "write_scene",
     "Region",
     "SyntheticSceneSpec",
@@ -143,29 +148,48 @@ def _component_file(directory: Path, header: SceneHeader, name: str, parts: int)
     return path
 
 
-def read_scene(
+def open_scene(
     path: Union[str, Path], multilook: Optional[Tuple[int, int]] = None
-) -> PolsarRaster:
-    """Load a scene directory into the packed planes of a coherency raster.
-
-    Pixels with a non-finite value in any component are masked and their
-    payload zeroed. An S2 scene is multilooked as it is read, by ``multilook
-    = (rf, af)`` or else (1, 1) (a T3 scene with factors raises), and its
-    cross-pol channels are averaged, HV' = (HV + VH) / 2. Once every
-    component file is checked, row tiles go from the files to
+) -> RowSource:
+    """Open a scene directory as a ``RowSource`` whose ``rows(lo, hi)`` reads
+    only the rows it needs; the header and every component file are checked
+    first. Pixels with a non-finite value in any component are masked and
+    their payload zeroed. An S2 scene is multilooked as it is read, by
+    ``multilook = (rf, af)`` or else (1, 1) (a T3 scene with factors raises),
+    with HV' = (HV + VH) / 2: input rows lo*rf:hi*rf go through
     ``preprocess.multilook_rows``, with the bytes of ``preprocess.multilook``
-    on the Sinclair raster of the file values, which never exists.
-    """
+    on the Sinclair raster of the file values, which never exists."""
     directory = Path(path)
     header = _parse_header(directory / "header.txt")
-    shape = (header.rows, header.cols)
     if header.kind == "T3" and multilook is not None:
         raise ValueError("multilook applies to Sinclair scenes only, not coherency")
-    if header.kind == "T3":
-        planes = np.empty((9,) + shape)
-        for name, index in _LAYOUT["T3"].items():
-            file = _component_file(directory, header, name, len(index))
-            values = np.fromfile(file, _DTYPES[header.dtype]).reshape(shape + (len(index),))
+    shape, dtype = (header.rows, header.cols), np.dtype(_DTYPES[header.dtype])
+    layout = _LAYOUT[header.kind].items()
+    files = [(_component_file(directory, header, name, len(i)), len(i)) for name, i in layout]
+
+    def read(r0: int, r1: int):
+        """Each component's (r1 - r0, cols, parts) values in rows r0:r1."""
+        return (np.fromfile(file, dtype, count=(r1 - r0) * header.cols * parts,
+                            offset=r0 * header.cols * parts * dtype.itemsize)
+                .reshape(r1 - r0, header.cols, parts) for file, parts in files)
+
+    if header.kind == "S2":
+        # the interleaved real and imaginary parts read as complex values
+        complex_ = np.result_type(dtype, np.complex64).newbyteorder("<")
+
+        def read_rows(r0, r1, c1):
+            """HH, HV' and VV of rows r0:r1, columns :c1, and the pixels that
+            are finite in every component."""
+            hh, hv, vh, vv = (v.view(complex_)[:, :c1, 0] for v in read(r0, r1))
+            valid = np.isfinite(hh) & np.isfinite(hv) & np.isfinite(vh) & np.isfinite(vv)
+            with np.errstate(invalid="ignore", over="ignore"):
+                return (hh, 0.5 * np.add(hv, vh, dtype=np.complex128), vv), valid
+
+        return multilook_rows(shape, header.looks, *(multilook or (1, 1)), read_rows)
+
+    def rows(lo: int, hi: int) -> PolsarRaster:
+        planes = np.empty((9, hi - lo, header.cols))
+        for values, (_, index) in zip(read(lo, hi), layout):
             planes[list(index)] = np.moveaxis(values, -1, 0)
         # the signed zeros of the complex values re + 1j * im; the real planes
         # are non-finite wherever either part is
@@ -175,41 +199,44 @@ def read_scene(
         invalid = ~np.isfinite(planes[:6]).all(axis=0)
         planes[:, invalid] = 0.0
         return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), ~invalid, header.looks)
-    files = [_component_file(directory, header, name, 2) for name in _LAYOUT["S2"]]
-    # the interleaved real and imaginary parts read as complex values
-    dtype = np.result_type(_DTYPES[header.dtype], np.complex64).newbyteorder("<")
 
-    def read_rows(r0, r1, c1):
-        """HH, HV' and VV of rows r0:r1, columns :c1, and the pixels that are
-        finite in every component."""
-        count, offset = (r1 - r0) * header.cols, r0 * header.cols * dtype.itemsize
-        hh, hv, vh, vv = (
-            np.fromfile(file, dtype, count=count, offset=offset).reshape(r1 - r0, -1)[:, :c1]
-            for file in files
-        )
-        valid = np.isfinite(hh) & np.isfinite(hv) & np.isfinite(vh) & np.isfinite(vv)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return (hh, 0.5 * np.add(hv, vh, dtype=np.complex128), vv), valid
-
-    return multilook_rows(shape, header.looks, *(multilook or (1, 1)), read_rows)
+    return RowSource(shape, header.looks, rows)
 
 
-def write_scene(
-    raster: PolsarRaster, path: Union[str, Path], dtype: str = "float32"
+def read_scene(
+    path: Union[str, Path], multilook: Optional[Tuple[int, int]] = None
+) -> PolsarRaster:
+    """Every row of ``open_scene(path, multilook)``, as one coherency raster."""
+    source = open_scene(path, multilook)
+    return source.rows(0, source.shape[0])
+
+
+class FileAppender(ExitStack):
+    """Flat files in one directory, each created (with the directory) on its
+    first append and grown by one row tile per append; all close on exit."""
+
+    def __init__(self, directory: Union[str, Path]):
+        super().__init__()
+        self.directory, self.files = Path(directory), {}
+
+    def append(self, name: str, data) -> None:
+        if name not in self.files:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self.files[name] = self.enter_context(open(self.directory / name, "wb"))
+        self.files[name].write(data)  # bytes, or a C-contiguous array's bytes
+
+
+def append_scene(
+    files: FileAppender, raster: PolsarRaster, rows: int, dtype: str = "float32"
 ) -> None:
-    """Write a coherency or Sinclair raster as a scene directory; masked
-    pixels are written as NaN. A finite value that the file dtype cannot hold
-    raises a ValueError naming its component, before any file is written."""
+    """Append a row tile of a coherency or Sinclair raster to the component
+    files of a scene of ``rows`` rows, masked pixels as NaN; the first tile
+    also writes ``header.txt``. Every component's cast to the file dtype is
+    checked before any is written: a finite value that the dtype cannot hold
+    raises a ValueError naming its component."""
     if dtype not in _DTYPES:
         raise ValueError(f"unknown scene dtype {dtype!r}")
     kind = "T3" if raster.kind == KIND_COHERENCY else "S2"
-    lines = [
-        f"rows = {raster.rows}",
-        f"cols = {raster.cols}",
-        f"looks = {raster.looks!r}",
-        f"kind = {kind}",
-        f"dtype = {dtype}",
-    ]
     casts = {}
     for name, index in _LAYOUT[kind].items():
         # (rows, cols, parts): real and imaginary parts interleave in the file
@@ -220,16 +247,24 @@ def write_scene(
             values = np.stack([entry.real, entry.imag], axis=-1)
         values[~raster.mask] = np.nan
         with np.errstate(over="ignore"):
-            cast = np.ascontiguousarray(values, dtype=_DTYPES[dtype])
-        if (np.isfinite(cast) != np.isfinite(values)).any():
+            casts[name] = np.ascontiguousarray(values, dtype=_DTYPES[dtype])
+        if (np.isfinite(casts[name]) != np.isfinite(values)).any():
             raise ValueError(f"component {name}: finite values beyond the {dtype} range")
-        casts[name] = cast
-        lines.append(f"component.{name} = {name}.bin")
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
+    if not files.files:
+        head = dict(rows=rows, cols=raster.cols, looks=repr(raster.looks), kind=kind, dtype=dtype)
+        head.update((f"component.{name}", f"{name}.bin") for name in casts)
+        files.append("header.txt", "".join(f"{k} = {v}\n" for k, v in head.items()).encode())
     for name, cast in casts.items():
-        cast.tofile(directory / f"{name}.bin")
-    (directory / "header.txt").write_text("\n".join(lines) + "\n")
+        files.append(f"{name}.bin", cast)
+
+
+def write_scene(
+    raster: PolsarRaster, path: Union[str, Path], dtype: str = "float32"
+) -> None:
+    """Write a raster as a scene directory in one ``append_scene``, so a
+    failed cast raises before any file is written."""
+    with FileAppender(path) as files:
+        append_scene(files, raster, raster.rows, dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The pipeline's front end: one pass over row tiles, and what it frees."""
+"""The pipeline's front end: one pass over row tiles from a row source, and
+what it keeps."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,16 +10,37 @@ import pytest
 import geopolsar.pipeline as pipeline
 import geopolsar.preprocess as preprocess
 from geopolsar.geodesic import similarity_arrays
-from geopolsar.pipeline import DUMP_STAGES, PipelineConfig, _dump_hook, _prepare, run_classify
+from geopolsar.pipeline import (
+    DUMP_STAGES,
+    PipelineConfig,
+    _dump_hook,
+    _prepare,
+    classify_raster,
+    run_classify,
+    run_similarity,
+)
 from geopolsar.preprocess import PreprocessConfig, deorient_raster, speckle_filter
-from geopolsar.raster import KIND_COHERENCY, PolsarRaster
-from geopolsar.scene import write_scene
+from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster, RowSource
+from geopolsar.scene import open_scene, read_scene, write_scene
 
-from conftest import random_psd_stack
+from conftest import random_psd_stack, random_sinclair_stack
 
 
 def stage_files(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def gather(source, config, dump):
+    """The full-size filtered rows and (f, gamma, w, valid) of ``_prepare``."""
+    (rows, cols), n_targets = source.shape, len(config.targets)
+    data = np.empty((rows, cols, 9))
+    scores = [np.empty((n_targets, rows, cols)) for _ in range(3)]
+    scores.append(np.empty((rows, cols), dtype=bool))
+    for r0, r1, tile, tile_scores in _prepare(source, config, dump):
+        data[r0:r1] = tile
+        for whole, part in zip(scores, tile_scores):
+            whole[..., r0:r1, :] = part
+    return data, scores
 
 
 @pytest.mark.parametrize("deorient", [True, False])
@@ -31,60 +54,101 @@ def test_front_end_does_not_depend_on_the_tile_grid(tmp_path, monkeypatch, deori
     mask = rng.random((rows, cols)) > 0.15
     mask[6::7, ::3] = False  # the last row of each 7-row tile
     mask[7::7, 1::3] = False  # and the first row of the next
-    raster = PolsarRaster(KIND_COHERENCY, data, mask, looks=4)
+    in_memory = PolsarRaster(KIND_COHERENCY, data, mask, looks=4)
+    write_scene(in_memory, tmp_path / "scene", dtype="float64")
     pre = PreprocessConfig(deorient=deorient, filter_window=window)
     config = PipelineConfig(preprocess=pre, dump_stages=DUMP_STAGES)
 
-    # the whole-raster composition, each stage one pass
-    expected = raster
-    if deorient:
-        expected = deorient_raster(expected)
-        write_scene(expected, tmp_path / "whole" / "stage_deorient", dtype="float64")
-    if window > 1:
-        expected = speckle_filter(expected, pre)
-        write_scene(expected, tmp_path / "whole" / "stage_filter", dtype="float64")
-    stack = similarity_arrays(expected.data, expected.mask, config.targets)
+    # an in-memory source, and a file source whose masked pixels read as zeros
+    for k, (raster, source) in enumerate([
+        (in_memory, RowSource(in_memory.shape, in_memory.looks, in_memory.slice_rows)),
+        (read_scene(tmp_path / "scene"), open_scene(tmp_path / "scene")),
+    ]):
+        # the whole-raster composition, each stage one pass
+        whole = tmp_path / f"whole{k}"
+        expected = raster
+        if deorient:
+            expected = deorient_raster(expected)
+            write_scene(expected, whole / "stage_deorient", dtype="float64")
+        if window > 1:
+            expected = speckle_filter(expected, pre)
+            write_scene(expected, whole / "stage_filter", dtype="float64")
+        stack = similarity_arrays(expected.data, expected.mask, config.targets)
 
-    for tile_rows in (1, 7, 37):
-        monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_rows * cols)
-        out = tmp_path / f"tiles{tile_rows}"
-        filtered, *got = _prepare(raster, config, _dump_hook(out, DUMP_STAGES), True)
-        assert filtered.data.tobytes() == expected.data.tobytes()
-        assert filtered.looks == expected.looks
-        assert np.array_equal(filtered.mask, expected.mask)
-        for a, b in zip(got, stack):
-            assert a.tobytes() == b.tobytes()
-        for stage in ("deorient", "filter"):
-            dumped = out / f"stage_{stage}"
-            if (tmp_path / "whole" / f"stage_{stage}").exists():
-                assert stage_files(dumped) == stage_files(tmp_path / "whole" / f"stage_{stage}")
-            else:
-                assert not dumped.exists()
+        for tile_rows in (1, 7, 37):
+            monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_rows * cols)
+            out = tmp_path / f"source{k}_tiles{tile_rows}"
+            filtered, got = gather(source, config, _dump_hook(out, DUMP_STAGES))
+            assert filtered.tobytes() == expected.data.tobytes()
+            for a, b in zip(got, stack):
+                assert a.tobytes() == b.tobytes()
+            for stage in ("deorient", "filter"):
+                dumped = out / f"stage_{stage}"
+                if (whole / f"stage_{stage}").exists():
+                    assert stage_files(dumped) == stage_files(whole / f"stage_{stage}")
+                else:
+                    assert not dumped.exists()
+            for i, target in enumerate(config.targets):
+                for prefix, values in zip(("f", "gamma", "w"), stack):
+                    path = out / "stage_similarity" / f"{prefix}_{target.name}.f64"
+                    assert path.read_bytes() == values[i].astype("<f8").tobytes()
 
 
-def test_front_end_takes_a_raster_without_rows():
+def test_front_end_takes_a_raster_without_rows(tmp_path):
     raster = PolsarRaster(KIND_COHERENCY, np.zeros((0, 5, 9)), looks=0.3)
     config = PipelineConfig(preprocess=PreprocessConfig(filter_window=3))
-    filtered, f, gamma, w, valid = _prepare(raster, config, _dump_hook(None, ()), True)
-    assert filtered.looks == speckle_filter(deorient_raster(raster), config.preprocess).looks
-    assert filtered.shape == valid.shape == (0, 5) and w.shape == (3, 0, 5)
-    assert f is None and gamma is None
+    source = RowSource(raster.shape, raster.looks, raster.slice_rows)
+    tiles = list(_prepare(source, config, _dump_hook(tmp_path, ("filter",))))
+    assert len(tiles) == 1  # one empty tile
+    r0, r1, data, (f, gamma, w, valid) = tiles[0]
+    assert (r0, r1) == (0, 0) and data.shape == (0, 5, 9)
+    assert valid.shape == (0, 5) and f.shape == gamma.shape == w.shape == (3, 0, 5)
+    looks = speckle_filter(deorient_raster(raster), config.preprocess).looks
+    assert f"looks = {looks!r}\n" in (tmp_path / "stage_filter" / "header.txt").read_text()
 
 
-def test_run_classify_frees_the_read_raster_before_refinement(demo_scene, tmp_path, monkeypatch):
-    read, iterate = pipeline.read_scene, pipeline.iterate_classification
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_a_raster_without_rows_or_columns_has_no_classes(shape):
+    raster = PolsarRaster(KIND_COHERENCY, np.zeros(shape + (9,)))
+    result = classify_raster(raster, PipelineConfig())
+    assert result.labels.shape == shape and result.classes == []
+
+
+def test_no_front_end_tile_lives_through_refinement(demo_scene, tmp_path, monkeypatch):
     refs, checked = [], []
 
-    def read_and_watch(*args, **kwargs):
-        raster = read(*args, **kwargs)
-        refs.append(weakref.ref(raster))
-        return raster
+    def watch(stage):
+        def run(*args, **kwargs):
+            out = stage(*args, **kwargs)
+            refs.append(weakref.ref(out.data.base))  # the array a tile's views keep alive
+            return out
+
+        return run
 
     def check_then_iterate(*args, **kwargs):
-        checked.append(refs[0]() is None)
+        checked.append([ref() is None for ref in refs])
         return iterate(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "read_scene", read_and_watch)
+    iterate = pipeline.iterate_classification
+    for name in ("deorient_raster", "speckle_filter"):
+        monkeypatch.setattr(pipeline, name, watch(getattr(pipeline, name)))
     monkeypatch.setattr(pipeline, "iterate_classification", check_then_iterate)
     run_classify(demo_scene, tmp_path / "out")
-    assert checked == [True]
+    assert checked == [[True, True]]  # the demo is one tile
+
+
+def test_run_similarity_keeps_no_full_size_raster(tmp_path, monkeypatch):
+    """Only the row tiles are live: with 8-row tiles, 64 to the scene, the
+    traced peak stays below a quarter of one full-size coherency raster."""
+    rng = np.random.default_rng(86)
+    s = random_sinclair_stack(rng, 512 * 512).reshape(512, 512, 2, 2)
+    write_scene(PolsarRaster(KIND_SINCLAIR, s), tmp_path / "scene")
+    del s
+    monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", 8 * 512)
+    tracemalloc.start()
+    try:
+        assert run_similarity(tmp_path / "scene", tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 72 / 4

@@ -16,7 +16,10 @@ from geopolsar.scene import (
     MODEL_COHERENCY,
     Region,
     SyntheticSceneSpec,
+    FileAppender,
+    append_scene,
     generate_scene,
+    open_scene,
     parse_scene_spec,
     read_scene,
     write_scene,
@@ -331,6 +334,79 @@ class TestStreamedMultilook:
         s = random_sinclair_stack(np.random.default_rng(85), 16).reshape(4, 4, 2, 2)
         with pytest.raises(ValueError, match="multilook"):
             classify_raster(PolsarRaster(KIND_SINCLAIR, s), PipelineConfig())
+
+
+class TestRowSource:
+    """``open_scene(p, m).rows(lo, hi)`` holds the bytes of rows lo:hi of
+    ``read_scene(p, m)``, for every lo < hi."""
+
+    @staticmethod
+    def assert_every_band_matches(scene, factors=None):
+        whole, source = read_scene(scene, factors), open_scene(scene, factors)
+        assert source.shape == whole.shape and source.looks == whole.looks
+        for lo in range(whole.rows):
+            for hi in range(lo + 1, whole.rows + 1):
+                band = source.rows(lo, hi)
+                assert band.data.tobytes() == whole.data[lo:hi].tobytes(), (lo, hi)
+                assert band.mask.tobytes() == whole.mask[lo:hi].tobytes(), (lo, hi)
+                assert band.looks == whole.looks
+
+    @staticmethod
+    def spoil(path, dtype, positions):
+        """Write NaN, +inf and -inf in turn at the given value positions."""
+        values = np.fromfile(path, dtype=np.dtype(dtype).newbyteorder("<"))
+        for k, position in enumerate(positions):
+            values[position] = (np.nan, np.inf, -np.inf)[k % 3]
+        values.tofile(path)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_t3_bands(self, tmp_path, dtype):
+        rows, cols = 9, 5
+        write_scene(coherency_raster(np.random.default_rng(88), rows, cols), tmp_path / "s", dtype)
+        # first and last pixel of rows 0, 4 and 8, through a real and a complex file
+        pixels = [r * cols + c for r in (0, 4, rows - 1) for c in (0, cols - 1)]
+        self.spoil(tmp_path / "s" / "T22.bin", dtype, pixels[::2])
+        self.spoil(tmp_path / "s" / "T13.bin", dtype, [2 * p + 1 for p in pixels[1::2]])
+        assert read_scene(tmp_path / "s").valid_count() == rows * cols - len(pixels)
+        self.assert_every_band_matches(tmp_path / "s")
+
+    @pytest.mark.parametrize("factors", [None, (2, 3), (5, 2)])
+    def test_s2_bands(self, tmp_path, monkeypatch, factors):
+        import geopolsar.preprocess as preprocess
+
+        monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", 100)  # several reads a band
+        rows, cols = 23, 17
+        scene = sinclair_scene(tmp_path / "s", np.random.default_rng(89), rows, cols)
+        # first and last pixel of rows on the edges of 2- and 5-row blocks
+        pixels = [r * cols + c for r in (0, 1, 9, 10, 19, 20, rows - 1) for c in (0, cols - 1)]
+        self.spoil(scene / "HV.bin", "float32", [2 * p for p in pixels[::2]])
+        self.spoil(scene / "VV.bin", "float32", [2 * p + 1 for p in pixels[1::2]])
+        self.assert_every_band_matches(scene, factors)
+
+
+class TestAppendScene:
+    def test_appended_tiles_write_the_whole_scene(self, tmp_path):
+        raster = coherency_raster(np.random.default_rng(90), 7, 4, looks=3.0)
+        raster.mask[2, 1] = raster.mask[6, 3] = False
+        write_scene(raster, tmp_path / "whole")
+        with FileAppender(tmp_path / "tiles") as files:
+            for lo, hi in ((0, 3), (3, 3), (3, 6), (6, 7)):
+                append_scene(files, raster.slice_rows(lo, hi), raster.rows)
+        whole, tiles = (sorted((tmp_path / d).iterdir()) for d in ("whole", "tiles"))
+        assert [p.name for p in whole] == [p.name for p in tiles]
+        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(whole, tiles))
+
+    def test_a_failed_cast_appends_nothing_of_its_tile(self, tmp_path):
+        raster = coherency_raster(np.random.default_rng(91), 4, 3)
+        raster.data[3, 0, 4] = 5e38  # Re T13, beyond float32
+        with FileAppender(tmp_path / "scene") as files:
+            append_scene(files, raster.slice_rows(0, 2), raster.rows)
+            with pytest.raises(ValueError, match="component T13"):
+                append_scene(files, raster.slice_rows(2, 4), raster.rows)
+        for name in ("T11", "T22", "T33"):
+            assert (tmp_path / "scene" / f"{name}.bin").stat().st_size == 2 * 3 * 4
+        with pytest.raises(ValueError, match="component T11: expected 12 values, found 6"):
+            read_scene(tmp_path / "scene")
 
 
 class TestSpecParsing:
