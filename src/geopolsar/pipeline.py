@@ -8,15 +8,17 @@ end, ``_prepare``, shared by the classify and similarity commands: one pass
 over output row tiles, each taken from a ``RowSource`` (``scene.open_scene``
 reads, and multilooks, only the rows a tile needs), deoriented and filtered
 with halo rows, then scored. Only refinement needs the whole scene: classify
-keeps the filtered planes and w, similarity writes each tile as it comes.
-Every stage dump goes through one hook, ``dump(stage)``, in full precision,
-so a pipeline restarted from a dumped stage reproduces the final labels
-byte-for-byte."""
+categorizes each tile as it comes and keeps only the valid pixels' filtered
+planes, categories and mixed flags (no w; ``classify --workers 2`` on the
+1024² strips peaks near 174 MiB), similarity writes each tile as it comes.
+Every stage dump goes through one hook, ``dump(stage)``, entered once per
+run and written in full precision, so a pipeline restarted from a dumped
+stage reproduces the final labels byte-for-byte."""
 
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -91,10 +93,14 @@ class ClassifyResult:
     valid: np.ndarray
 
 
-def _dump_hook(dump_dir: Optional[Path], stages: Tuple[str, ...]) -> Callable:
-    """dump(stage) is the directory dump_dir / stage_<stage> of a requested
-    stage, else None; it is created on the first file written into it."""
-    return lambda stage: dump_dir / f"stage_{stage}" if dump_dir and stage in stages else None
+@contextmanager
+def _dump_hook(dump_dir: Optional[Path], stages: Tuple[str, ...]):
+    """Entered once per run, it yields dump(stage): the ``FileAppender`` of
+    directory dump_dir / stage_<stage> for a requested stage, else None. A
+    directory is created on its first file, and every file closes on exit."""
+    stages = stages if dump_dir else ()
+    with ExitStack() as stack:
+        yield {s: stack.enter_context(FileAppender(dump_dir / f"stage_{s}")) for s in stages}.get
 
 
 def _append_similarity(files: FileAppender, targets, scores, dtype: str) -> None:
@@ -118,27 +124,21 @@ def _prepare(source: RowSource, config: PipelineConfig, dump: Callable):
     pre, (rows, cols) = config.preprocess, source.shape
     half = pre.filter_window // 2
     step = max(1, preprocess._FILTER_TILE_PIXELS // max(cols, 1))
-    with ExitStack() as stack:
-        dumps = {
-            stage: stack.enter_context(FileAppender(dump(stage)))
-            for stage in ("deorient", "filter", "similarity")
-            if dump(stage)
-        }
-        for r0 in range(0, rows or 1, step):  # one empty tile when there are no rows
-            r1 = min(r0 + step, rows)
-            lo, hi = max(r0 - half, 0), min(r1 + half, rows)
-            tile = source.rows(lo, hi)
-            deoriented = deorient_raster(tile) if pre.deorient else tile
-            tile = speckle_filter(deoriented, pre) if half else deoriented
-            own = slice(r0 - lo, r1 - lo)
-            for stage, t, on in (("deorient", deoriented, pre.deorient), ("filter", tile, half)):
-                if on and stage in dumps:
-                    append_scene(dumps[stage], t.slice_rows(r0 - lo, r1 - lo), rows, "float64")
-            del deoriented  # freed before the similarity's temporaries
-            scores = similarity_arrays(tile.data[own], tile.mask[own], config.targets)
-            if "similarity" in dumps:
-                _append_similarity(dumps["similarity"], config.targets, scores[:3], "<f8")
-            yield r0, r1, tile.data[own], scores
+    for r0 in range(0, rows or 1, step):  # one empty tile when there are no rows
+        r1 = min(r0 + step, rows)
+        lo, hi = max(r0 - half, 0), min(r1 + half, rows)
+        tile = source.rows(lo, hi)
+        deoriented = deorient_raster(tile) if pre.deorient else tile
+        tile = speckle_filter(deoriented, pre) if half else deoriented
+        own = slice(r0 - lo, r1 - lo)
+        for stage, t, on in (("deorient", deoriented, pre.deorient), ("filter", tile, half)):
+            if on and dump(stage):
+                append_scene(dump(stage), t.slice_rows(r0 - lo, r1 - lo), rows, "float64")
+        del deoriented  # freed before the similarity's temporaries
+        scores = similarity_arrays(tile.data[own], tile.mask[own], config.targets)
+        if dump("similarity"):
+            _append_similarity(dump("similarity"), config.targets, scores[:3], "<f8")
+        yield r0, r1, tile.data[own], scores
 
 
 def classify_raster(
@@ -153,49 +153,46 @@ def classify_raster(
             f"the pipeline takes coherency rasters; multilook a {raster.kind} raster first"
         )
     source = RowSource(raster.shape, raster.looks, raster.slice_rows)
-    return _classify(source, config, _dump_hook(dump_dir, config.dump_stages))
+    with _dump_hook(dump_dir, config.dump_stages) as dump:
+        return _classify(source, config, dump)
 
 
 def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> ClassifyResult:
-    """Classify the rows of a source; only the filtered planes, w and the
-    validity are kept at full size, and w is freed after categorize."""
+    """Classify the rows of a source. Each tile is categorized as it comes,
+    and only its valid pixels are kept, in scan order: their filtered packed
+    rows, category and mixed flag, about 82 bytes per pixel with the
+    full-size validity (174 MiB peak RSS on the 1024² strips)."""
     (rows, cols), n_targets = source.shape, len(config.targets)
     # component-major, so each packed column of t_flat is contiguous
-    planes = np.empty((9, rows, cols))
-    w, valid = np.empty((n_targets, rows, cols)), np.empty((rows, cols), dtype=bool)
+    planes = np.empty((9, rows * cols))
+    cat_flat, mixed_flat = np.empty(rows * cols, dtype=np.intp), np.empty(rows * cols, bool)
+    valid, n = np.empty((rows, cols), dtype=bool), 0
     for r0, r1, data, scores in _prepare(source, config, dump):
-        planes[:, r0:r1], w[:, r0:r1], valid[r0:r1] = np.moveaxis(data, -1, 0), *scores[2:]
-    del data, scores  # the last tile's, which would live through refinement
-    categories, mixed, cat_valid = categorize_arrays(
-        w.reshape(n_targets, -1), config.classifier.mixed_threshold
-    )
-    del w
-    valid = valid.reshape(-1) & cat_valid
-    categories_img = np.where(valid, categories, -1).reshape(rows, cols)
-    mixed_img = (mixed & valid).reshape(rows, cols)
-    valid_img = valid.reshape(rows, cols)
+        category, mixed, keep = categorize_arrays(
+            scores[2].reshape(n_targets, -1), config.classifier.mixed_threshold
+        )
+        keep &= scores[3].reshape(-1)
+        valid[r0:r1] = keep.reshape(r1 - r0, cols)
+        if dump("category"):
+            for name, values in (("category", category), ("mixed", mixed)):
+                dump("category").append(
+                    f"{name}.u8", np.where(keep, values, 0xFF).astype(np.uint8)
+                )
+        k = n + np.count_nonzero(keep)
+        np.compress(keep, np.moveaxis(data, -1, 0).reshape(9, -1), 1, out=planes[:, n:k])
+        cat_flat[n:k], mixed_flat[n:k], n = category[keep], mixed[keep], k
+    del data, scores, category, mixed, keep  # else the last tile lives through refinement
+    t_flat, cat_flat, mixed_flat = planes[:, :n].T, cat_flat[:n], mixed_flat[:n]
 
-    if dump("category"):
-        with FileAppender(dump("category")) as files:
-            for name, image in (("category", categories_img), ("mixed", mixed_img)):
-                files.append(f"{name}.u8", np.where(valid_img, image, 0xFF).astype(np.uint8))
-
-    pixel_index = np.flatnonzero(valid)
-    # packed rows of the valid pixels (a view if all are)
-    planes = planes.reshape(9, -1)
-    t_flat = (planes if pixel_index.size == valid.size else np.take(planes, pixel_index, 1)).T
-    cat_flat = categories[pixel_index]
-    mixed_flat = mixed[pixel_index]
-
-    def label_image(values: np.ndarray) -> np.ndarray:
-        image = np.full(rows * cols, MASKED_LABEL, dtype=np.uint16)
-        image[pixel_index] = values
-        return image.reshape(rows, cols)
+    def image(values: np.ndarray, fill=MASKED_LABEL, dtype=np.uint16) -> np.ndarray:
+        out = np.full((rows, cols), fill, dtype=dtype)
+        out[valid] = values
+        return out
 
     # seed and merge per category; ids stay globally unique and ordered
     k0 = config.classifier.initial_clusters_per_category
     merged: List[Cluster] = []
-    labels0 = np.full(len(pixel_index), -1, dtype=np.int64)
+    labels0 = np.full(n, -1, dtype=np.int64)
     seed_to_merged = np.full(n_targets * k0, -1, dtype=np.int64)
     for ci in range(n_targets):
         sel = np.flatnonzero(cat_flat == ci)
@@ -211,8 +208,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
         merged.extend(merged_ci)
     labels0 = seed_to_merged[labels0]
     if dump("merge"):
-        with FileAppender(dump("merge")) as files:
-            files.append("labels_initial.bin", label_image(labels0).astype("<u2"))
+        dump("merge").append("labels_initial.bin", image(labels0).astype("<u2"))
 
     labels, clusters, history = iterate_classification(
         t_flat,
@@ -246,13 +242,13 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
         )
 
     return ClassifyResult(
-        labels=label_image(id_to_class[labels]),
+        labels=image(id_to_class[labels]),
         classes=classes,
         clusters=list(ordered),
         history=history,
-        categories=categories_img,
-        mixed=mixed_img,
-        valid=valid_img,
+        categories=image(cat_flat, -1, cat_flat.dtype),
+        mixed=image(mixed_flat, False, bool),
+        valid=valid,
     )
 
 
@@ -296,8 +292,8 @@ def run_classify(
     config = config or PipelineConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump = _dump_hook(out_dir / "stages", config.dump_stages)
-    result = _classify(open_scene(scene_path, multilook), config, dump)
+    with _dump_hook(out_dir / "stages", config.dump_stages) as dump:
+        result = _classify(open_scene(scene_path, multilook), config, dump)
     _write_labels(result, out_dir)
     _write_report(result.history, out_dir / "report.jsonl")
     render_map(
@@ -331,7 +327,7 @@ def run_similarity(
     with FileAppender(out_dir) as files:
         for target in config.targets:
             files.append(f"f_{target.name}.pgm", header)
-        for _, _, _, (f, gamma, w, valid) in _prepare(source, config, _dump_hook(None, ())):
+        for _, _, _, (f, gamma, w, valid) in _prepare(source, config, lambda stage: None):
             for i, target in enumerate(config.targets):
                 scaled = np.where(valid, np.round(np.clip(f[i], 0.0, 1.0) * 255.0), 0.0)
                 files.append(f"f_{target.name}.pgm", scaled.astype(np.uint8))

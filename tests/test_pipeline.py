@@ -43,9 +43,8 @@ def gather(source, config, dump):
     return data, scores
 
 
-@pytest.mark.parametrize("deorient", [True, False])
-@pytest.mark.parametrize("window", [1, 3, 5])
-def test_front_end_does_not_depend_on_the_tile_grid(tmp_path, monkeypatch, deorient, window):
+def tile_edge_raster():
+    """A masked 37 x 53 raster with masked pixels on the edges of 7-row tiles."""
     rng = np.random.default_rng(83)
     rows, cols = 37, 53
     data = random_psd_stack(rng, rows * cols).reshape(rows, cols, 3, 3)
@@ -54,7 +53,14 @@ def test_front_end_does_not_depend_on_the_tile_grid(tmp_path, monkeypatch, deori
     mask = rng.random((rows, cols)) > 0.15
     mask[6::7, ::3] = False  # the last row of each 7-row tile
     mask[7::7, 1::3] = False  # and the first row of the next
-    in_memory = PolsarRaster(KIND_COHERENCY, data, mask, looks=4)
+    return PolsarRaster(KIND_COHERENCY, data, mask, looks=4)
+
+
+@pytest.mark.parametrize("deorient", [True, False])
+@pytest.mark.parametrize("window", [1, 3, 5])
+def test_front_end_does_not_depend_on_the_tile_grid(tmp_path, monkeypatch, deorient, window):
+    in_memory = tile_edge_raster()
+    cols = in_memory.cols
     write_scene(in_memory, tmp_path / "scene", dtype="float64")
     pre = PreprocessConfig(deorient=deorient, filter_window=window)
     config = PipelineConfig(preprocess=pre, dump_stages=DUMP_STAGES)
@@ -78,7 +84,8 @@ def test_front_end_does_not_depend_on_the_tile_grid(tmp_path, monkeypatch, deori
         for tile_rows in (1, 7, 37):
             monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_rows * cols)
             out = tmp_path / f"source{k}_tiles{tile_rows}"
-            filtered, got = gather(source, config, _dump_hook(out, DUMP_STAGES))
+            with _dump_hook(out, DUMP_STAGES) as dump:
+                filtered, got = gather(source, config, dump)
             assert filtered.tobytes() == expected.data.tobytes()
             for a, b in zip(got, stack):
                 assert a.tobytes() == b.tobytes()
@@ -94,11 +101,54 @@ def test_front_end_does_not_depend_on_the_tile_grid(tmp_path, monkeypatch, deori
                     assert path.read_bytes() == values[i].astype("<f8").tobytes()
 
 
+def test_classify_does_not_depend_on_the_tile_grid(tmp_path, monkeypatch):
+    raster = tile_edge_raster()
+    config = PipelineConfig(dump_stages=("category", "merge"))
+    runs = []
+    for tile_rows in (1, 7, 37):
+        monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_rows * raster.cols)
+        out = tmp_path / f"tiles{tile_rows}"
+        result = classify_raster(raster, config, out)
+        images = (result.labels, result.categories, result.mixed, result.valid)
+        dumps = [stage_files(out / f"stage_{stage}") for stage in config.dump_stages]
+        runs.append(([(a.dtype, a.tobytes()) for a in images], dumps))
+    assert runs[0] == runs[1] == runs[2]
+    assert not result.valid.all() and result.mixed.any()
+    assert set(runs[0][1][0]) == {"category.u8", "mixed.u8"}
+
+    # requested stages without a dump directory: nothing is written
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert np.array_equal(classify_raster(raster, config).labels, result.labels)
+    assert not any((tmp_path / "cwd").iterdir())
+
+
+def test_a_masked_border_costs_no_memory(monkeypatch):
+    """classify keeps the valid pixels only: with an 8-pixel masked border,
+    the traced peak stays within 5% of the unmasked raster's."""
+    rng = np.random.default_rng(91)
+    data = random_psd_stack(rng, 256 * 256).reshape(256, 256, 3, 3)
+    border = np.zeros((256, 256), dtype=bool)
+    border[8:-8, 8:-8] = True
+    monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", 4096)
+    peaks = []
+    for mask in (np.ones_like(border), border):
+        raster = PolsarRaster(KIND_COHERENCY, data, mask, looks=4)
+        tracemalloc.start()
+        try:
+            classify_raster(raster, PipelineConfig())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
 def test_front_end_takes_a_raster_without_rows(tmp_path):
     raster = PolsarRaster(KIND_COHERENCY, np.zeros((0, 5, 9)), looks=0.3)
     config = PipelineConfig(preprocess=PreprocessConfig(filter_window=3))
     source = RowSource(raster.shape, raster.looks, raster.slice_rows)
-    tiles = list(_prepare(source, config, _dump_hook(tmp_path, ("filter",))))
+    with _dump_hook(tmp_path, ("filter",)) as dump:
+        tiles = list(_prepare(source, config, dump))
     assert len(tiles) == 1  # one empty tile
     r0, r1, data, (f, gamma, w, valid) = tiles[0]
     assert (r0, r1) == (0, 0) and data.shape == (0, 5, 9)
@@ -125,16 +175,22 @@ def test_no_front_end_tile_lives_through_refinement(demo_scene, tmp_path, monkey
 
         return run
 
+    def watch_scores(*args, **kwargs):
+        scores = similarity(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in scores[:3])  # f, gamma and w
+        return scores
+
     def check_then_iterate(*args, **kwargs):
         checked.append([ref() is None for ref in refs])
         return iterate(*args, **kwargs)
 
-    iterate = pipeline.iterate_classification
+    iterate, similarity = pipeline.iterate_classification, pipeline.similarity_arrays
     for name in ("deorient_raster", "speckle_filter"):
         monkeypatch.setattr(pipeline, name, watch(getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline, "similarity_arrays", watch_scores)
     monkeypatch.setattr(pipeline, "iterate_classification", check_then_iterate)
     run_classify(demo_scene, tmp_path / "out")
-    assert checked == [[True, True]]  # the demo is one tile
+    assert checked == [[True] * 5]  # the demo is one tile
 
 
 def test_run_similarity_keeps_no_full_size_raster(tmp_path, monkeypatch):
