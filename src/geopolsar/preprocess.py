@@ -63,28 +63,25 @@ def orientation_angle(t) -> np.ndarray:
 
 
 def _deorient_packed(p: np.ndarray) -> np.ndarray:
-    """Deorient packed rows (..., 9) in one pass over their planes, with the
-    bytes of numpy's complex arithmetic on the unpacked stack: a real *
-    complex product (x + 0j)(a + ib) is (x a - 0 b) + i(x b + 0 a), whose
-    zero terms fix the signs of zeros."""
+    """Deorient packed rows (..., 9) in one pass over their planes, in plain
+    real arithmetic: each entry is within 4 ulps of the pixel's span of the
+    exact rotation of ``deorient_array``."""
     planes = np.moveaxis(p, -1, 0).reshape(9, -1)
     t11, t22, t33, r12, r13, r23, i12, i13, i23 = planes
     out = np.empty_like(planes)
     theta = _angle(t22, t33, r23)
     c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
     cc, ss, cs2 = c * c, s * s, 2.0 * c * s
-    zr12, zr13, zi12, zi13, zi23 = (0.0 * v for v in (r12, r13, i12, i13, i23))
     out[0] = t11
     out[1] = cc * t22 + ss * t33 + cs2 * r23
     out[2] = ss * t22 + cc * t33 - cs2 * r23
-    out[3] = (c * r12 - zi12) + (s * r13 - zi13)  # T'12 = c T12 + s T13
-    out[6] = (c * i12 + zr12) + (s * i13 + zr13)
-    out[4] = (-s * r12 - zi12) + (c * r13 - zi13)  # T'13 = -s T12 + c T13
-    out[7] = (-s * i12 + zr12) + (c * i13 + zr13)
-    # T'23 = c s (T33 - T22) + c^2 T23 - s^2 conj(T23); a zero imaginary
-    # part comes out +0 there, which the trailing + 0.0 reproduces
-    out[5] = (c * s * (t33 - t22) + (cc * r23 - zi23)) - (ss * r23 + zi23)
-    out[8] = (cc * i23 + ss * i23) + 0.0
+    out[3] = c * r12 + s * r13  # T'12 = c T12 + s T13
+    out[6] = c * i12 + s * i13
+    out[4] = c * r13 - s * r12  # T'13 = c T13 - s T12
+    out[7] = c * i13 - s * i12
+    # T'23 = c s (T33 - T22) + c^2 T23 - s^2 conj(T23)
+    out[5] = c * s * (t33 - t22) + (cc - ss) * r23
+    out[8] = (cc + ss) * i23
     return np.moveaxis(out.reshape((9,) + p.shape[:-1]), 0, -1)
 
 
@@ -107,8 +104,8 @@ def deorient(t: CoherencyMatrix) -> CoherencyMatrix:
 def deorient_raster(raster: PolsarRaster) -> PolsarRaster:
     """Deorient every pixel of a coherency raster (ValueError for other kinds).
 
-    Masked pixels stay zero. Each pixel holds the bytes of numpy's complex
-    rotation R T R^H of ``deorient_array``, computed on the packed planes."""
+    Masked pixels stay zero. Each pixel is the rotation R T R^H of
+    ``deorient_array``, computed on the packed planes."""
     if raster.kind != KIND_COHERENCY:
         raise ValueError("deorientation requires a coherency raster")
     data = _deorient_packed(raster.data)
@@ -116,30 +113,14 @@ def deorient_raster(raster: PolsarRaster) -> PolsarRaster:
     return PolsarRaster(KIND_COHERENCY, data, raster.mask.copy(), raster.looks)
 
 
-def _pairwise_sum(terms):
-    """Sum of equal-shape arrays in the order numpy's pairwise reduction adds
-    as many contiguous complex values: fewer than 4 in turn; up to 64 in
-    four lanes (term k joins lane k % 4), then (l0 + l1) + (l2 + l3), then
-    the leftovers in turn; more in two recursive halves."""
-    m = len(terms)
-    if m > 64:
-        split = (m - m % 8) // 2
-        return _pairwise_sum(terms[:split]) + _pairwise_sum(terms[split:])
-    if m < 4:
-        return sum(terms[1:], terms[0])
-    full = m - m % 4
-    lanes = [sum(terms[j + 4 : full : 4], terms[j]) for j in range(4)]
-    return sum(terms[full:], (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-
-
 def _box_sum(plane, mask: np.ndarray, window: int) -> np.ndarray:
     """Window sums of a plane's mask pixels, zero-padded by window // 2: each
-    window row pairwise, then the rows top to bottom from +0.0."""
+    window row left to right, then the row sums top to bottom."""
     (rows, cols), half = mask.shape, window // 2
     padded = np.zeros((rows + 2 * half, cols + 2 * half))
     np.copyto(padded[half : half + rows, half : half + cols], plane, where=mask)
-    rowsums = _pairwise_sum([padded[:, b : b + cols] for b in range(window)])
-    return sum((rowsums[a : a + rows] for a in range(window)), 0.0)
+    rowsums = sum((padded[:, b : b + cols] for b in range(1, window)), padded[:, :cols])
+    return sum((rowsums[a : a + rows] for a in range(1, window)), rowsums[:rows])
 
 
 def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRaster:
@@ -150,11 +131,9 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     Invalid pixels stay invalid and contribute to no mean. The looks
     metadata is multiplied by the nominal window population.
 
-    The nine packed planes are summed in one pass in `_box_sum`'s order, and
-    each real and imaginary pair is divided with the rounding of complex /
-    real division. The bytes are those of numpy's complex sums over
-    (window, window) sliding views of the unpacked stack, except with one
-    column, where numpy adds a window as one run and they agree to rounding.
+    Each of the nine packed planes is summed in `_box_sum`'s order and
+    multiplied by the reciprocal window population; every entry is within
+    4 ulps of the pixel's span of the exact mean.
     """
     if raster.kind != KIND_COHERENCY:
         raise ValueError("speckle filtering requires a coherency raster")
@@ -163,13 +142,8 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     out = np.empty_like(planes)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = 1.0 / _box_sum(1.0, mask, window)
-        # the diagonal planes, then Re T12, T13, T23 with their imaginary parts
-        for c in range(6):
-            s_re = _box_sum(planes[c], mask, window)
-            s_im = _box_sum(planes[c + 3], mask, window) if c >= 3 else 0.0
-            np.multiply(s_re + s_im * 0.0, scale, out=out[c])
-            if c >= 3:
-                np.multiply(s_im - s_re * 0.0, scale, out=out[c + 3])
+        for c in range(9):
+            np.multiply(_box_sum(planes[c], mask, window), scale, out=out[c])
     # a valid pixel counts itself, so every valid window is populated
     out[:, ~raster.mask] = 0.0
     looks = raster.looks * window * window

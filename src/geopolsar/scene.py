@@ -153,12 +153,13 @@ def open_scene(
 ) -> RowSource:
     """Open a scene directory as a ``RowSource`` whose ``rows(lo, hi)`` reads
     only the rows it needs; the header and every component file are checked
-    first. Pixels with a non-finite value in any component are masked and
-    their payload zeroed. An S2 scene is multilooked as it is read, by
-    ``multilook = (rf, af)`` or else (1, 1) (a T3 scene with factors raises),
-    with HV' = (HV + VH) / 2: input rows lo*rf:hi*rf go through
-    ``preprocess.multilook_rows``, with the bytes of ``preprocess.multilook``
-    on the Sinclair raster of the file values, which never exists."""
+    first. A T3 scene's planes hold the file values as written; a non-finite
+    value in any of the nine planes masks the pixel and zeroes its payload.
+    An S2 scene is multilooked as it is read, by ``multilook = (rf, af)`` or
+    else (1, 1) (a T3 scene with factors raises), with HV' = (HV + VH) / 2:
+    input rows lo*rf:hi*rf go through ``preprocess.multilook_rows``, with the
+    bytes of ``preprocess.multilook`` on the Sinclair raster of the file
+    values, which never exists."""
     directory = Path(path)
     header = _parse_header(directory / "header.txt")
     if header.kind == "T3" and multilook is not None:
@@ -191,12 +192,7 @@ def open_scene(
         planes = np.empty((9, hi - lo, header.cols))
         for values, (_, index) in zip(read(lo, hi), layout):
             planes[list(index)] = np.moveaxis(values, -1, 0)
-        # the signed zeros of the complex values re + 1j * im; the real planes
-        # are non-finite wherever either part is
-        with np.errstate(invalid="ignore"):
-            planes[3:6] += planes[6:] * 0.0
-        planes[6:] += 0.0
-        invalid = ~np.isfinite(planes[:6]).all(axis=0)
+        invalid = ~np.isfinite(planes).all(axis=0)
         planes[:, invalid] = 0.0
         return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), ~invalid, header.looks)
 

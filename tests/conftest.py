@@ -5,12 +5,14 @@ than the package (explicit Kronecker products, det/inv instead of
 Cholesky factorizations, python loops instead of vectorized kernels) so
 agreement between the two is meaningful. The Kronecker expansion oracle
 anchors acceptance criterion 3, since the package's coherent Kennaugh
-matrix is itself the coherency route. The merge loop, sliding-window
-filter, complex deorientation and full-matrix refinement oracles are the
-exception: they keep the package's former, slower forms with the same
-arithmetic, so the package must match them bit for bit. The multilook
-oracle is the package's former complex form too, but the package now sums
-the same products in real arithmetic, so the two agree to rounding. The
+matrix is itself the coherency route. The merge loop and full-matrix
+refinement oracles are the exception: they keep the package's former,
+slower forms with the same arithmetic, so the package must match them bit
+for bit. The sliding-window filter, complex deorientation and multilook
+oracles are the package's former complex forms too, but the package now
+computes the same values in plain real arithmetic, so the two agree to
+rounding. The filter and deorientation are also held to an np.longdouble
+evaluation of the same operation, within 4 ulps of each pixel's span. The
 per-look scene generator is the package's former sampler; the package now
 draws the same law another way, so the two agree in distribution only.
 """
@@ -252,6 +254,65 @@ def deorient_oracle(t) -> np.ndarray:
     out[..., 2, 0] = out[..., 0, 2].conj()
     out[..., 2, 1] = out[..., 1, 2].conj()
     return out
+
+
+def ulps_of_span(out, ref) -> np.ndarray:
+    """|out - ref| of packed rows (..., 9) in ulps of each pixel's span, the
+    |T11| + |T22| + |T33| of ref's finite entries or their largest magnitude
+    where that is larger (a pixel that is not PSD); 0 where either entry is
+    not finite."""
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(out - ref).astype(np.float64)
+    mags = np.abs(np.asarray(ref, dtype=np.float64))
+    mags[~np.isfinite(mags)] = 0.0
+    span = np.maximum(mags[..., :3].sum(axis=-1), mags.max(axis=-1))
+    diff[~np.isfinite(diff)] = 0.0
+    return diff / np.spacing(span)[..., None]
+
+
+def speckle_filter_longdouble(raster, window: int) -> np.ndarray:
+    """The truncated-window boxcar means of a packed raster's valid pixels in
+    np.longdouble: window sums by rows, then by columns; masked pixels 0."""
+    rows, cols = raster.mask.shape
+    half = window // 2
+    padded = np.zeros((rows + 2 * half, cols + 2 * half, 10), dtype=np.longdouble)
+    inner = padded[half : half + rows, half : half + cols]
+    inner[..., :9] = np.where(raster.mask[..., None], raster.data, 0.0)
+    inner[..., 9] = raster.mask
+    rowsums = padded[:, :cols].copy()
+    for b in range(1, window):
+        rowsums += padded[:, b : b + cols]
+    sums = rowsums[:rows].copy()
+    for a in range(1, window):
+        sums += rowsums[a : a + rows]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = sums[..., :9] / sums[..., 9:]
+    out[~raster.mask] = 0.0
+    return out
+
+
+def deorient_longdouble(p) -> np.ndarray:
+    """Deorientation of packed rows (..., 9) in np.longdouble, angle included."""
+    t11, t22, t33, r12, r13, r23, i12, i13, i23 = np.moveaxis(
+        np.asarray(p, dtype=np.longdouble), -1, 0
+    )
+    two_theta = 0.5 * np.arctan2(2.0 * r23, t22 - t33)
+    c, s = np.cos(two_theta), np.sin(two_theta)
+    cc, ss, cs = c * c, s * s, c * s
+    return np.stack(
+        [
+            t11,
+            cc * t22 + ss * t33 + 2.0 * cs * r23,
+            ss * t22 + cc * t33 - 2.0 * cs * r23,
+            c * r12 + s * r13,
+            c * r13 - s * r12,
+            cs * (t33 - t22) + (cc - ss) * r23,
+            c * i12 + s * i13,
+            c * i13 - s * i12,
+            (cc + ss) * i23,
+        ],
+        axis=-1,
+    )
 
 
 def _pixel_center_distance_matrix(t, centers, epsilon, workers=1):

@@ -91,11 +91,13 @@ def _masked_copy(scene: Path, out: Path) -> Path:
 
 
 def _s2_scene(out: Path) -> Path:
+    """The benchmark's single-look S2 synthesis at S2_SIZE, written to out."""
+    saved = list(sys.path)
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         from synth_s2 import synthesize
     finally:
-        sys.path.remove(str(ROOT / "perfbench"))
+        sys.path[:] = saved
     from geopolsar.scene import write_scene
 
     write_scene(synthesize(S2_SIZE, 1, S2_SEED), out)

@@ -19,7 +19,7 @@ from geopolsar.render import MASKED_LABEL
 ITEM_1 = "ROADMAP item 1"
 
 # packed columns p(T) = [T11, T22, T33, Re T12, Re T13, Re T23, Im T12, ...]
-T11, RE_T23 = 0, 5
+T11, RE_T23, IM_T12 = 0, 5, 6
 PIXEL = (60, 70)
 
 
@@ -81,6 +81,33 @@ def test_negative_power_pixel_is_masked_alone(demo):
     # T11 = -1 spreads through the boxcar filter: 25 pixels are masked, not 1
     raster, _ = demo
     assert only_pixel_masked(classify(raster, corrupted(raster, T11, -1.0)))
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1)
+def test_non_finite_pixel_is_masked_alone(demo):
+    # an in-memory raster has no finiteness gate: the boxcar spreads NaN or
+    # +inf in T11 or Im T12 to 25 pixels, which similarity then masks
+    raster, _ = demo
+    results = [classify(raster, corrupted(raster, column, value))
+               for column in (T11, IM_T12) for value in (np.nan, np.inf)]
+    assert [int((~result.valid).sum()) for result in results] == [1] * 4
+    assert all(only_pixel_masked(result) for result in results)
+
+
+@pytest.mark.parametrize(
+    "rank", [1, pytest.param(2, marks=pytest.mark.xfail(strict=True, reason=ITEM_1)), 3]
+)
+def test_unregularized_low_rank_scene_completes(rank):
+    # rank-2 pixels raise "singular cluster center" without regularization
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((32 * 32, rank, 3)) + 1j * rng.standard_normal((32 * 32, rank, 3))
+    data = np.einsum("nla,nlb->nab", z, z.conj()).reshape(32, 32, 3, 3) / rank
+    config = gp.PipelineConfig(
+        preprocess=gp.PreprocessConfig(filter_window=1),
+        classifier=gp.ClassifierConfig(center_regularization=0.0),
+    )
+    result = gp.classify_raster(gp.PolsarRaster(KIND_COHERENCY, data), config)
+    assert result.valid.all()
 
 
 @pytest.mark.xfail(strict=True, reason=ITEM_1)

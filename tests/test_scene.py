@@ -79,20 +79,20 @@ class TestStorage:
         unaveraged = multilook(raster, 1, 1)
         assert not np.array_equal(back.data[..., 2], unaveraged.data[..., 2])
 
-    def test_t3_components_read_as_complex_values_into_planes(self, tmp_path):
-        # each complex component lands in its packed planes as the value
-        # re + 1j * im, signed zeros included
+    def test_t3_components_read_into_planes_as_written(self, tmp_path):
+        # every part of every component lands in its packed plane exactly as
+        # the file holds it, signed zeros included
         values = np.array([0.0, -0.0, 1.5, -2.5])
         re, im = (v.ravel() for v in np.meshgrid(values, values))
         raster = coherency_raster(np.random.default_rng(78), 1, re.size)
         write_scene(raster, tmp_path / "scene", dtype="float64")
+        for name in ("T11", "T22", "T33"):
+            re.tofile(tmp_path / "scene" / f"{name}.bin")
         for name in ("T12", "T13", "T23"):
             np.stack([re, im], axis=-1).tofile(tmp_path / "scene" / f"{name}.bin")
         back = read_scene(tmp_path / "scene")
-        expected = re + 1j * im
-        for plane in (3, 4, 5):
-            assert back.data[0, :, plane].tobytes() == expected.real.tobytes()
-            assert back.data[0, :, plane + 3].tobytes() == expected.imag.tobytes()
+        for plane in range(9):
+            assert back.data[0, :, plane].tobytes() == (im if plane >= 6 else re).tobytes()
         assert back.mask.all()
 
     def test_masked_pixels_serialize_as_nan(self, tmp_path):
@@ -110,14 +110,17 @@ class TestStorage:
     def test_nan_in_any_component_masks_pixel(self, tmp_path):
         rng = np.random.default_rng(75)
         raster = coherency_raster(rng, 3, 3)
-        write_scene(raster, tmp_path / "scene", dtype="float64")
-        path = tmp_path / "scene" / "T23.bin"
-        values = np.fromfile(path, dtype="<f8")
-        values[2 * (1 * 3 + 1)] = np.nan  # real part of pixel (1, 1)
-        values.tofile(path)
-        back = read_scene(tmp_path / "scene")
-        assert not back.mask[1, 1]
-        assert back.valid_count() == 8
+        # the real part of pixel (1, 1), and non-finite imaginary parts
+        for part, value in ((0, np.nan), (1, np.nan), (1, np.inf), (1, -np.inf)):
+            scene = tmp_path / f"scene{part}{value}"
+            write_scene(raster, scene, dtype="float64")
+            values = np.fromfile(scene / "T23.bin", dtype="<f8")
+            values[2 * (1 * 3 + 1) + part] = value
+            values.tofile(scene / "T23.bin")
+            back = read_scene(scene)
+            assert not back.mask[1, 1]
+            assert np.all(back.data[1, 1] == 0.0)
+            assert back.valid_count() == 8
 
     def test_values_beyond_the_file_dtype_raise(self, tmp_path):
         rng = np.random.default_rng(79)
