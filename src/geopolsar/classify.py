@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -210,31 +210,22 @@ def _statistics(columns: np.ndarray, t: np.ndarray, k: int):
     return np.bincount(columns, minlength=k), np.stack(sums, axis=1)
 
 
-def _pixel_center_distances(t, q, logdet, cluster_cat, groups, pool):
-    """Nearest allowed cluster of every packed pixel, scored in fixed blocks.
+def _pixel_center_distances(t, q, offsets, group, ids, labels, pick, pool):
+    """Move each packed pixel to its nearest allowed cluster in fixed blocks of
+    scan-order rows, writing its column (ties to the lowest) into pick and the
+    id into labels; returns the number of labels changed. offsets[g] is the
+    centers' ln|V'| where group code g may join the cluster, else inf. Blocks
+    write disjoint rows, so any worker count produces identical bytes."""
 
-    q and logdet are the centers' ``_factor``. groups lists (rows, category):
-    those pixels may only join clusters of that category, or of any when None.
-    Returns only each pixel's winning column (ties to the lowest); the total
-    distance comes from the statistics of the pick. Blocks write disjoint
-    rows, so any worker count produces identical bytes.
-    """
-    pick = np.empty(len(t), dtype=np.intp)
-    blocks = []
-    for rows, category in groups:
-        allowed = np.ones(len(q), bool) if category is None else cluster_cat == category
-        # pixels without an allowed cluster score inf against every cluster
-        cols = np.flatnonzero(allowed) if allowed.any() else np.arange(len(q))
-        offset = np.where(allowed[cols], logdet[cols], np.inf)
-        for s0 in range(0, len(rows), _DISTANCE_BLOCK):
-            blocks.append((rows[s0 : s0 + _DISTANCE_BLOCK], cols, offset))
+    def score(s0):
+        rows = slice(s0, s0 + _DISTANCE_BLOCK)
+        np.argmin(np.dot(t[rows], q.T) + offsets[group[rows]], axis=1, out=pick[rows])
+        new = ids[pick[rows]]
+        changed = int(np.count_nonzero(new != labels[rows]))
+        labels[rows] = new
+        return changed
 
-    def score(block):
-        rows, cols, offset = block
-        pick[rows] = cols[np.argmin(np.dot(t[rows], q[cols].T) + offset, axis=1)]
-
-    list(pool.map(score, blocks))
-    return pick
+    return sum(pool.map(score, range(0, len(t), _DISTANCE_BLOCK)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +245,39 @@ def _table(clusters: Sequence[Cluster]):
 def initial_clusters(
     pixels: np.ndarray,
     k: int,
-    category: int = 0,
+    category: Union[int, np.ndarray] = 0,
     start_id: int = 0,
 ) -> Tuple[List[Cluster], np.ndarray]:
-    """Span-ordered equal-population seed clusters for one category.
-
-    pixels has shape (n, 3, 3) or packed (n, 9). They are sorted by span and
-    split into min(k, n) contiguous bins; the last bin absorbs the remainder.
-    Returns the clusters plus each pixel's assigned cluster id.
-    """
+    """Span-ordered equal-population seed clusters of one category, or of each
+    when category is an (n,) array. pixels has shape (n, 3, 3) or packed (n, 9).
+    Each category's pixels are sorted by span (ties in scan order) and split
+    into min(k, n_c) contiguous bins; the last absorbs the remainder. Bin b of
+    category c gets id start_id + b, or start_id + c * k + b for an array.
+    Returns the clusters by id plus each pixel's cluster id."""
     pixels = _packed(pixels)
     n = pixels.shape[0]
     if n == 0:
         return [], np.empty(0, dtype=np.int64)
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = np.argsort(span_array(pixels, "coherency"), kind="stable")
-    k_eff = min(k, n)
-    bins = np.empty(n, dtype=np.intp)
-    bins[order] = np.minimum(np.arange(n) // (n // k_eff), k_eff - 1)
-    counts, sums = _statistics(bins, pixels, k_eff)
+    per_pixel = np.ndim(category) > 0
+    slots = np.asarray(category) if per_pixel else np.zeros(n, dtype=np.uint8)
+    # one stable ordering by (category, span) lays out each category's bins in turn
+    order = np.lexsort((span_array(pixels, "coherency"), slots))
+    present, populations = np.unique(slots, return_counts=True)
+    columns = np.empty(n, dtype=np.int64)
+    for c, n_c, end in zip(present, populations, np.cumsum(populations)):
+        k_eff = min(k, n_c)
+        bins = np.minimum(np.arange(n_c) // (n_c // k_eff), k_eff - 1)
+        columns[order[end - n_c : end]] = int(c) * k + bins
+    counts, sums = _statistics(columns, pixels, (int(present[-1]) + 1) * k)
+    seeded = np.flatnonzero(counts)
     # means times 1 / count, which is how numpy's complex mean rounds
-    centers = unpack_coherency_array(sums * (1.0 / counts)[:, None])
-    state = zip(range(start_id, start_id + k_eff), centers, counts)
-    return [Cluster(i, category, v, int(m)) for i, v, m in state], start_id + bins
+    centers = unpack_coherency_array(sums[seeded] * (1.0 / counts[seeded])[:, None])
+    cats = seeded // k if per_pixel else [category] * len(seeded)
+    columns += start_id
+    state = zip(start_id + seeded, cats, centers, counts[seeded])
+    return [Cluster(int(i), int(c), v, int(m)) for i, c, v, m in state], columns
 
 
 def merge_clusters(
@@ -358,13 +358,15 @@ def iterate_classification(
     n = t.shape[0]
     work, ids, cluster_cat, counts, centers = _table(clusters)
     survivors = np.arange(len(work))
-    labels = np.asarray(initial_labels, dtype=np.int64).copy()
-    # pixels grouped by the clusters they may join: their category's, or all if mixed
+    labels = np.array(initial_labels, dtype=np.int64)
+    pick = np.empty(n, dtype=np.intp)
+    # group code g joins clusters of category own[g]; mixed pixels, g = len(own), any
     mixed = np.asarray(mixed, dtype=bool)
-    categories = np.asarray(categories, dtype=np.int64)
+    categories = np.asarray(categories)
     own = np.unique(categories[~mixed])
-    groups = [(np.flatnonzero(~mixed & (categories == c)), c) for c in own]
-    groups.append((np.flatnonzero(mixed), None))
+    code = np.zeros(int(categories.max(initial=0)) + 1, dtype=np.min_scalar_type(len(own)))
+    code[own] = np.arange(len(own))
+    group = np.where(mixed, len(own), code[categories])
     history: List[Dict] = []
 
     def record(iteration, changed, objective):
@@ -380,21 +382,23 @@ def iterate_classification(
         objective = 0.0
         if n and len(ids):
             q, logdet = _factor(centers, config.center_regularization)
-            columns = np.minimum(np.searchsorted(ids, labels), len(ids) - 1)
-            if labels.shape != (n,) or (ids[columns] != labels).any():
+            known = labels.shape == (n,)
+            for s0 in range(0, n if known else 0, _DISTANCE_BLOCK):  # into pick, block by block
+                rows = slice(s0, s0 + _DISTANCE_BLOCK)
+                pick[rows] = np.minimum(np.searchsorted(ids, labels[rows]), len(ids) - 1)
+                known = known and (ids[pick[rows]] == labels[rows]).all()
+            if not known:
                 raise ValueError(f"initial_labels must name a known cluster for each of {n} pixels")
-            objective = total(*_statistics(columns, t, len(ids)))
+            objective = total(*_statistics(pick, t, len(ids)))
         record(0, None, objective)
         for iteration in range(1, config.max_iterations + 1):
             if n == 0 or not len(ids):
                 break
             if iteration > 1:
                 q, logdet = _factor(centers, config.center_regularization)
-            pick = _pixel_center_distances(t, q, logdet, cluster_cat, groups, pool)
+            offsets = np.vstack([np.where(own[:, None] == cluster_cat, logdet, np.inf), logdet])
             # clusters are id-ordered, so argmin ties resolve to the lowest id
-            new_labels = ids[pick]
-            changed = int(np.count_nonzero(new_labels != labels))
-            labels = new_labels
+            changed = _pixel_center_distances(t, q, offsets, group, ids, labels, pick, pool)
             counts, sums = _statistics(pick, t, len(ids))
             # a pixel whose category has lost every cluster scores inf
             objective = total(counts, sums) if np.isin(own, cluster_cat).all() else np.inf

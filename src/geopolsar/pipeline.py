@@ -9,8 +9,8 @@ over output row tiles, each taken from a ``RowSource`` (``scene.open_scene``
 reads, and multilooks, only the rows a tile needs), deoriented and filtered
 with halo rows, then scored. Only refinement needs the whole scene: classify
 categorizes each tile as it comes and keeps only the valid pixels' filtered
-planes, categories and mixed flags (no w; ``classify --workers 2`` on the
-1024² strips peaks near 174 MiB), similarity writes each tile as it comes.
+planes, one-byte categories and mixed flags (no w; ``classify --workers 2``
+on the 1024² strips peaks near 138 MiB), similarity writes each tile as it comes.
 Every stage dump goes through one hook, ``dump(stage)``, entered once per
 run and written in full precision, so a pipeline restarted from a dumped
 stage reproduces the final labels byte-for-byte."""
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -74,6 +75,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if len(self.targets) > 0xFF:  # one-byte categories; the dump marks masked 0xFF
+            raise ValueError(f"{len(self.targets)} targets exceed the 255 category codes")
         n_seeds = len(self.targets) * self.classifier.initial_clusters_per_category
         if n_seeds > MASKED_LABEL:
             raise ValueError(f"{n_seeds} seed clusters exceed {MASKED_LABEL} label ids")
@@ -160,12 +163,12 @@ def classify_raster(
 def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> ClassifyResult:
     """Classify the rows of a source. Each tile is categorized as it comes,
     and only its valid pixels are kept, in scan order: their filtered packed
-    rows, category and mixed flag, about 82 bytes per pixel with the
-    full-size validity (174 MiB peak RSS on the 1024² strips)."""
+    rows, one-byte category and mixed flag (75 bytes per pixel with the
+    validity; refinement adds 25, for 138 MiB peak RSS on the 1024² strips)."""
     (rows, cols), n_targets = source.shape, len(config.targets)
     # component-major, so each packed column of t_flat is contiguous
     planes = np.empty((9, rows * cols))
-    cat_flat, mixed_flat = np.empty(rows * cols, dtype=np.intp), np.empty(rows * cols, bool)
+    cat_flat, mixed_flat = np.empty(rows * cols, dtype=np.uint8), np.empty(rows * cols, bool)
     valid, n = np.empty((rows, cols), dtype=bool), 0
     for r0, r1, data, scores in _prepare(source, config, dump):
         category, mixed, keep = categorize_arrays(
@@ -189,23 +192,14 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
         out[valid] = values
         return out
 
-    # seed and merge per category; ids stay globally unique and ordered
+    # seed every category in one call, merge each; ids stay globally unique and ordered
     k0 = config.classifier.initial_clusters_per_category
-    merged: List[Cluster] = []
-    labels0 = np.full(n, -1, dtype=np.int64)
+    seeds, labels0 = initial_clusters(t_flat, k0, category=cat_flat)
+    by_category = groupby(seeds, key=lambda c: c.category)
+    merged = [c for _, group in by_category for c in merge_clusters(list(group), config.classifier)]
     seed_to_merged = np.full(n_targets * k0, -1, dtype=np.int64)
-    for ci in range(n_targets):
-        sel = np.flatnonzero(cat_flat == ci)
-        if sel.size == 0:
-            continue
-        seeds, seed_labels = initial_clusters(
-            t_flat[sel], k0, category=ci, start_id=ci * k0
-        )
-        labels0[sel] = seed_labels
-        merged_ci = merge_clusters(seeds, config.classifier)
-        for cluster in merged_ci:
-            seed_to_merged[list(cluster.source_ids)] = cluster.id
-        merged.extend(merged_ci)
+    for cluster in merged:
+        seed_to_merged[list(cluster.source_ids)] = cluster.id
     labels0 = seed_to_merged[labels0]
     if dump("merge"):
         dump("merge").append("labels_initial.bin", image(labels0).astype("<u2"))
@@ -219,6 +213,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
         initial_labels=labels0,
         workers=config.workers,
     )
+    del planes, t_flat, labels0  # the result images need none of them
 
     # dense class ids ordered by category, then center power, then seed id
     power = {c.id: float(span_array(c.center, "coherency")) for c in clusters}
@@ -246,7 +241,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
         classes=classes,
         clusters=list(ordered),
         history=history,
-        categories=image(cat_flat, -1, cat_flat.dtype),
+        categories=image(cat_flat, -1, np.intp),
         mixed=image(mixed_flat, False, bool),
         valid=valid,
     )

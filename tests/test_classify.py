@@ -213,6 +213,41 @@ class TestInitialClusters:
         with pytest.raises(ValueError, match=r"shape \(n, 9\) or \(n, 3, 3\)"):
             initial_clusters(np.ones(shape), 2)
 
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_per_pixel_categories_seed_as_per_category_calls(self, packed):
+        rng = np.random.default_rng(93)
+        n, k = 160, 7
+        t = random_psd_stack(rng, n)
+        # category 1 is absent, category 3 has fewer than k pixels, and
+        # category 0's 93 pixels do not divide into k bins
+        cats = np.array([0] * 93 + [2] * 60 + [3] * 4 + [4] * 3, dtype=np.uint8)
+        rng.shuffle(cats)
+        # span ties: 30 copies of one pixel straddle category 0's bins, and
+        # copies of another fall in three categories
+        tied = np.flatnonzero(cats == 0)[::3][:30]
+        t[tied] = t[tied[0]]
+        across = [np.flatnonzero(cats == c)[0] for c in (2, 3, 4)]
+        t[across] = t[across[0]]
+        pixels = pack_coherency_array(t) if packed else t
+        seeds, labels = initial_clusters(pixels, k, category=cats, start_id=20)
+
+        expected, expected_labels = [], np.empty(n, dtype=np.int64)
+        for c in range(5):
+            sel = np.flatnonzero(cats == c)
+            if sel.size:
+                found, expected_labels[sel] = initial_clusters(pixels[sel], k, c, 20 + c * k)
+                expected += found
+        assert labels.dtype == expected_labels.dtype
+        assert labels.tobytes() == expected_labels.tobytes()
+        assert [(c.id, c.category, c.member_count, c.source_ids, c.center.tobytes()) for c in seeds] == [
+            (c.id, c.category, c.member_count, c.source_ids, c.center.tobytes()) for c in expected
+        ]
+        assert sorted({c.category for c in seeds}) == [0, 2, 3, 4]
+        assert [c.member_count for c in seeds if c.category == 0] == [13] * 6 + [15]
+        assert [c.member_count for c in seeds if c.category == 3] == [1] * 4
+        # tied pixels fill the bins in scan order
+        assert np.all(np.diff(labels[tied]) >= 0) and labels[tied[0]] < labels[tied[-1]]
+
 
 class TestMerge:
     def test_no_clusters_merge_to_none(self):
@@ -503,6 +538,27 @@ class TestIterate:
             )
             results.append((labels.tobytes(), [c.id for c in clusters], history))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_inputs_are_left_alone(self, packed):
+        # the benchmark reruns a recorded call on the same arrays
+        rng = np.random.default_rng(95)
+        t = random_psd_stack(rng, 600, looks=3)
+        pixels = pack_coherency_array(t) if packed else t
+        cats = rng.integers(0, 2, 600).astype(np.uint8)
+        mixed = rng.random(600) < 0.2
+        seeds, labels0 = initial_clusters(pixels, 6, category=cats)
+        inputs = (pixels, cats, mixed, labels0)
+        before = [a.copy() for a in inputs]
+        state = [(c.id, c.category, c.center.copy(), c.member_count, c.source_ids) for c in seeds]
+        config = ClassifierConfig(max_iterations=3, convergence_fraction=0.0)
+        labels, _, history = iterate_classification(*inputs[:3], seeds, config, labels0, workers=2)
+        assert (labels != labels0).any() and all(h["changed"] for h in history[1:])
+        for a, b in zip(inputs, before):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for c, (cid, cat, center, count, sources) in zip(seeds, state):
+            assert (c.id, c.category, c.member_count, c.source_ids) == (cid, cat, count, sources)
+            assert c.center.tobytes() == center.tobytes()
 
     def test_one_distance_matrix_per_pass(self, monkeypatch):
         import geopolsar.classify as classify

@@ -1,6 +1,7 @@
 """The pipeline's front end: one pass over row tiles from a row source, and
 what it keeps."""
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -9,7 +10,7 @@ import pytest
 
 import geopolsar.pipeline as pipeline
 import geopolsar.preprocess as preprocess
-from geopolsar.geodesic import similarity_arrays
+from geopolsar.geodesic import DEFAULT_TARGETS, similarity_arrays
 from geopolsar.pipeline import (
     DUMP_STAGES,
     PipelineConfig,
@@ -21,9 +22,9 @@ from geopolsar.pipeline import (
 )
 from geopolsar.preprocess import PreprocessConfig, deorient_raster, speckle_filter
 from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster, RowSource
-from geopolsar.scene import open_scene, read_scene, write_scene
+from geopolsar.scene import generate_scene, open_scene, parse_scene_spec, read_scene, write_scene
 
-from conftest import random_psd_stack, random_sinclair_stack
+from conftest import DEMO_SPEC, random_psd_stack, random_sinclair_stack
 
 
 def stage_files(directory):
@@ -141,6 +142,36 @@ def test_a_masked_border_costs_no_memory(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_classify_holds_at_most_120_bytes_per_pixel(monkeypatch):
+    """With 4K-pixel tiles, classifying the demo strips at 256² peaks within
+    120 traced bytes per pixel: the 72-byte planes, the caller's and the
+    refined labels and the pick buffer (8 bytes each), the one-byte
+    category, mixed, valid and group code arrays, and the result images.
+    Per-category plane gathers or full-size group lists take it past 140."""
+    spec = parse_scene_spec(DEMO_SPEC)
+    regions = [
+        dataclasses.replace(r, row0=2 * r.row0, col0=2 * r.col0, row1=2 * r.row1, col1=2 * r.col1)
+        for r in spec.regions
+    ]
+    raster = generate_scene(dataclasses.replace(spec, rows=256, cols=256, regions=regions))
+    monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", 4096)
+    classify_raster(raster.slice_rows(0, 16), PipelineConfig())  # lazy imports are not counted
+    tracemalloc.start()
+    try:
+        classify_raster(raster, PipelineConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * 256 * 256
+
+
+def test_more_than_255_targets_are_rejected():
+    # categories are one byte, and the category dump writes 0xFF for masked pixels
+    PipelineConfig(targets=DEFAULT_TARGETS * 85)
+    with pytest.raises(ValueError, match="256 targets exceed the 255 category codes"):
+        PipelineConfig(targets=DEFAULT_TARGETS * 85 + DEFAULT_TARGETS[:1])
 
 
 def test_front_end_takes_a_raster_without_rows(tmp_path):

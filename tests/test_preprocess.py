@@ -180,6 +180,8 @@ class TestDeorient:
 
     def test_raster_bytes_do_not_depend_on_the_tile_size(self, monkeypatch):
         import geopolsar.preprocess as preprocess
+        from geopolsar.pipeline import PipelineConfig, _prepare
+        from geopolsar.raster import RowSource
 
         rng = np.random.default_rng(40)
         data = random_psd_stack(rng, 37 * 53).reshape(37, 53, 3, 3)
@@ -187,9 +189,14 @@ class TestDeorient:
         data[::5, :, 1, 2] = data[::5, :, 2, 1] = 0.0
         raster = PolsarRaster(KIND_COHERENCY, data, rng.random((37, 53)) < 0.8, looks=4)
         expected = deorient_raster(raster).data.tobytes()
-        for tile_pixels in (1, 7, 37, 1000):
-            monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_pixels)
-            assert deorient_raster(raster).data.tobytes() == expected
+        # a window of one leaves each tile as deoriented, with no halo rows
+        config = PipelineConfig(preprocess=PreprocessConfig(filter_window=1))
+        source = RowSource(raster.shape, raster.looks, raster.slice_rows)
+        for tile_rows in (1, 7, 18, 37):
+            monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_rows * 53)
+            tiles = [tile for _, _, tile, _ in _prepare(source, config, lambda stage: None)]
+            assert len(tiles) == -(-37 // tile_rows)
+            assert np.concatenate(tiles).tobytes() == expected
 
 
 class TestSpeckleFilter:
