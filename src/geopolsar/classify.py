@@ -155,20 +155,19 @@ def categorize_arrays(w: np.ndarray, threshold: float = 0.5):
 # ---------------------------------------------------------------------------
 
 
-def _matrix(value) -> np.ndarray:
-    if isinstance(value, Cluster):
-        return value.center
-    if isinstance(value, CoherencyMatrix):
-        return value.matrix
-    return np.asarray(value, dtype=np.complex128)
-
-
 def _packed(t) -> np.ndarray:
     """(n, 9) packed rows of an (n, 3, 3) coherency stack or of packed rows."""
     t = np.asarray(t)
     if t.shape[1:] not in ((9,), (3, 3)):
         raise ValueError(f"expected pixels of shape (n, 9) or (n, 3, 3), got {t.shape}")
     return packed_rows(t)
+
+
+def _row(value) -> np.ndarray:
+    """(1, 9) packed row of a Cluster, a CoherencyMatrix, a 3x3 matrix or a packed row."""
+    if isinstance(value, (Cluster, CoherencyMatrix)):
+        value = value.center if isinstance(value, Cluster) else value.matrix
+    return _packed(np.asarray(value)[None])
 
 
 def _factor(centers: np.ndarray, epsilon: float):
@@ -192,16 +191,13 @@ def _factor(centers: np.ndarray, epsilon: float):
 def wishart_pixel_distance(t, center, epsilon: float = 0.0) -> float:
     """d(T', V') = ln|V'| + Tr(V'^-1 T') for one pixel and one center, both
     loaded as X' = X + epsilon (tr X / 3) I, as refinement scores them."""
-    q, logdet = _factor(_packed(_matrix(center)[None]), epsilon)
-    return float((np.dot(_packed(_matrix(t)[None]), q.T) + logdet)[0, 0])
+    q, logdet = _factor(_row(center), epsilon)
+    return float((np.dot(_row(t), q.T) + logdet)[0, 0])
 
 
 def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
     """Symmetrized between-cluster distance D(i, j)."""
-    centers = _packed(np.stack([_matrix(c1), _matrix(c2)]))
-    q, logdet = _factor(centers, epsilon)
-    m = np.dot(centers, q.T) + logdet
-    return float(0.5 * (m[0, 1] + m[1, 0]))
+    return 0.5 * (wishart_pixel_distance(c1, c2, epsilon) + wishart_pixel_distance(c2, c1, epsilon))
 
 
 def _statistics(columns: np.ndarray, t: np.ndarray, k: int):
@@ -360,13 +356,12 @@ def iterate_classification(
     survivors = np.arange(len(work))
     labels = np.array(initial_labels, dtype=np.int64)
     pick = np.empty(n, dtype=np.intp)
-    # group code g joins clusters of category own[g]; mixed pixels, g = len(own), any
+    # offset table row c serves category c; mixed pixels read row len(cats), open to all
     mixed = np.asarray(mixed, dtype=bool)
-    categories = np.asarray(categories)
-    own = np.unique(categories[~mixed])
-    code = np.zeros(int(categories.max(initial=0)) + 1, dtype=np.min_scalar_type(len(own)))
-    code[own] = np.arange(len(own))
-    group = np.where(mixed, len(own), code[categories])
+    own = np.unique(np.asarray(categories)[~mixed])
+    cats = np.arange(int(np.max(categories, initial=0)) + 1)[:, None]
+    group = np.array(categories, dtype=np.min_scalar_type(len(cats)))
+    group[mixed] = len(cats)
     history: List[Dict] = []
 
     def record(iteration, changed, objective):
@@ -396,7 +391,7 @@ def iterate_classification(
                 break
             if iteration > 1:
                 q, logdet = _factor(centers, config.center_regularization)
-            offsets = np.vstack([np.where(own[:, None] == cluster_cat, logdet, np.inf), logdet])
+            offsets = np.vstack([np.where(cats == cluster_cat, logdet, np.inf), logdet])
             # clusters are id-ordered, so argmin ties resolve to the lowest id
             changed = _pixel_center_distances(t, q, offsets, group, ids, labels, pick, pool)
             counts, sums = _statistics(pick, t, len(ids))

@@ -9,7 +9,8 @@ It is invariant to positive scaling of either argument, so it compares
 scattering structure independent of absolute power. Similarity to a set of
 canonical targets turns the distance into per-target fractions
 f_i = 1 - GD, normalized shares gamma_i = f_i / sum(f), and power weights
-w_i = 2 * k11 * gamma_i whose sum equals the span.
+w_i = 2 * k11 * gamma_i whose sum equals the span. Kennaugh stacks and
+packed coherency rows share one scoring loop over their basis entries.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .matrices import PACKED_WEIGHTS, KennaughMatrix, kennaugh_from_coherency_array, span_array
+from .matrices import KennaughMatrix, kennaugh_from_coherency_array, span_array
 
 __all__ = [
     "CanonicalTarget",
@@ -52,21 +53,8 @@ class CanonicalTarget:
     name: str
     kennaugh: KennaughMatrix
 
-    def __post_init__(self):
-        # the rule of geodesic_distance_array: the squared norm must not be 0
-        if not _frobenius_dot(self.kennaugh.matrix, self.kennaugh.matrix) > 0.0:
-            raise ValueError("degenerate Kennaugh matrix")
-
-
-TRIHEDRAL = CanonicalTarget("trihedral", KennaughMatrix(np.diag([1.0, 1.0, 1.0, -1.0])))
-DIHEDRAL = CanonicalTarget("dihedral", KennaughMatrix(np.diag([1.0, 1.0, -1.0, 1.0])))
-RANDOM_VOLUME = CanonicalTarget(
-    "random_volume", KennaughMatrix(np.diag([1.0, 0.5, 0.5, 0.0]))
-)
-
-# Ordered registry; ties in later argmax operations resolve to the first
-# entry, so the order is part of the classifier contract.
-DEFAULT_TARGETS: Tuple[CanonicalTarget, ...] = (TRIHEDRAL, DIHEDRAL, RANDOM_VOLUME)
+    def __post_init__(self):  # a degenerate matrix fails the distance's own check
+        geodesic_distance_array(self.kennaugh.matrix, self.kennaugh.matrix)
 
 
 def _geodesic(dot, d1, d2) -> np.ndarray:
@@ -90,6 +78,17 @@ def geodesic_distance_array(k1, k2) -> np.ndarray:
     if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
         raise ValueError("degenerate Kennaugh matrix")
     return _geodesic(_frobenius_dot(k1, k2), d1, d2)
+
+
+TRIHEDRAL = CanonicalTarget("trihedral", KennaughMatrix(np.diag([1.0, 1.0, 1.0, -1.0])))
+DIHEDRAL = CanonicalTarget("dihedral", KennaughMatrix(np.diag([1.0, 1.0, -1.0, 1.0])))
+RANDOM_VOLUME = CanonicalTarget(
+    "random_volume", KennaughMatrix(np.diag([1.0, 0.5, 0.5, 0.0]))
+)
+
+# Ordered registry; ties in later argmax operations resolve to the first
+# entry, so the order is part of the classifier contract.
+DEFAULT_TARGETS: Tuple[CanonicalTarget, ...] = (TRIHEDRAL, DIHEDRAL, RANDOM_VOLUME)
 
 
 def geodesic_distance(
@@ -181,26 +180,24 @@ def similarity_arrays(
         raise ValueError("no targets")
     x = np.asarray(pixels, dtype=np.float64)
     tmat = np.stack([t.kennaugh.matrix for t in targets])
-    if x.shape[-2:] == (4, 4):
-        dots = np.einsum("rcij,tij->trc", x, tmat)
-        d_pix, k11 = _frobenius_dot(x, x), x[..., 0, 0]
-    elif x.shape[-1:] == (9,):
-        # K(T) is linear in p = p(T), so no Kennaugh stack is formed: Tr(K(T) K_t)
-        # = p . A_t with A_t the target pulled back through the packed basis,
-        # ||K(T)||^2 = p . W p with W = PACKED_WEIGHTS the basis' Gram matrix,
-        # and k11 = span / 2
-        basis = kennaugh_from_coherency_array(np.eye(9))
-        pullback = np.einsum("cij,tij->ct", basis, tmat)
-        planes = np.moveaxis(x, -1, 0)
-        dots, d_pix = np.zeros((len(tmat),) + x.shape[:-1]), np.zeros(x.shape[:-1])
-        for plane, weights, gram in zip(planes, pullback, PACKED_WEIGHTS):
-            d_pix += gram * (plane * plane)
-            for row, weight in zip(dots, weights):
-                if weight:  # a diagonal target weighs only the diagonal planes
-                    row += weight * plane
-        k11 = 0.5 * span_array(x, "coherency")
+    if x.shape[-2:] == (4, 4):  # a Kennaugh stack is its 16 entries in the unit basis
+        basis, k11 = np.eye(16).reshape(16, 4, 4), x[..., 0, 0]
+        x = x.reshape(x.shape[:-2] + (16,))
+    elif x.shape[-1:] == (9,):  # packed rows are the Kennaugh map of the packed basis
+        basis, k11 = kennaugh_from_coherency_array(np.eye(9)), 0.5 * span_array(x, "coherency")
     else:
         raise ValueError(f"expected (rows, cols, 4, 4) or packed (rows, cols, 9), got {x.shape}")
+    # K = sum_c x_c B_c over an orthogonal basis B: Tr(K K_t) = x . A_t with A_t the
+    # target pulled back through B, ||K||^2 = sum_c ||B_c||^2 x_c^2 (PACKED_WEIGHTS
+    # for the packed basis). Plane by plane, a pixel's sums run in one order for any
+    # tile shape; a GEMM on the flattened tile rounds by its BLAS blocking.
+    pullback = np.einsum("cij,tij->ct", basis, tmat)
+    dots, d_pix = np.zeros((len(tmat),) + x.shape[:-1]), np.zeros(x.shape[:-1])
+    for plane, weights, gram in zip(np.moveaxis(x, -1, 0), pullback, _frobenius_dot(basis, basis)):
+        d_pix += gram * (plane * plane)
+        for row, weight in zip(dots, weights):
+            if weight:  # a diagonal target weighs only the diagonal entries
+                row += weight * plane
     if np.shape(mask) != d_pix.shape:
         raise ValueError(f"mask shape {np.shape(mask)} does not match the pixel grid {d_pix.shape}")
     valid = np.asarray(mask, bool) & (d_pix > 0.0) & (k11 >= 0.0)

@@ -9,8 +9,8 @@ over output row tiles, each taken from a ``RowSource`` (``scene.open_scene``
 reads, and multilooks, only the rows a tile needs), deoriented and filtered
 with halo rows, then scored. Only refinement needs the whole scene: classify
 categorizes each tile as it comes and keeps only the valid pixels' filtered
-planes, one-byte categories and mixed flags (no w; ``classify --workers 2``
-on the 1024² strips peaks near 138 MiB), similarity writes each tile as it comes.
+planes, one-byte categories and mixed flags (no w), similarity writes each
+tile as it comes.
 Every stage dump goes through one hook, ``dump(stage)``, entered once per
 run and written in full precision, so a pipeline restarted from a dumped
 stage reproduces the final labels byte-for-byte."""
@@ -77,6 +77,9 @@ class PipelineConfig:
             raise ValueError("workers must be >= 1")
         if len(self.targets) > 0xFF:  # one-byte categories; the dump marks masked 0xFF
             raise ValueError(f"{len(self.targets)} targets exceed the 255 category codes")
+        names = [t.name for t in self.targets]  # each names its own output files
+        if len(set(names)) < len(names):
+            raise ValueError(f"target name {next(n for n in names if names.count(n) > 1)!r} repeats")
         n_seeds = len(self.targets) * self.classifier.initial_clusters_per_category
         if n_seeds > MASKED_LABEL:
             raise ValueError(f"{n_seeds} seed clusters exceed {MASKED_LABEL} label ids")
@@ -164,17 +167,16 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
     """Classify the rows of a source. Each tile is categorized as it comes,
     and only its valid pixels are kept, in scan order: their filtered packed
     rows, one-byte category and mixed flag (75 bytes per pixel with the
-    validity; refinement adds 25, for 138 MiB peak RSS on the 1024² strips)."""
+    validity; refinement adds 25; README gives the measured peak RSS)."""
     (rows, cols), n_targets = source.shape, len(config.targets)
     # component-major, so each packed column of t_flat is contiguous
     planes = np.empty((9, rows * cols))
     cat_flat, mixed_flat = np.empty(rows * cols, dtype=np.uint8), np.empty(rows * cols, bool)
     valid, n = np.empty((rows, cols), dtype=bool), 0
     for r0, r1, data, scores in _prepare(source, config, dump):
-        category, mixed, keep = categorize_arrays(
+        category, mixed, keep = categorize_arrays(  # similarity's masked pixels have NaN w
             scores[2].reshape(n_targets, -1), config.classifier.mixed_threshold
         )
-        keep &= scores[3].reshape(-1)
         valid[r0:r1] = keep.reshape(r1 - r0, cols)
         if dump("category"):
             for name, values in (("category", category), ("mixed", mixed)):

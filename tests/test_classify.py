@@ -101,6 +101,17 @@ class TestDistances:
                 b, a, epsilon
             )
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-6])
+    def test_scalar_distances_take_either_layout(self, epsilon):
+        # a 3x3 matrix and its packed row are one input to both scalar distances
+        rng = np.random.default_rng(74)
+        for a, b in zip(*np.split(random_psd_stack(rng, 20, looks=5), 2)):
+            pa, pb = pack_coherency_array(a), pack_coherency_array(b)
+            for distance in (wishart_pixel_distance, wishart_center_distance):
+                expected = distance(a, b, epsilon)
+                for x, y in ((pa, pb), (pa, b), (a, pb)):
+                    assert distance(x, y, epsilon) == expected
+
     def test_singular_center_rejected(self):
         rank1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="singular cluster center"):

@@ -1,11 +1,14 @@
-"""Metamorphic tests: transformations of the demo scene that must leave its
+"""Metamorphic tests: transformations of a scene that must leave its
 classification unchanged.
 
 Each compares the label image, the class table (category, pixels) and the
-valid pixels of the transformed run, mapped back, with those of the demo.
-The runs use 4,096-pixel row tiles, so the tile grid differs between the
-demo and its transpose.
+valid pixels of the transformed run, mapped back, with those of the scene.
+The scenes are the demo and its three strips at 256x256 (seed 7). The runs
+use 4,096-pixel row tiles, so the tile grid differs between a scene and its
+transpose.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,14 +16,34 @@ import pytest
 import geopolsar as gp
 import geopolsar.preprocess as preprocess
 from geopolsar.raster import KIND_COHERENCY
+from geopolsar.scene import Region, generate_scene, parse_scene_spec, write_scene
+
+from conftest import DEMO_SPEC
 
 BORDER = 7
 
 
-@pytest.fixture(scope="module")
-def demo(demo_scene):
-    """The demo raster and a function that classifies a transformed copy."""
-    raster = gp.read_scene(demo_scene)
+def strips_256(path):
+    """The demo's strips with every region edge doubled, at seed 7, written to
+    path as a scene is."""
+    spec = parse_scene_spec(DEMO_SPEC)
+    regions = [
+        Region(2 * r.row0, 2 * r.col0, 2 * r.row1, 2 * r.col1, r.model, r.span, r.looks)
+        for r in spec.regions
+    ]
+    spec = dataclasses.replace(spec, rows=256, cols=256, seed=7, regions=regions)
+    write_scene(generate_scene(spec), path)
+    return path
+
+
+@pytest.fixture(scope="module", params=["demo", "strips256"])
+def scene(request, tmp_path_factory):
+    """A scene's raster and a function that classifies a transformed copy."""
+    if request.param == "demo":
+        path = request.getfixturevalue("demo_scene")
+    else:
+        path = strips_256(tmp_path_factory.mktemp("strips") / "scene")
+    raster = gp.read_scene(path)
 
     def classify(data, mask):
         with pytest.MonkeyPatch.context() as patch:
@@ -48,21 +71,21 @@ def assert_same_classification(result, clean, back=lambda image: image):
     ],
     ids=["flip-rows", "flip-columns", "transpose"],
 )
-def test_flipped_or_transposed_scene_maps_back(demo, move):
+def test_flipped_or_transposed_scene_maps_back(scene, move):
     # each move is its own inverse
-    raster, classify, clean = demo
+    raster, classify, clean = scene
     result = classify(move(raster.data), move(raster.mask))
     assert_same_classification(result, clean, move)
 
 
 @pytest.mark.parametrize("exponent", [-40, 40])
-def test_power_of_two_scaling_keeps_the_labels(demo, exponent):
-    raster, classify, clean = demo
+def test_power_of_two_scaling_keeps_the_labels(scene, exponent):
+    raster, classify, clean = scene
     assert_same_classification(classify(raster.data * 2.0**exponent, raster.mask), clean)
 
 
-def test_masked_junk_border_leaves_the_inner_labels(demo):
-    raster, classify, clean = demo
+def test_masked_junk_border_leaves_the_inner_labels(scene):
+    raster, classify, clean = scene
     rows, cols = raster.shape
     rng = np.random.default_rng(91)
     data = rng.standard_normal((rows + 2 * BORDER, cols + 2 * BORDER, 9)) * 1e30

@@ -10,7 +10,7 @@ import pytest
 
 import geopolsar.pipeline as pipeline
 import geopolsar.preprocess as preprocess
-from geopolsar.geodesic import DEFAULT_TARGETS, similarity_arrays
+from geopolsar.geodesic import DEFAULT_TARGETS, TRIHEDRAL, CanonicalTarget, similarity_arrays
 from geopolsar.pipeline import (
     DUMP_STAGES,
     PipelineConfig,
@@ -169,9 +169,18 @@ def test_classify_holds_at_most_120_bytes_per_pixel(monkeypatch):
 
 def test_more_than_255_targets_are_rejected():
     # categories are one byte, and the category dump writes 0xFF for masked pixels
-    PipelineConfig(targets=DEFAULT_TARGETS * 85)
+    targets = tuple(CanonicalTarget(f"t{i}", TRIHEDRAL.kennaugh) for i in range(256))
+    PipelineConfig(targets=targets[:255])
     with pytest.raises(ValueError, match="256 targets exceed the 255 category codes"):
-        PipelineConfig(targets=DEFAULT_TARGETS * 85 + DEFAULT_TARGETS[:1])
+        PipelineConfig(targets=targets)
+
+
+def test_repeated_target_names_are_rejected():
+    # each target's name names its output files, so a repeat would append to them twice
+    with pytest.raises(ValueError, match="target name 'trihedral' repeats"):
+        PipelineConfig(targets=DEFAULT_TARGETS + DEFAULT_TARGETS[:1])
+    renamed = CanonicalTarget("trihedral_2", TRIHEDRAL.kennaugh)
+    PipelineConfig(targets=DEFAULT_TARGETS + (renamed,))
 
 
 def test_front_end_takes_a_raster_without_rows(tmp_path):
