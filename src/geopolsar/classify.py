@@ -10,8 +10,9 @@ category.
 Pixels and centers are packed real rows p(T) (``packed_rows``), and one kernel
 scores them: d(T, V) = ln|V| + p(T) . Q with Q = W p(V^-1), W = PACKED_WEIGHTS.
 Merging keeps D = (M + M^T) / 2 with M[i, j] = d(Vi, Vj); ties go to the first
-(i, j). Clusters are counts n_k and packed sums S_k (``_statistics``), which give
-the means and the objective sum_p d(T_p, V_k) = sum_k n_k ln|V_k| + p(S_k) . Q_k.
+(i, j). Clusters are counts n_k and packed sums S_k (refinement sums each block
+as it scores it, ``_block_pass``), which give the means and the objective
+sum_p d(T_p, V_k) = sum_k n_k ln|V_k| + p(S_k) . Q_k.
 
 Distances:
     pixel to center   d(T, V) = ln|V| + Tr(V^-1 T)
@@ -45,7 +46,7 @@ __all__ = [
     "iterate_classification",
 ]
 
-# Pixels are scored in blocks of this many rows; the block grid is fixed so
+# Pixels are scored and summed in blocks of this many rows; the grid is fixed so
 # results never depend on the worker count. OpenBLAS runs products this small
 # on the calling thread, so its threads never contend with the block pool.
 _DISTANCE_BLOCK = 2048
@@ -200,28 +201,45 @@ def wishart_center_distance(c1, c2, epsilon: float = 0.0) -> float:
     return 0.5 * (wishart_pixel_distance(c1, c2, epsilon) + wishart_pixel_distance(c2, c1, epsilon))
 
 
-def _statistics(columns: np.ndarray, t: np.ndarray, k: int):
-    """(counts, (k, 9) packed sums) of the rows of t in each of k clusters."""
-    sums = [np.bincount(columns, t[:, c], minlength=k) for c in range(9)]
-    return np.bincount(columns, minlength=k), np.stack(sums, axis=1)
+def _block_pass(t, k: int, workers: int, assign):
+    """(summed count, (k,) counts, (k, 9) packed sums) of what assign(rows, x)
+    -> (count, each row's column) does to fixed blocks of scan-order rows x.
+    Each worker, the caller being one, takes one contiguous run of blocks. A
+    block's sums are one one-hot product with a component-major copy of x,
+    added in block order, so no byte depends on t's layout or the worker count."""
+    starts = range(0, len(t), _DISTANCE_BLOCK)
+    found, partial = np.zeros(len(starts), np.int64), np.zeros((len(starts), k, 10))
+
+    def run(blocks):
+        x, one_hot = np.ones((10, _DISTANCE_BLOCK)), np.eye(k)  # x's ones row counts members
+        for b in blocks:
+            rows = slice(starts[b], starts[b] + _DISTANCE_BLOCK)
+            block = x[:, : len(t[rows])]
+            block[:9] = t[rows].T
+            found[b], pick = assign(rows, block[:9].T)
+            np.dot(np.take(one_hot, pick, axis=0).T, block.T, out=partial[b])
+
+    runs = np.array_split(np.arange(len(starts)), min(workers, len(starts)))  # none empty
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        rest = pool.map(run, runs[1:])
+        run(runs[0])
+        list(rest)
+    totals = partial.sum(axis=0)
+    return int(found.sum()), totals[:, 9].astype(np.int64), totals[:, :9]
 
 
-def _pixel_center_distances(t, q, offsets, group, ids, labels, pick, pool):
-    """Move each packed pixel to its nearest allowed cluster in fixed blocks of
-    scan-order rows, writing its column (ties to the lowest) into pick and the
-    id into labels; returns the number of labels changed. offsets[g] is the
-    centers' ln|V'| where group code g may join the cluster, else inf. Blocks
-    write disjoint rows, so any worker count produces identical bytes."""
+def _pixel_center_distances(q, offsets, group, ids, labels):
+    """The ``_block_pass`` assign() that moves each pixel to its nearest allowed
+    cluster (ties to the lowest column), counting the labels it changes.
+    offsets[g] is ln|V'| where group code g may join the cluster, else inf."""
 
-    def score(s0):
-        rows = slice(s0, s0 + _DISTANCE_BLOCK)
-        np.argmin(np.dot(t[rows], q.T) + offsets[group[rows]], axis=1, out=pick[rows])
-        new = ids[pick[rows]]
-        changed = int(np.count_nonzero(new != labels[rows]))
-        labels[rows] = new
-        return changed
+    def score(rows, x):
+        pick = np.argmin(np.dot(x, q.T) + np.take(offsets, group[rows], axis=0), axis=1)
+        changed = int(np.count_nonzero(ids[pick] != labels[rows]))
+        labels[rows] = ids[pick]
+        return changed, pick
 
-    return sum(pool.map(score, range(0, len(t), _DISTANCE_BLOCK)))
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +256,22 @@ def _table(clusters: Sequence[Cluster]):
     return work, ids, cats, counts, _packed(np.reshape([c.center for c in work], (-1, 3, 3)))
 
 
+def _span_bins(span: np.ndarray, k: int) -> np.ndarray:
+    """Bin of each value, ranked with ties in the given order, among min(k, n)
+    bins of m = n // min(k, n); the last absorbs the remainder. Only values
+    equal to an edge, or NaN, are ranked, so no order of the values is built."""
+    k = min(k, len(span))
+    m, ordered = len(span) // k, np.sort(span)
+    edges = ordered[m * np.arange(k)]  # the values at ranks 0, m, 2m, ...
+    bins = np.searchsorted(edges[1:], span, side="right")
+    tied = np.flatnonzero(~(edges[bins] < span))  # equal, or NaN, which sorts last
+    tied = tied[np.argsort(span[tied], kind="stable")]
+    v = span[tied]  # sorted; a value's rank is its first rank plus its place among equals
+    rank = np.searchsorted(ordered, v) + np.arange(len(v)) - np.searchsorted(v, v)
+    bins[tied] = np.minimum(rank // m, k - 1)
+    return bins
+
+
 def initial_clusters(
     pixels: np.ndarray,
     k: int,
@@ -246,10 +280,11 @@ def initial_clusters(
 ) -> Tuple[List[Cluster], np.ndarray]:
     """Span-ordered equal-population seed clusters of one category, or of each
     when category is an (n,) array. pixels has shape (n, 3, 3) or packed (n, 9).
-    Each category's pixels are sorted by span (ties in scan order) and split
-    into min(k, n_c) contiguous bins; the last absorbs the remainder. Bin b of
-    category c gets id start_id + b, or start_id + c * k + b for an array.
-    Returns the clusters by id plus each pixel's cluster id."""
+    Each category's pixels are ranked by span (ties in scan order) and split
+    into min(k, n_c) contiguous bins, the spans at ranks m, 2m, ... being the
+    edges (``_span_bins``); the last absorbs the remainder. Bin b of category
+    c gets id start_id + b, or start_id + c * k + b for an array. Returns the
+    clusters by id plus each pixel's cluster id."""
     pixels = _packed(pixels)
     n = pixels.shape[0]
     if n == 0:
@@ -258,15 +293,13 @@ def initial_clusters(
         raise ValueError("k must be >= 1")
     per_pixel = np.ndim(category) > 0
     slots = np.asarray(category) if per_pixel else np.zeros(n, dtype=np.uint8)
-    # one stable ordering by (category, span) lays out each category's bins in turn
-    order = np.lexsort((span_array(pixels, "coherency"), slots))
-    present, populations = np.unique(slots, return_counts=True)
-    columns = np.empty(n, dtype=np.int64)
-    for c, n_c, end in zip(present, populations, np.cumsum(populations)):
-        k_eff = min(k, n_c)
-        bins = np.minimum(np.arange(n_c) // (n_c // k_eff), k_eff - 1)
-        columns[order[end - n_c : end]] = int(c) * k + bins
-    counts, sums = _statistics(columns, pixels, (int(present[-1]) + 1) * k)
+    span, columns = span_array(pixels, "coherency"), np.empty(n, dtype=np.int64)
+    populations = np.bincount(slots)
+    for c in np.flatnonzero(populations):
+        members = slots == c
+        columns[members] = c * k + _span_bins(span[members], k)
+    counts = np.bincount(columns, minlength=len(populations) * k)
+    sums = np.stack([np.bincount(columns, p, minlength=len(counts)) for p in pixels.T], axis=1)
     seeded = np.flatnonzero(counts)
     # means times 1 / count, which is how numpy's complex mean rounds
     centers = unpack_coherency_array(sums[seeded] * (1.0 / counts[seeded])[:, None])
@@ -355,7 +388,6 @@ def iterate_classification(
     work, ids, cluster_cat, counts, centers = _table(clusters)
     survivors = np.arange(len(work))
     labels = np.array(initial_labels, dtype=np.int64)
-    pick = np.empty(n, dtype=np.intp)
     # offset table row c serves category c; mixed pixels read row len(cats), open to all
     mixed = np.asarray(mixed, dtype=bool)
     own = np.unique(np.asarray(categories)[~mixed])
@@ -372,40 +404,40 @@ def iterate_classification(
     def total(counts, sums):
         return float(counts @ logdet + (sums * q).sum())
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # pass 0 totals the post-merge assignment; pass 1 reuses its factors
-        objective = 0.0
-        if n and len(ids):
+    def check(rows, x):  # pass 0: each label's column, and how many name no cluster
+        pick = np.minimum(np.searchsorted(ids, labels[rows]), len(ids) - 1)
+        return int(np.count_nonzero(ids[pick] != labels[rows])), pick
+
+    # pass 0 totals the post-merge assignment; pass 1 reuses its factors
+    objective = 0.0
+    if n and len(ids):
+        q, logdet = _factor(centers, config.center_regularization)
+        known = labels.shape == (n,)  # else every label is unknown
+        unknown, counts, sums = _block_pass(t, len(ids), workers, check) if known else (n, 0, 0)
+        if unknown:
+            raise ValueError(f"initial_labels must name a known cluster for each of {n} pixels")
+        objective = total(counts, sums)
+    record(0, None, objective)
+    for iteration in range(1, config.max_iterations + 1):
+        if n == 0 or not len(ids):
+            break
+        if iteration > 1:
             q, logdet = _factor(centers, config.center_regularization)
-            known = labels.shape == (n,)
-            for s0 in range(0, n if known else 0, _DISTANCE_BLOCK):  # into pick, block by block
-                rows = slice(s0, s0 + _DISTANCE_BLOCK)
-                pick[rows] = np.minimum(np.searchsorted(ids, labels[rows]), len(ids) - 1)
-                known = known and (ids[pick[rows]] == labels[rows]).all()
-            if not known:
-                raise ValueError(f"initial_labels must name a known cluster for each of {n} pixels")
-            objective = total(*_statistics(pick, t, len(ids)))
-        record(0, None, objective)
-        for iteration in range(1, config.max_iterations + 1):
-            if n == 0 or not len(ids):
-                break
-            if iteration > 1:
-                q, logdet = _factor(centers, config.center_regularization)
-            offsets = np.vstack([np.where(cats == cluster_cat, logdet, np.inf), logdet])
-            # clusters are id-ordered, so argmin ties resolve to the lowest id
-            changed = _pixel_center_distances(t, q, offsets, group, ids, labels, pick, pool)
-            counts, sums = _statistics(pick, t, len(ids))
-            # a pixel whose category has lost every cluster scores inf
-            objective = total(counts, sums) if np.isin(own, cluster_cat).all() else np.inf
-            # emptied clusters get a zero mean and retire, as do powerless ones
-            centers = sums * (1.0 / np.maximum(counts, 1))[:, None]
-            keep = span_array(centers, "coherency") > 0.0
-            ids, cluster_cat, counts, centers, survivors = (
-                a[keep] for a in (ids, cluster_cat, counts, centers, survivors)
-            )
-            record(iteration, changed, objective)
-            if changed == 0 or changed / n < config.convergence_fraction:
-                break
+        offsets = np.vstack([np.where(cats == cluster_cat, logdet, np.inf), logdet])
+        # clusters are id-ordered, so argmin ties resolve to the lowest id
+        score = _pixel_center_distances(q, offsets, group, ids, labels)
+        changed, counts, sums = _block_pass(t, len(ids), workers, score)
+        # a pixel whose category has lost every cluster scores inf
+        objective = total(counts, sums) if np.isin(own, cluster_cat).all() else np.inf
+        # emptied clusters get a zero mean and retire, as do powerless ones
+        centers = sums * (1.0 / np.maximum(counts, 1))[:, None]
+        keep = span_array(centers, "coherency") > 0.0
+        ids, cluster_cat, counts, centers, survivors = (
+            a[keep] for a in (ids, cluster_cat, counts, centers, survivors)
+        )
+        record(iteration, changed, objective)
+        if changed == 0 or changed / n < config.convergence_fraction:
+            break
     state = zip([work[a] for a in survivors], unpack_coherency_array(centers), counts)
     clusters = [Cluster(c.id, c.category, v, int(m), c.source_ids) for c, v, m in state]
     return labels, clusters, history

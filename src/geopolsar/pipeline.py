@@ -167,7 +167,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
     """Classify the rows of a source. Each tile is categorized as it comes,
     and only its valid pixels are kept, in scan order: their filtered packed
     rows, one-byte category and mixed flag (75 bytes per pixel with the
-    validity; refinement adds 25; README gives the measured peak RSS)."""
+    validity; refinement adds 17; README gives the measured peak RSS)."""
     (rows, cols), n_targets = source.shape, len(config.targets)
     # component-major, so each packed column of t_flat is contiguous
     planes = np.empty((9, rows * cols))
@@ -183,10 +183,11 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
                 dump("category").append(
                     f"{name}.u8", np.where(keep, values, 0xFF).astype(np.uint8)
                 )
-        k = n + np.count_nonzero(keep)
-        np.compress(keep, np.moveaxis(data, -1, 0).reshape(9, -1), 1, out=planes[:, n:k])
+        k, tile = n + np.count_nonzero(keep), np.moveaxis(data, -1, 0).reshape(9, -1)
+        # a whole tile is one slice copy; numpy gathers 1-D planes faster than along axis 1
+        planes[:, n:k] = tile if k - n == keep.size else [plane[keep] for plane in tile]
         cat_flat[n:k], mixed_flat[n:k], n = category[keep], mixed[keep], k
-    del data, scores, category, mixed, keep  # else the last tile lives through refinement
+    del data, tile, scores, category, mixed, keep  # else the last tile lives through refinement
     t_flat, cat_flat, mixed_flat = planes[:, :n].T, cat_flat[:n], mixed_flat[:n]
 
     def image(values: np.ndarray, fill=MASKED_LABEL, dtype=np.uint16) -> np.ndarray:

@@ -5,10 +5,10 @@ than the package (explicit Kronecker products, det/inv instead of
 Cholesky factorizations, python loops instead of vectorized kernels) so
 agreement between the two is meaningful. The Kronecker expansion oracle
 anchors acceptance criterion 3, since the package's coherent Kennaugh
-matrix is itself the coherency route. The merge loop and full-matrix
-refinement oracles are the exception: they keep the package's former,
-slower forms with the same arithmetic, so the package must match them bit
-for bit. The sliding-window filter, complex deorientation and multilook
+matrix is itself the coherency route. The merge loop, full-matrix
+refinement and lexsort seeding oracles are the exception: they keep the
+package's former, slower forms with the same arithmetic, so the package must
+match them bit for bit. The sliding-window filter, complex deorientation and multilook
 oracles are the package's former complex forms too, but the package now
 computes the same values in plain real arithmetic, so the two agree to
 rounding. The filter and deorientation are also held to an np.longdouble
@@ -337,6 +337,34 @@ def _pixel_center_distance_matrix(t, centers, epsilon, workers=1):
         for span in spans:
             fill(span)
     return out
+
+
+def initial_clusters_oracle(pixels, k, category=0, start_id=0):
+    """The former seeding rule: one stable ``np.lexsort`` by (category, span)
+    orders every category, and each category's run of that order is cut into
+    min(k, n_c) bins of n_c // min(k, n_c), the last taking the remainder.
+    Seeds are each bin's members summed in index order by ``np.bincount``."""
+    from geopolsar.classify import Cluster
+    from geopolsar.matrices import packed_rows, span_array, unpack_coherency_array
+
+    pixels = packed_rows(np.asarray(pixels))
+    per_pixel = np.ndim(category) > 0
+    slots = np.asarray(category) if per_pixel else np.zeros(len(pixels), dtype=np.uint8)
+    order = np.lexsort((span_array(pixels, "coherency"), slots))
+    present, populations = np.unique(slots, return_counts=True)
+    columns = np.empty(len(pixels), dtype=np.int64)
+    for c, n_c, end in zip(present, populations, np.cumsum(populations)):
+        k_eff = min(k, n_c)
+        bins = np.minimum(np.arange(n_c) // (n_c // k_eff), k_eff - 1)
+        columns[order[end - n_c : end]] = int(c) * k + bins
+    size = (int(present[-1]) + 1) * k
+    counts = np.bincount(columns, minlength=size)
+    sums = np.stack([np.bincount(columns, pixels[:, c], minlength=size) for c in range(9)], axis=1)
+    seeded = np.flatnonzero(counts)
+    centers = unpack_coherency_array(sums[seeded] * (1.0 / counts[seeded])[:, None])
+    cats = seeded // k if per_pixel else [category] * len(seeded)
+    state = zip(start_id + seeded, cats, centers, counts[seeded])
+    return [Cluster(int(i), int(c), v, int(m)) for i, c, v, m in state], columns + start_id
 
 
 def recompute_clusters_oracle(t, labels, clusters):

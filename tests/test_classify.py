@@ -23,6 +23,7 @@ from geopolsar.matrices import (
 
 from conftest import (
     _regularize,
+    initial_clusters_oracle,
     iterate_oracle,
     merge_loop_oracle,
     random_psd_stack,
@@ -258,6 +259,42 @@ class TestInitialClusters:
         assert [c.member_count for c in seeds if c.category == 3] == [1] * 4
         # tied pixels fill the bins in scan order
         assert np.all(np.diff(labels[tied]) >= 0) and labels[tied[0]] < labels[tied[-1]]
+
+    def test_matches_the_lexsort_oracle_bitwise(self):
+        # rank selection must cut the bins the former stable sort cut, where
+        # tied or NaN spans straddle a bin edge too
+        rng = np.random.default_rng(101)
+        straddled = negative_zeros = 0
+        for case in range(300):
+            n, k = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+            pixels = np.zeros((n, 9))
+            if case % 3 == 0:  # integer spans: heavy ties, and NaN, which sorts last
+                pixels[:, :3] = rng.integers(0, 3, (n, 3))
+                pixels[rng.random(n) < rng.choice([0.0, 0.2, 0.7]), 1] = np.nan
+            elif case % 3 == 1:  # spans of +0.0 and -0.0, which tie, and of 1.0
+                pixels[:, :3] = rng.choice([0.0, -0.0], (n, 1))
+                pixels[:, 0] = np.where(rng.random(n) < 0.3, 1.0, pixels[:, 0])
+            else:
+                pixels[:, :3] = rng.random((n, 3))
+            pixels[:, 3:] = rng.standard_normal((n, 6))
+            if case % 2:  # absent categories, and some with fewer than k pixels
+                category = rng.choice([0, 2, 3, 5], n, p=[0.6, 0.3, 0.07, 0.03]).astype(np.uint8)
+            else:
+                category = int(rng.integers(0, 4))
+            seeds, labels = initial_clusters(pixels, k, category=category, start_id=7)
+            ref_seeds, ref_labels = initial_clusters_oracle(pixels, k, category, 7)
+            assert labels.dtype == ref_labels.dtype and labels.tobytes() == ref_labels.tobytes()
+            assert [(c.id, c.category, c.member_count, c.center.tobytes()) for c in seeds] == [
+                (c.id, c.category, c.member_count, c.center.tobytes()) for c in ref_seeds
+            ]
+            span = (pixels[:, 0] + pixels[:, 1]) + pixels[:, 2]
+            negative_zeros += np.count_nonzero((span == 0.0) & np.signbit(span))
+            slots = np.broadcast_to(category, n)
+            for c in np.unique(slots):  # does a run of equal spans cross a bin edge?
+                s = np.sort(span[slots == c])
+                m = len(s) // min(k, len(s))
+                straddled += any(s[j - 1] == s[j] for j in range(m, m * min(k, len(s)), m))
+        assert straddled > 50 and negative_zeros > 100
 
 
 class TestMerge:
@@ -549,6 +586,35 @@ class TestIterate:
             )
             results.append((labels.tobytes(), [c.id for c in clusters], history))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("block", [None, 256])
+    def test_blocks_add_up_the_same_for_any_worker_count_and_layout(self, monkeypatch, block):
+        import geopolsar.classify as classify
+
+        # three blocks, the last one partial, with mixed pixels and a retirement;
+        # 256-row blocks split the workers' runs of blocks mid-scene
+        n = 5000
+        monkeypatch.setattr(classify, "_DISTANCE_BLOCK", block or classify._DISTANCE_BLOCK)
+        assert block or 2 * classify._DISTANCE_BLOCK < n < 3 * classify._DISTANCE_BLOCK
+        rng = np.random.default_rng(24)
+        pixels = pack_coherency_array(random_psd_stack(rng, n, looks=3))
+        cats = rng.integers(0, 2, n).astype(np.uint8)
+        mixed = rng.random(n) < 0.2
+        seeds, labels0 = initial_clusters(pixels, 5, category=cats)
+        seeds[2].center = seeds[2].center * 1e3  # loses every member
+        config = ClassifierConfig(max_iterations=3, convergence_fraction=0.0)
+        results = set()
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            for workers in (1, 2, 3):
+                labels, out, history = iterate_classification(
+                    layout(pixels), cats, mixed, seeds, config, labels0, workers=workers
+                )
+                state = [(c.id, c.category, c.member_count, c.center.tobytes()) for c in out]
+                results.add((labels.tobytes(), repr(state), repr(history)))
+        assert len(results) == 1
+        assert len(out) < len(seeds) and seeds[2].id not in {c.id for c in out}
+        cat_of = {c.id: c.category for c in out}
+        assert any(cat_of[label] != cat for label, cat in zip(labels[mixed], cats[mixed]))
 
     @pytest.mark.parametrize("packed", [False, True])
     def test_inputs_are_left_alone(self, packed):
