@@ -3,7 +3,8 @@
 ``tests/golden.json`` maps "<configuration>/<file>" to the sha256 of that
 file, or, for report.jsonl, to its records with each objective rounded to 13
 significant digits. The configurations run the CLI in-process on the demo
-spec and on a small single-look S2 scene; `build` lists them.
+spec and on a small single-look S2 scene, whose own files ``write_scene``
+writes and the manifest pins too; `build` lists them.
 
     python tests/golden.py --write [PATH]   (default PATH: tests/golden.json)
 
@@ -120,6 +121,7 @@ def build(work: Path) -> dict:
     _cli("similarity", demo, "--out", work / "sim-demo")
     _hash_dir(entries, "similarity/demo", work / "sim-demo")
     s2 = _s2_scene(work / "s2")
+    _hash_dir(entries, f"write/s2-{S2_SIZE}", s2)
     _cli("similarity", s2, "--out", work / "sim-s2", "--multilook", 2, 2)
     _hash_dir(entries, f"similarity/s2-{S2_SIZE}-multilook-2-2", work / "sim-s2")
     return entries
