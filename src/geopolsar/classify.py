@@ -263,7 +263,9 @@ def _span_bins(span: np.ndarray, k: int) -> np.ndarray:
     k = min(k, len(span))
     m, ordered = len(span) // k, np.sort(span)
     edges = ordered[m * np.arange(k)]  # the values at ranks 0, m, 2m, ...
-    bins = np.searchsorted(edges[1:], span, side="right")
+    bins = np.zeros(len(span), dtype=np.min_scalar_type(k))
+    for edge in edges[1:]:  # counts the edges at or below each value, without branches
+        np.add(bins, span >= edge, out=bins, casting="unsafe")
     tied = np.flatnonzero(~(edges[bins] < span))  # equal, or NaN, which sorts last
     tied = tied[np.argsort(span[tied], kind="stable")]
     v = span[tied]  # sorted; a value's rank is its first rank plus its place among equals

@@ -38,11 +38,12 @@ from .geodesic import DEFAULT_TARGETS, CanonicalTarget, similarity_arrays
 from .matrices import span_array
 from . import preprocess
 from .preprocess import PreprocessConfig, deorient_raster, speckle_filter
-from .raster import KIND_COHERENCY, PolsarRaster, RowSource
+from .raster import KIND_COHERENCY, PolsarRaster, RowSource, mask_non_finite
 from .render import MASKED_LABEL, ClassEntry, render_map
 from .scene import (
     FileAppender,
     append_scene,
+    checked_cast,
     generate_scene,
     open_scene,
     parse_scene_spec,
@@ -112,11 +113,12 @@ def _dump_hook(dump_dir: Optional[Path], stages: Tuple[str, ...]):
 def _append_similarity(files: FileAppender, targets, scores, dtype: str) -> None:
     """Append a tile's f, gamma and w to the raw per-target rasters f_<name>,
     gamma_<name> and w_<name>, whose file suffix names the dtype (f64 for
-    stage dumps, f32 for similarity)."""
+    stage dumps, f32 for similarity), each cast checked as a scene's are."""
     suffix = f"f{np.dtype(dtype).itemsize * 8}"
     for i, target in enumerate(targets):
         for prefix, stack in zip(("f", "gamma", "w"), scores):
-            files.append(f"{prefix}_{target.name}.{suffix}", stack[i].astype(dtype))
+            name, cast = f"{prefix}_{target.name}.{suffix}", np.empty(stack[i].shape + (1,), dtype)
+            files.append(name, checked_cast([stack[i]], cast, name))
 
 
 def _prepare(source: RowSource, config: PipelineConfig, dump: Callable):
@@ -153,12 +155,14 @@ def classify_raster(
     dump_dir: Optional[Path] = None,
 ) -> ClassifyResult:
     """Classify an in-memory coherency raster; see the module docstring for
-    stages."""
+    stages. Its pixels non-finite in any plane are masked as a scene read
+    masks them."""
     if raster.kind != KIND_COHERENCY:
         raise ValueError(
             f"the pipeline takes coherency rasters; multilook a {raster.kind} raster first"
         )
-    source = RowSource(raster.shape, raster.looks, raster.slice_rows)
+    source = RowSource(raster.shape, raster.looks,
+                       lambda lo, hi: mask_non_finite(raster.slice_rows(lo, hi)))
     with _dump_hook(dump_dir, config.dump_stages) as dump:
         return _classify(source, config, dump)
 

@@ -25,6 +25,7 @@ __all__ = [
     "KIND_COHERENCY",
     "PolsarRaster",
     "RowSource",
+    "mask_non_finite",
 ]
 
 KIND_SINCLAIR = "sinclair"
@@ -100,10 +101,21 @@ class PolsarRaster:
         return np.where(self.mask, span_array(self.data, self.kind), 0.0)
 
 
+def mask_non_finite(raster: PolsarRaster) -> PolsarRaster:
+    """A coherency raster whose pixels non-finite in any plane are masked,
+    their payloads zeroed: the raster itself if it has none, else a copy."""
+    planes = np.moveaxis(raster.data, -1, 0)
+    finite = np.isfinite(planes).all(axis=0)
+    if finite.all():
+        return raster
+    data = np.moveaxis(np.where(finite, planes, 0.0), 0, -1)
+    return PolsarRaster(raster.kind, data, raster.mask & finite, raster.looks)
+
+
 class RowSource(NamedTuple):
     """Coherency rows made on demand: ``rows(lo, hi)`` is the raster of rows
-    lo:hi of a raster of this shape and looks. ``RowSource(r.shape, r.looks,
-    r.slice_rows)`` is the source of an in-memory raster r."""
+    lo:hi of a raster of this shape and looks, as ``r.slice_rows`` gives
+    those of an in-memory raster r."""
 
     shape: Tuple[int, int]
     looks: float

@@ -29,7 +29,7 @@ import numpy as np
 
 from .matrices import pack_coherency_array, packed_outer, span_array, unpack_coherency_array
 from .preprocess import multilook_rows
-from .raster import KIND_COHERENCY, PolsarRaster, RowSource
+from .raster import KIND_COHERENCY, PolsarRaster, RowSource, mask_non_finite
 
 __all__ = [
     "SceneHeader",
@@ -69,6 +69,9 @@ _SAMPLING_FLOOR = 1e-6
 
 #: Rows per generation chunk; each chunk of a region has its own substream.
 _CHUNK_ROWS = 64
+
+#: Pixels per band the writer casts, so a Sinclair band (512 KiB) stays in cache.
+_CAST_PIXELS = 8192
 
 
 @dataclass
@@ -154,7 +157,8 @@ def open_scene(
     """Open a scene directory as a ``RowSource`` whose ``rows(lo, hi)`` reads
     only the rows it needs; the header and every component file are checked
     first. A T3 scene's planes hold the file values as written; a non-finite
-    value in any of the nine planes masks the pixel and zeroes its payload.
+    value in any of the nine planes masks the pixel and zeroes its payload
+    (``raster.mask_non_finite``).
     An S2 scene is multilooked as it is read, by ``multilook = (rf, af)`` or
     else (1, 1) (a T3 scene with factors raises), with HV' = (HV + VH) / 2:
     input rows lo*rf:hi*rf go through ``preprocess.multilook_rows``, with the
@@ -192,9 +196,8 @@ def open_scene(
         planes = np.empty((9, hi - lo, header.cols))
         for values, (_, index) in zip(read(lo, hi), layout):
             planes[list(index)] = np.moveaxis(values, -1, 0)
-        invalid = ~np.isfinite(planes).all(axis=0)
-        planes[:, invalid] = 0.0
-        return PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), ~invalid, header.looks)
+        raster = PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), None, header.looks)
+        return mask_non_finite(raster)
 
     return RowSource(shape, header.looks, rows)
 
@@ -222,30 +225,43 @@ class FileAppender(ExitStack):
         self.files[name].write(data)  # bytes, or a C-contiguous array's bytes
 
 
+def checked_cast(values, out: np.ndarray, name: str, invalid=None) -> np.ndarray:
+    """Cast values, a list of real arrays or one complex array, once into out,
+    their (..., parts) float array, NaN in every part where invalid; returns
+    out. A finite value made infinite raises a ValueError naming it: only a
+    float32 cast can overflow, and values are read again only at infinities."""
+    with np.errstate(over="ignore"):
+        if isinstance(values, list):
+            np.stack(values, axis=-1, out=out, casting="same_kind")
+        else:  # cast as complex values, whose parts interleave as out's do
+            out.view(f"<c{2 * out.itemsize}")[..., 0] = values
+            values = [values.real, values.imag]
+    if invalid is not None:
+        out[invalid] = np.nan
+    inf = np.isinf(out) if out.itemsize == 4 else False
+    if np.any(inf) and np.isfinite(np.stack(values, axis=-1)[inf]).any():
+        raise ValueError(f"{name}: finite values beyond the float32 range")
+    return out
+
+
 def append_scene(
     files: FileAppender, raster: PolsarRaster, rows: int, dtype: str = "float32"
 ) -> None:
     """Append a row tile of a coherency or Sinclair raster to the component
     files of a scene of ``rows`` rows, masked pixels as NaN; the first tile
-    also writes ``header.txt``. Every component's cast to the file dtype is
-    checked before any is written: a finite value that the dtype cannot hold
-    raises a ValueError naming its component."""
+    also writes ``header.txt``. Each component, a T3 component's planes or a
+    Sinclair entry, goes through ``checked_cast`` before any is written."""
     if dtype not in _DTYPES:
         raise ValueError(f"unknown scene dtype {dtype!r}")
     kind = "T3" if raster.kind == KIND_COHERENCY else "S2"
-    casts = {}
-    for name, index in _LAYOUT[kind].items():
-        # (rows, cols, parts): real and imaginary parts interleave in the file
-        if kind == "T3":
-            values = raster.data[..., list(index)]
-        else:
-            entry = raster.data[(..., *index)]
-            values = np.stack([entry.real, entry.imag], axis=-1)
-        values[~raster.mask] = np.nan
-        with np.errstate(over="ignore"):
-            casts[name] = np.ascontiguousarray(values, dtype=_DTYPES[dtype])
-        if (np.isfinite(casts[name]) != np.isfinite(values)).any():
-            raise ValueError(f"component {name}: finite values beyond the {dtype} range")
+    casts = {name: np.empty(raster.shape + (2 if kind == "S2" else len(index),), _DTYPES[dtype])
+             for name, index in _LAYOUT[kind].items()}
+    step = max(1, _CAST_PIXELS // max(raster.cols, 1))  # rows of a band, cast component by component
+    for lo in range(0, raster.rows, step):
+        data, invalid = raster.data[lo : lo + step], ~raster.mask[lo : lo + step]
+        for name, index in _LAYOUT[kind].items():
+            values = [data[..., i] for i in index] if kind == "T3" else data[(..., *index)]
+            checked_cast(values, casts[name][lo : lo + step], f"component {name}", invalid)
     if not files.files:
         head = dict(rows=rows, cols=raster.cols, looks=repr(raster.looks), kind=kind, dtype=dtype)
         head.update((f"component.{name}", f"{name}.bin") for name in casts)

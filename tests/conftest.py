@@ -6,9 +6,9 @@ Cholesky factorizations, python loops instead of vectorized kernels) so
 agreement between the two is meaningful. The Kronecker expansion oracle
 anchors acceptance criterion 3, since the package's coherent Kennaugh
 matrix is itself the coherency route. The merge loop, full-matrix
-refinement and lexsort seeding oracles are the exception: they keep the
-package's former, slower forms with the same arithmetic, so the package must
-match them bit for bit. The sliding-window filter, complex deorientation and multilook
+refinement, lexsort seeding and staged scene writer oracles are the
+exception: they keep the package's former, slower forms with the same
+arithmetic, so the package must match them bit for bit. The sliding-window filter, complex deorientation and multilook
 oracles are the package's former complex forms too, but the package now
 computes the same values in plain real arithmetic, so the two agree to
 rounding. The filter and deorientation are also held to an np.longdouble
@@ -365,6 +365,36 @@ def initial_clusters_oracle(pixels, k, category=0, start_id=0):
     cats = seeded // k if per_pixel else [category] * len(seeded)
     state = zip(start_id + seeded, cats, centers, counts[seeded])
     return [Cluster(int(i), int(c), v, int(m)) for i, c, v, m in state], columns + start_id
+
+
+def append_scene_oracle(files, raster, rows, dtype="float32"):
+    """The former scene writer: each component staged as a float64 (rows,
+    cols, parts) stack, masked pixels set to NaN there, then cast to the
+    file dtype, a cast whose finiteness differs from the stack's raising."""
+    from geopolsar.raster import KIND_COHERENCY
+    from geopolsar.scene import _DTYPES, _LAYOUT
+
+    if dtype not in _DTYPES:
+        raise ValueError(f"unknown scene dtype {dtype!r}")
+    kind = "T3" if raster.kind == KIND_COHERENCY else "S2"
+    casts = {}
+    for name, index in _LAYOUT[kind].items():
+        if kind == "T3":
+            values = raster.data[..., list(index)]
+        else:
+            entry = raster.data[(..., *index)]
+            values = np.stack([entry.real, entry.imag], axis=-1)
+        values[~raster.mask] = np.nan
+        with np.errstate(over="ignore"):
+            casts[name] = np.ascontiguousarray(values, dtype=_DTYPES[dtype])
+        if (np.isfinite(casts[name]) != np.isfinite(values)).any():
+            raise ValueError(f"component {name}: finite values beyond the {dtype} range")
+    if not files.files:
+        head = dict(rows=rows, cols=raster.cols, looks=repr(raster.looks), kind=kind, dtype=dtype)
+        head.update((f"component.{name}", f"{name}.bin") for name in casts)
+        files.append("header.txt", "".join(f"{k} = {v}\n" for k, v in head.items()).encode())
+    for name, cast in casts.items():
+        files.append(f"{name}.bin", cast)
 
 
 def recompute_clusters_oracle(t, labels, clusters):

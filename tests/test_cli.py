@@ -363,6 +363,15 @@ class TestSimilarity:
         raw = np.fromfile(out / "w_dihedral.f32", dtype="<f4")
         assert np.isnan(raw).all()
 
+    def test_a_span_beyond_float32_fails_cleanly(self, demo_scene, tmp_path, capsys):
+        # a float64 scene holds it, but w is the span and its raster is float32
+        raster = read_scene(demo_scene)
+        raster.data[60, 70, 0] = 1e40  # T11
+        write_scene(raster, tmp_path / "big", dtype="float64")
+        argv = ["similarity", str(tmp_path / "big"), "--out", str(tmp_path / "sim")]
+        assert main(argv + ["--filter-window", "1"]) == 1
+        assert "w_trihedral.f32: finite values beyond the float32 range" in capsys.readouterr().err
+
 
     def test_single_look_scene_without_multilook(self, tmp_path):
         """Without --multilook an S2 scene is read as multilook(raster, 1, 1)."""

@@ -13,7 +13,7 @@ import pytest
 
 import geopolsar as gp
 from geopolsar.matrices import pack_coherency_array
-from geopolsar.raster import KIND_COHERENCY
+from geopolsar.raster import KIND_COHERENCY, mask_non_finite
 from geopolsar.render import MASKED_LABEL
 
 ITEM_1 = "ROADMAP item 1"
@@ -83,15 +83,28 @@ def test_negative_power_pixel_is_masked_alone(demo):
     assert only_pixel_masked(classify(raster, corrupted(raster, T11, -1.0)))
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_1)
 def test_non_finite_pixel_is_masked_alone(demo):
-    # an in-memory raster has no finiteness gate: the boxcar spreads NaN or
-    # +inf in T11 or Im T12 to 25 pixels, which similarity then masks
+    # NaN or +inf in T11 or Im T12 is masked before the boxcar, which would
+    # spread it to 25 pixels
     raster, _ = demo
     results = [classify(raster, corrupted(raster, column, value))
                for column in (T11, IM_T12) for value in (np.nan, np.inf)]
     assert [int((~result.valid).sum()) for result in results] == [1] * 4
     assert all(only_pixel_masked(result) for result in results)
+
+
+def test_the_finiteness_gate_copies_only_a_tile_it_masks(demo):
+    raster, _ = demo
+    tile = raster.slice_rows(56, 64)
+    assert mask_non_finite(tile) is tile
+    data = corrupted(raster, IM_T12, np.inf)[56:64]
+    bad = gp.PolsarRaster(KIND_COHERENCY, data, raster.mask[56:64], raster.looks)
+    gated = mask_non_finite(bad)
+    assert np.isinf(bad.data[4, 70, IM_T12]) and bad.mask[4, 70]  # the input is untouched
+    assert not gated.mask[4, 70] and (gated.data[4, 70] == 0.0).all()
+    assert gated.mask.sum() == bad.mask.sum() - 1
+    assert np.array_equal(np.delete(gated.data.reshape(-1, 9), 4 * 128 + 70, axis=0),
+                          np.delete(bad.data.reshape(-1, 9), 4 * 128 + 70, axis=0))
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,13 @@ from geopolsar.scene import (
 from geopolsar.geodesic import DEFAULT_TARGETS, similarity_arrays
 from geopolsar.pipeline import PipelineConfig, classify_raster, run_classify, run_generate
 
-from conftest import DEMO_SPEC, per_look_scene_oracle, random_psd_stack, random_sinclair_stack
+from conftest import (
+    DEMO_SPEC,
+    append_scene_oracle,
+    per_look_scene_oracle,
+    random_psd_stack,
+    random_sinclair_stack,
+)
 
 
 def coherency_raster(rng, rows, cols, looks=4.0):
@@ -410,6 +416,83 @@ class TestAppendScene:
             assert (tmp_path / "scene" / f"{name}.bin").stat().st_size == 2 * 3 * 4
         with pytest.raises(ValueError, match="component T11: expected 12 values, found 6"):
             read_scene(tmp_path / "scene")
+
+
+def awkward_raster(kind, rows=40, cols=5):
+    """A raster whose unmasked parts hold NaN, +-inf, -0.0, values that round
+    to the float32 extremes or underflow, and whose masked pixels hold values
+    beyond float32."""
+    rng = np.random.default_rng(93)
+    if kind == KIND_COHERENCY:
+        data = pack_coherency_array(random_psd_stack(rng, rows * cols)).reshape(rows, cols, 9)
+        parts = data.reshape(-1)  # any packed part of any pixel
+    else:
+        data = random_sinclair_stack(rng, rows * cols).reshape(rows, cols, 2, 2)
+        parts = data.view(np.float64).reshape(-1)  # real and imaginary parts
+    top = float(np.finfo(np.float32).max)
+    specials = [np.nan, np.inf, -np.inf, -0.0, top * (1 + 2.0**-26), -top, 1e-42, 1e-320]
+    spots = rng.choice(parts.size, size=(len(specials), 6), replace=False)
+    for value, at in zip(specials, spots):
+        parts[at] = value
+    mask = rng.random((rows, cols)) > 0.1
+    beyond = np.flatnonzero(~mask)
+    if kind == KIND_COHERENCY:
+        data.reshape(-1, 9)[beyond, 4] = 5e38
+    else:
+        data.reshape(-1, 4)[beyond, 2] = complex(-0.0, 1e300)
+    return PolsarRaster(kind, data, mask, looks=3.0)
+
+
+class TestWriterOracle:
+    """The writer casts each component once; its files are bitwise those of the
+    former writer, which staged every component as a float64 stack."""
+
+    @pytest.mark.parametrize("kind", [KIND_COHERENCY, KIND_SINCLAIR])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("tile", [1, 7, 37])
+    @pytest.mark.parametrize("band", [None, 12])  # 12 pixels: the writer casts 2-row bands
+    def test_tiles_match_the_staged_writer_bitwise(
+        self, tmp_path, monkeypatch, kind, dtype, tile, band
+    ):
+        if band:
+            monkeypatch.setattr("geopolsar.scene._CAST_PIXELS", band)
+        raster = awkward_raster(kind)
+        for name, append in (("new", append_scene), ("oracle", append_scene_oracle)):
+            with FileAppender(tmp_path / name) as files:
+                for lo in range(0, raster.rows, tile):
+                    append(files, raster.slice_rows(lo, lo + tile), raster.rows, dtype)
+        new, oracle = (sorted((tmp_path / d).iterdir()) for d in ("new", "oracle"))
+        assert [p.name for p in new] == [p.name for p in oracle]
+        for a, b in zip(new, oracle):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+    @pytest.mark.parametrize("kind", [KIND_COHERENCY, KIND_SINCLAIR])
+    def test_an_empty_tile_writes_empty_components(self, tmp_path, kind):
+        empty = awkward_raster(kind).slice_rows(0, 0)
+        for name, append in (("new", append_scene), ("oracle", append_scene_oracle)):
+            with FileAppender(tmp_path / name) as files:
+                append(files, empty, 40)
+        new, oracle = (sorted((tmp_path / d).iterdir()) for d in ("new", "oracle"))
+        assert [(p.name, p.read_bytes()) for p in new] == [(p.name, p.read_bytes()) for p in oracle]
+        assert len(new) == {KIND_COHERENCY: 7, KIND_SINCLAIR: 5}[kind]  # header and components
+
+    @pytest.mark.parametrize("kind, name", [(KIND_COHERENCY, "T12"), (KIND_SINCLAIR, "HV")])
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_an_infinite_part_beside_one_beyond_float32_raises(
+        self, tmp_path, monkeypatch, kind, name, inf
+    ):
+        monkeypatch.setattr("geopolsar.scene._CAST_PIXELS", 3)  # one-row bands; the second raises
+        raster = awkward_raster(kind, rows=4, cols=3)
+        raster.mask[1, 2] = True
+        if kind == KIND_COHERENCY:
+            raster.data[1, 2, [3, 6]] = inf, 1e39  # Re and Im T12
+        else:
+            raster.data[1, 2, 0, 1] = complex(1e39, inf)
+        for write, scene in ((append_scene, "new"), (append_scene_oracle, "oracle")):
+            with FileAppender(tmp_path / scene) as files:
+                with pytest.raises(ValueError, match=f"component {name}: finite values beyond"):
+                    write(files, raster, raster.rows)
+            assert not (tmp_path / scene).exists()
 
 
 class TestSpecParsing:
