@@ -8,11 +8,11 @@ category; mixed pixels compete globally and adopt the winning cluster's
 category.
 
 Pixels and centers are packed real rows p(T) (``packed_rows``), and one kernel
-scores them: d(T, V) = ln|V| + p(T) . Q with Q = W p(V^-1), W = PACKED_WEIGHTS.
-Merging keeps D = (M + M^T) / 2 with M[i, j] = d(Vi, Vj); ties go to the first
-(i, j). Clusters are counts n_k and packed sums S_k (refinement sums each block
-as it scores it, ``_block_pass``), which give the means and the objective
-sum_p d(T_p, V_k) = sum_k n_k ln|V_k| + p(S_k) . Q_k.
+scores them: d(T, V) = ln|V| + p(T) . Q with Q = W p(V^-1), W = PACKED_WEIGHTS,
+both in closed form (``packed_ldl``). Each merge round builds D = (M + M^T) / 2,
+M[i, j] = d(Vi, Vj); ties go to the first (i, j). Clusters are counts n_k and
+packed sums S_k (refinement sums each block as it scores it, ``_block_pass``),
+which give the means and the objective sum_k n_k ln|V_k| + p(S_k) . Q_k.
 
 Distances:
     pixel to center   d(T, V) = ln|V| + Tr(V^-1 T)
@@ -30,7 +30,7 @@ import numpy as np
 
 from .geodesic import SimilarityTriple
 from .matrices import (
-    PACKED_WEIGHTS, CoherencyMatrix, packed_rows, span_array, unpack_coherency_array
+    PACKED_WEIGHTS, CoherencyMatrix, packed_ldl, packed_rows, span_array, unpack_coherency_array
 )
 
 __all__ = [
@@ -94,7 +94,8 @@ class Cluster:
     """One Wishart cluster.
 
     category indexes the target registry; source_ids lists the seed cluster
-    ids merged into this one, so post-merge labels can be recomposed.
+    ids merged into this one, so post-merge labels can be recomposed. The
+    center is stored as its packed row ``row``.
     """
 
     id: int
@@ -104,13 +105,14 @@ class Cluster:
     source_ids: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=np.complex128)
-        if self.center.shape != (3, 3):
-            raise ValueError("cluster center must be a 3x3 matrix")
         if self.member_count < 0:
             raise ValueError("member_count must be >= 0")
         if not self.source_ids:
             self.source_ids = (self.id,)
+
+
+Cluster.center = property(  # after the class, which keeps center an init field
+    lambda c: unpack_coherency_array(c.row), lambda c, value: setattr(c, "row", _row(value)[0]))
 
 
 def categorize(
@@ -167,23 +169,20 @@ def _packed(t) -> np.ndarray:
 def _row(value) -> np.ndarray:
     """(1, 9) packed row of a Cluster, a CoherencyMatrix, a 3x3 matrix or a packed row."""
     if isinstance(value, (Cluster, CoherencyMatrix)):
-        value = value.center if isinstance(value, Cluster) else value.matrix
+        value = value.row if isinstance(value, Cluster) else value.matrix
     return _packed(np.asarray(value)[None])
 
 
 def _factor(centers: np.ndarray, epsilon: float):
-    """(Q, ln|V'|) for (K, 9) packed centers, unpacked here for LAPACK. Pixel
-    and center are both loaded, X' = X + epsilon (tr X / 3) I, which keeps
-    near-singular centers usable: d(T', V') = ln|V'| + p(T) . Q, with Q the
-    weighted p(V'^-1) plus eps/3 Tr(V'^-1) on its diagonal entries."""
-    load = epsilon * span_array(centers, "coherency") / 3.0
-    reg = unpack_coherency_array(centers) + load[:, None, None] * np.eye(3)
-    try:
-        chol = np.linalg.cholesky(reg)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular cluster center") from exc
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
-    q = packed_rows(np.linalg.inv(reg))
+    """(Q, ln|V'|) for (K, 9) packed centers (``packed_ldl``). Pixel and center
+    are both loaded, X' = X + epsilon (tr X / 3) I: d(T', V') = ln|V'| + p(T) . Q,
+    with Q the weighted p(V'^-1) plus eps/3 Tr(V'^-1) on its diagonal entries.
+    V' is singular unless its LDL^H pivots are all > 0, as for Cholesky."""
+    d, adj, tr = packed_ldl(centers, epsilon / 3.0)
+    if not (d > 0.0).all():
+        raise ValueError("singular cluster center")
+    logdet = 3.0 * np.log(tr) + np.log(d).sum(axis=-1)
+    q = adj / (d.prod(axis=-1) * tr)[:, None]
     q *= PACKED_WEIGHTS  # Tr(AB) = p(A) . W p(B)
     q[:, :3] += epsilon / 3.0 * span_array(q, "coherency")[:, None]
     return q, logdet
@@ -253,7 +252,7 @@ def _table(clusters: Sequence[Cluster]):
     work = sorted(clusters, key=lambda c: c.id)
     ids, cats, counts = (np.array([getattr(c, name) for c in work], dtype=np.int64)
                          for name in ("id", "category", "member_count"))
-    return work, ids, cats, counts, _packed(np.reshape([c.center for c in work], (-1, 3, 3)))
+    return work, ids, cats, counts, np.reshape([c.row for c in work], (-1, 9))
 
 
 def _span_bins(span: np.ndarray, k: int) -> np.ndarray:
@@ -304,7 +303,7 @@ def initial_clusters(
     sums = np.stack([np.bincount(columns, p, minlength=len(counts)) for p in pixels.T], axis=1)
     seeded = np.flatnonzero(counts)
     # means times 1 / count, which is how numpy's complex mean rounds
-    centers = unpack_coherency_array(sums[seeded] * (1.0 / counts[seeded])[:, None])
+    centers = sums[seeded] * (1.0 / counts[seeded])[:, None]
     cats = seeded // k if per_pixel else [category] * len(seeded)
     columns += start_id
     state = zip(start_id + seeded, cats, centers, counts[seeded])
@@ -319,9 +318,9 @@ def merge_clusters(
     Repeatedly merges the pair with the smallest center distance whose
     combined population stays within n_max = 2 * N / final_classes, where N
     is the category population. Stops at final_classes clusters or when no
-    pair may merge. The cap applies only here, never during iteration. One
-    bitwise symmetric (K, K) distance matrix is refreshed only in the merged
-    row and column; ties go to the first pair in row-major upper-triangle order.
+    pair may merge. The cap applies only here, never during iteration. Each
+    round factors every center and builds one bitwise symmetric (K, K) distance
+    matrix; ties go to the first pair in row-major upper-triangle order.
     """
     work, _, cluster_cat, counts, centers = _table(clusters)
     if len(np.unique(cluster_cat)) > 1:
@@ -329,14 +328,14 @@ def merge_clusters(
     sources = [c.source_ids for c in work]
     alive = np.ones(len(work), dtype=bool)
     n_max = 2.0 * counts.sum() / config.final_classes_per_category
-    q, logdet = _factor(centers, config.center_regularization)
-    dist = np.dot(centers, q.T) + logdet  # d(Vi, Vj)
-    dist = 0.5 * (dist + dist.T)
     for _ in range(len(work) - config.final_classes_per_category):
         allowed = np.outer(alive, alive) & (counts[:, None] + counts[None, :] <= n_max)
         pairs = np.flatnonzero(np.triu(allowed, 1))
         if pairs.size == 0:
             break
+        q, logdet = _factor(centers, config.center_regularization)
+        dist = np.dot(centers, q.T) + logdet  # d(Vi, Vj)
+        dist = 0.5 * (dist + dist.T)
         i, j = divmod(int(pairs[np.argmin(dist.flat[pairs])]), len(work))
         na, nb = int(counts[i]), int(counts[j])
         # times 1 / count, which is how numpy's complex mean rounds
@@ -344,11 +343,7 @@ def merge_clusters(
         counts[i] = na + nb
         sources[i] = tuple(sorted(sources[i] + sources[j]))
         alive[j] = False
-        (q[i],), (logdet[i],) = _factor(centers[i : i + 1], config.center_regularization)
-        row = (np.dot(centers[i : i + 1], q.T) + logdet)[0]
-        column = (np.dot(centers, q[i : i + 1].T) + logdet[i])[:, 0]
-        dist[i] = dist[:, i] = 0.5 * (row + column)
-    state = zip(work, unpack_coherency_array(centers), counts, sources, alive)
+    state = zip(work, centers, counts, sources, alive)
     return [Cluster(c.id, c.category, v, int(m), s) for c, v, m, s, a in state if a]
 
 
@@ -440,6 +435,6 @@ def iterate_classification(
         record(iteration, changed, objective)
         if changed == 0 or changed / n < config.convergence_fraction:
             break
-    state = zip([work[a] for a in survivors], unpack_coherency_array(centers), counts)
+    state = zip([work[a] for a in survivors], centers, counts)
     clusters = [Cluster(c.id, c.category, v, int(m), c.source_ids) for c, v, m in state]
     return labels, clusters, history

@@ -7,7 +7,8 @@ once, in the kernels, and the single-pixel functions call them; the
 coherent Kennaugh matrix is the Kennaugh map of k k^H. The value types
 validate their physical invariants on construction; the kernels are pure
 functions and safe to run concurrently over disjoint slices. Coherency
-input is read by one converter, ``packed_rows``, into packed real rows p(T).
+input is read by one converter, ``packed_rows``, into packed real rows p(T),
+and one closed form, ``packed_ldl``, gives their pivots and adjugates.
 
 Conventions: Pauli basis ordering (HH+VV, HH-VV, 2HV) with a 1/sqrt(2)
 normalization, so the squared Pauli norm equals the span
@@ -41,6 +42,7 @@ __all__ = [
     "span_array",
     "packed_outer",
     "packed_rows",
+    "packed_ldl",
     "pack_coherency_array",
     "unpack_coherency_array",
 ]
@@ -140,15 +142,12 @@ class CoherencyMatrix:
         object.__setattr__(self, "t23", complex(self.t23))
         if not np.isfinite(self._row).all():
             raise ValueError("coherency matrix entries must be finite")
-        tr = self.t11 + self.t22 + self.t33
         scale = abs(self.t11) + abs(self.t22) + abs(self.t33)
         floor = -PSD_TOLERANCE * max(scale, np.finfo(float).tiny)
         if min(self.t11, self.t22, self.t33) < floor:
             raise ValueError("coherency diagonal must be nonnegative")
-        if scale > 0.0:
-            eigmin = float(np.linalg.eigvalsh(self.matrix)[0])
-            if eigmin < -PSD_TOLERANCE * tr:
-                raise ValueError("coherency matrix is not positive semidefinite")
+        if scale > 0.0 and not (packed_ldl(self._row, PSD_TOLERANCE)[0] >= 0.0).all():
+            raise ValueError("coherency matrix is not positive semidefinite")
 
     @classmethod
     def from_matrix(cls, matrix) -> "CoherencyMatrix":
@@ -273,6 +272,30 @@ def packed_rows(t) -> np.ndarray:
     if np.iscomplexobj(t):
         raise ValueError(f"packed coherency rows must be real, got {t.dtype}")
     return t.astype(np.float64, copy=False)
+
+
+def packed_ldl(p, shift: float = 0.0):
+    """(d, adj, tr) of packed rows p (..., 9) of Hermitian T (T12 = x, T13 = y,
+    T23 = z), in real arithmetic: tr = tr T, and the LDL^H pivots d (..., 3) and
+    packed adjugate (..., 9) of M = T / |tr| + shift I, whose products stay in
+    the float range. For tr > 0, tr M = T + shift tr I is positive definite iff
+    every pivot is > 0, and then ln|tr M| = 3 ln tr + sum(ln d) and (tr M)^-1 =
+    adj / (prod(d) tr). Pivots, unlike a determinant, keep the margin of T + tol tr I."""
+    p = packed_rows(p)
+    tr = span_array(p, "coherency")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = p / np.abs(tr)[..., None]
+        m[..., :3] += shift
+        a, b, c, xr, yr, zr, xi, yi, zi = np.moveaxis(m, -1, 0)
+        xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
+        ur, ui = xr * yr + xi * yi, xr * yi - xi * yr  # conj(x) y
+        d2 = b - xx / a
+        sr, si = zr - ur / a, zi - ui / a  # z - conj(x) y / a
+        d3 = (c - yy / a) - (sr * sr + si * si) / d2
+        adj = (b * c - zz, a * c - yy, a * b - xx,
+               (yr * zr + yi * zi) - c * xr, (xr * zr - xi * zi) - b * yr, ur - a * zr,
+               (yi * zr - yr * zi) - c * xi, (xr * zi + xi * zr) - b * yi, ui - a * zi)
+    return np.stack([a, d2, d3], axis=-1), np.stack(adj, axis=-1), tr
 
 
 def kennaugh_from_coherency_array(t) -> np.ndarray:

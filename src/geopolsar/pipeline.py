@@ -223,7 +223,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
     del planes, t_flat, labels0  # the result images need none of them
 
     # dense class ids ordered by category, then center power, then seed id
-    power = {c.id: float(span_array(c.center, "coherency")) for c in clusters}
+    power = {c.id: float(span_array(c.row, "coherency")) for c in clusters}
     ordered = sorted(clusters, key=lambda c: (c.category, power[c.id], c.id))
     id_to_class = np.full(n_targets * k0, MASKED_LABEL, dtype=np.int64)
     classes: List[ClassEntry] = []

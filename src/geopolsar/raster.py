@@ -5,10 +5,10 @@ number of looks already averaged into each pixel. A Sinclair raster holds
 (rows, cols, 2, 2) complex matrices. A coherency raster holds packed real
 rows p(T) (``matrices.packed_rows``) of shape (rows, cols, 9) at 72 bytes
 per pixel, over a component-major buffer, so each of the nine planes
-``data[..., c]`` is contiguous. Rasters are treated as immutable:
-operations return new instances and never write into an input array, which
-keeps read-only sharing across worker threads safe. A RowSource yields a
-coherency raster in row bands, read or computed on demand.
+``data[..., c]`` is contiguous; a row slice shares that buffer. Rasters are
+treated as immutable: operations return new instances and never write into
+an input array, which keeps read-only sharing across worker threads safe. A
+RowSource yields a coherency raster in row bands, read or computed on demand.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ class PolsarRaster:
         if self.kind not in _KIND_SHAPE:
             raise ValueError(f"unknown raster kind {self.kind!r}")
         if self.kind == KIND_COHERENCY:
-            # component-major, without a copy when it already is
-            planes = np.ascontiguousarray(np.moveaxis(packed_rows(self.data), -1, 0))
+            # contiguous planes, without a copy when they already are (as a row slice's are)
+            planes = np.moveaxis(packed_rows(self.data), -1, 0)
+            if not all(plane.flags.c_contiguous for plane in planes):
+                planes = np.ascontiguousarray(planes)
             self.data = np.moveaxis(planes, 0, -1)
         else:
             self.data = np.asarray(self.data, dtype=np.complex128)

@@ -121,6 +121,28 @@ class TestDistances:
         d = wishart_pixel_distance(np.eye(3), rank1, epsilon=1e-6)
         assert np.isfinite(d)
 
+    @pytest.mark.parametrize(
+        "diagonal", [(-1.0, -1.0, 1.0), (-1.0, -1.0, -1.0)], ids=["det-positive", "negative-definite"]
+    )
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-6])
+    def test_indefinite_center_rejected(self, diagonal, epsilon):
+        # neither a positive determinant nor positive pivots of V / tr V make V definite
+        center = np.diag(diagonal).astype(complex)
+        with pytest.raises(ValueError, match="singular cluster center"):
+            wishart_pixel_distance(np.eye(3), center, epsilon)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+    def test_pixel_distance_is_scale_free(self, scale):
+        # d(sT, sV) = d(T, V) + 3 ln s, where a determinant of sV or a product
+        # of its entries leaves the float range
+        rng = np.random.default_rng(77)
+        t, v = np.split(random_psd_stack(rng, 20, looks=5), 2)
+        for a, b in zip(t, v):
+            for x, y in ((a, b), (b, b)):
+                expected = wishart_pixel_distance(x, y) + 3.0 * np.log(scale)
+                got = wishart_pixel_distance(scale * x, scale * y)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * abs(3.0 * np.log(scale)))
+
     def test_accepts_value_objects_and_clusters(self):
         from geopolsar.matrices import CoherencyMatrix
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geopolsar.matrices import (
+    PSD_TOLERANCE,
     CoherencyMatrix,
     KennaughMatrix,
     PauliVector,
@@ -13,6 +14,7 @@ from geopolsar.matrices import (
     kennaugh_from_sinclair,
     kennaugh_from_sinclair_array,
     pack_coherency_array,
+    packed_ldl,
     packed_rows,
     pauli_from_sinclair,
     pauli_from_sinclair_array,
@@ -124,6 +126,96 @@ class TestCoherency:
         # eigenvalues dip ~1e-14 below zero; well inside the tolerance
         t = CoherencyMatrix(1.0, 1.0, 0.0, t12=1.0 + 1e-14)
         assert span(t) == pytest.approx(2.0)
+
+
+def random_unitary(rng, n):
+    """(n, 3, 3) unitary matrices, the Q factors of complex Gaussian matrices."""
+    z = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    return np.linalg.qr(z)[0]
+
+
+def skewed_wishart_stack(rng, n):
+    """(n, 3, 3) sample coherency matrices of 3 to 5 looks of CN(0, I), each
+    pixel's Pauli amplitudes scaled by factors spread over 3 decades, so the
+    condition number reaches 1e9 or more in 20,000 of them."""
+    looks = rng.integers(3, 6, n)
+    z = rng.standard_normal((n, 5, 3)) + 1j * rng.standard_normal((n, 5, 3))
+    z *= (np.arange(5) < looks[:, None])[..., None]  # only the first L looks count
+    z *= 10.0 ** rng.uniform(0.0, 3.0, (n, 1, 3))
+    return np.einsum("nla,nlb->nab", z, z.conj()) / looks[:, None, None]
+
+
+def long_double_logdet_and_inverse(t):
+    """ln|T| and p(T^-1) of (n, 3, 3) Hermitian stacks, by cofactors in np.clongdouble."""
+    t = np.asarray(t).astype(np.clongdouble)
+    a, b, c, x, y, z = (t[:, i, j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+    adj = [b * c - z * z.conj(), a * c - y * y.conj(), a * b - x * x.conj(),
+           y * z.conj() - x * c, x * z - y * b, x.conj() * y - a * z]
+    det = (a * adj[0] + x * adj[3].conj() + y * adj[4].conj()).real
+    packed = np.stack([e.real for e in adj] + [e.imag for e in adj[3:]], axis=-1)
+    return np.log(det), packed / det[:, None]
+
+
+class TestPackedLdl:
+    def test_logdet_and_inverse_against_long_double(self):
+        # errors in units of cond(T) * eps; over 600,000 such matrices the
+        # largest seen were 15.9 for ln|T| and 0.68 for the inverse (LAPACK's
+        # slogdet and inv: 10.9 and 0.56), and each bound is 2x that
+        assert np.finfo(np.longdouble).eps < 1e-18  # the reference has 3 more digits
+        t = skewed_wishart_stack(np.random.default_rng(2004), 20000)
+        eigs = np.linalg.eigvalsh(t)
+        unit = eigs[:, -1] / eigs[:, 0] * np.finfo(float).eps
+        assert unit.max() > 1e8 * np.finfo(float).eps
+        d, adj, tr = packed_ldl(pack_coherency_array(t))
+        assert (d > 0.0).all()
+        logdet = 3.0 * np.log(tr) + np.log(d).sum(axis=-1)
+        inverse = adj / (d.prod(axis=-1) * tr)[:, None]
+        ref_logdet, ref_inverse = long_double_logdet_and_inverse(t)
+        assert (np.abs(logdet - ref_logdet) <= 32.0 * unit).all()
+        largest = np.abs(ref_inverse).max(axis=-1)
+        assert (np.abs(inverse - ref_inverse).max(axis=-1) <= 1.4 * unit * largest).all()
+
+    def test_pivots_are_scale_free(self):
+        p = pack_coherency_array(skewed_wishart_stack(np.random.default_rng(2006), 20))
+        d, adj, tr = packed_ldl(p)
+        for scale in (2.0**-1000, 2.0**900):
+            ds, adjs, trs = packed_ldl(p * scale)
+            assert np.array_equal(ds, d) and np.array_equal(adjs, adj)
+            assert np.array_equal(trs, tr * scale)
+
+
+class TestPsdTraps:
+    """Rules a closed-form PSD test can break, checked on ``CoherencyMatrix``."""
+
+    @pytest.mark.parametrize("looks", [1, 2])
+    def test_low_rank_matrices_construct(self, looks):
+        # a determinant of T + tol tr I is ~1e-18 tr^3 here, below its own rounding
+        rng = np.random.default_rng(150 + looks)
+        scales = 10.0 ** rng.uniform(-100, 100, 1000)
+        t = random_psd_stack(rng, 1000, looks=looks) * scales[:, None, None]
+        for matrix in t:
+            CoherencyMatrix.from_matrix(matrix)
+
+    def test_psd_rule_agrees_with_the_smallest_eigenvalue(self):
+        # eigmin / (tol tr) spans [-3, 3]: the rule is eigmin >= -tol tr
+        rng = np.random.default_rng(152)
+        n = 4000
+        ratio = rng.uniform(-3.0, 3.0, n)
+        top = 10.0 ** rng.uniform(-2.0, 2.0, (n, 2))
+        low = ratio * PSD_TOLERANCE * top.sum(axis=1) / (1.0 - ratio * PSD_TOLERANCE)
+        u = random_unitary(rng, n)
+        t = np.einsum("nij,nj,nkj->nik", u, np.column_stack([top, low]), u.conj())
+        t = unpack_coherency_array(pack_coherency_array(t))  # exactly Hermitian
+        expected = np.linalg.eigvalsh(t)[:, 0] >= -PSD_TOLERANCE * np.trace(t, axis1=1, axis2=2).real
+        accepted = []
+        for matrix in t:
+            try:
+                CoherencyMatrix.from_matrix(matrix)
+                accepted.append(True)
+            except ValueError:
+                accepted.append(False)
+        assert 0.3 * n < np.count_nonzero(expected) < 0.9 * n
+        assert np.array_equal(accepted, expected)
 
 
 class TestKennaugh:

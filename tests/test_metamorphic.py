@@ -9,12 +9,15 @@ transpose.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import geopolsar as gp
 import geopolsar.preprocess as preprocess
+from geopolsar.geodesic import DEFAULT_TARGETS, CanonicalTarget
+from geopolsar.matrices import SinclairMatrix, kennaugh_from_sinclair
 from geopolsar.raster import KIND_COHERENCY
 from geopolsar.scene import Region, generate_scene, parse_scene_spec, write_scene
 
@@ -45,11 +48,12 @@ def scene(request, tmp_path_factory):
         path = strips_256(tmp_path_factory.mktemp("strips") / "scene")
     raster = gp.read_scene(path)
 
-    def classify(data, mask):
+    def classify(data, mask, **config):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(preprocess, "_FILTER_TILE_PIXELS", 4096)
             return gp.classify_raster(
-                gp.PolsarRaster(KIND_COHERENCY, data, mask, raster.looks), gp.PipelineConfig()
+                gp.PolsarRaster(KIND_COHERENCY, data, mask, raster.looks),
+                gp.PipelineConfig(**config),
             )
 
     return raster, classify, classify(raster.data, raster.mask)
@@ -97,3 +101,30 @@ def test_masked_junk_border_leaves_the_inner_labels(scene):
     result = classify(data, mask)
     assert not result.valid[~mask].any()
     assert_same_classification(result, clean, lambda image: image[inner])
+
+
+def test_target_order_keeps_the_partition(scene):
+    # ties between targets go to the first, so only exact ties could differ
+    raster, classify, clean = scene
+    for order in itertools.permutations(range(len(DEFAULT_TARGETS))):
+        targets = tuple(DEFAULT_TARGETS[i] for i in order)
+        result = classify(raster.data, raster.mask, targets=targets)
+        assert np.array_equal(result.valid, clean.valid)
+        assert np.array_equal(result.mixed, clean.mixed)
+        valid = clean.valid
+        assert np.array_equal(np.asarray(order)[result.categories[valid]], clean.categories[valid])
+        # the same partition: each class of one run is one class of the other
+        pairs = np.unique(np.stack([result.labels[valid], clean.labels[valid]]), axis=1)
+        assert pairs.shape[1] == len(np.unique(clean.labels[valid])) == len(result.classes)
+
+
+def test_a_fourth_target_only_adds_mixed_pixels(scene):
+    # gamma is normalized over the whole registry, so a target that no pixel
+    # prefers still lowers each pixel's largest share of the sum
+    raster, classify, clean = scene
+    dipole = CanonicalTarget("dipole", kennaugh_from_sinclair(SinclairMatrix(1, 0, 0)))
+    result = classify(raster.data, raster.mask, targets=DEFAULT_TARGETS + (dipole,))
+    assert np.array_equal(result.valid, clean.valid)
+    assert np.array_equal(result.categories, clean.categories)
+    assert not (clean.mixed & ~result.mixed).any()
+    assert np.count_nonzero(result.mixed) > np.count_nonzero(clean.mixed)

@@ -41,6 +41,18 @@ def coherency_raster(rng, rows, cols, looks=4.0):
     return PolsarRaster(KIND_COHERENCY, data, looks=looks)
 
 
+def test_row_slice_shares_the_raster_buffer():
+    raster = coherency_raster(np.random.default_rng(70), 24, 5)
+    band = raster.slice_rows(8, 16)
+    assert np.shares_memory(band.data, raster.data)
+    assert band.data.tobytes() == raster.data[8:16].tobytes()
+    # pixel-major rows are copied once into contiguous planes
+    pixel_major = PolsarRaster(KIND_COHERENCY, np.ascontiguousarray(raster.data))
+    assert not np.shares_memory(pixel_major.data, raster.data)
+    for c in range(9):
+        assert band.data[..., c].flags.c_contiguous and pixel_major.data[..., c].flags.c_contiguous
+
+
 class TestStorage:
     def test_t3_float64_roundtrip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(71)
