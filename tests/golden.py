@@ -124,6 +124,8 @@ def build(work: Path) -> dict:
     _hash_dir(entries, f"write/s2-{S2_SIZE}", s2)
     _cli("similarity", s2, "--out", work / "sim-s2", "--multilook", 2, 2)
     _hash_dir(entries, f"similarity/s2-{S2_SIZE}-multilook-2-2", work / "sim-s2")
+    _classify(entries, f"classify/s2-{S2_SIZE}-multilook-2-2", s2, work / "s2-out",
+              "--multilook", 2, 2)
     return entries
 
 
