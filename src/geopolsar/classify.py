@@ -184,7 +184,7 @@ def _factor(centers: np.ndarray, epsilon: float):
     logdet = 3.0 * np.log(tr) + np.log(d).sum(axis=-1)
     q = adj / (d.prod(axis=-1) * tr)[:, None]
     q *= PACKED_WEIGHTS  # Tr(AB) = p(A) . W p(B)
-    q[:, :3] += epsilon / 3.0 * span_array(q, "coherency")[:, None]
+    q[:, :3] += epsilon / 3.0 * span_array(q)[:, None]
     return q, logdet
 
 
@@ -294,7 +294,7 @@ def initial_clusters(
         raise ValueError("k must be >= 1")
     per_pixel = np.ndim(category) > 0
     slots = np.asarray(category) if per_pixel else np.zeros(n, dtype=np.uint8)
-    span, columns = span_array(pixels, "coherency"), np.empty(n, dtype=np.int64)
+    span, columns = span_array(pixels), np.empty(n, dtype=np.int64)
     populations = np.bincount(slots)
     for c in np.flatnonzero(populations):
         members = slots == c
@@ -428,7 +428,7 @@ def iterate_classification(
         objective = total(counts, sums) if np.isin(own, cluster_cat).all() else np.inf
         # emptied clusters get a zero mean and retire, as do powerless ones
         centers = sums * (1.0 / np.maximum(counts, 1))[:, None]
-        keep = span_array(centers, "coherency") > 0.0
+        keep = span_array(centers) > 0.0
         ids, cluster_cat, counts, centers, survivors = (
             a[keep] for a in (ids, cluster_cat, counts, centers, survivors)
         )

@@ -184,7 +184,7 @@ def similarity_arrays(
         basis, k11 = np.eye(16).reshape(16, 4, 4), x[..., 0, 0]
         x = x.reshape(x.shape[:-2] + (16,))
     elif x.shape[-1:] == (9,):  # packed rows are the Kennaugh map of the packed basis
-        basis, k11 = kennaugh_from_coherency_array(np.eye(9)), 0.5 * span_array(x, "coherency")
+        basis, k11 = kennaugh_from_coherency_array(np.eye(9)), 0.5 * span_array(x)
     else:
         raise ValueError(f"expected (rows, cols, 4, 4) or packed (rows, cols, 9), got {x.shape}")
     # K = sum_c x_c B_c over an orthogonal basis B: Tr(K K_t) = x . A_t with A_t the

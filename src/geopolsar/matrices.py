@@ -8,7 +8,8 @@ coherent Kennaugh matrix is the Kennaugh map of k k^H. The value types
 validate their physical invariants on construction; the kernels are pure
 functions and safe to run concurrently over disjoint slices. Coherency
 input is read by one converter, ``packed_rows``, into packed real rows p(T),
-and one closed form, ``packed_ldl``, gives their pivots and adjugates.
+and one closed form, ``packed_ldl``, gives their pivots and adjugates; the
+span reads the kind of a stack from its trailing shape.
 
 Conventions: Pauli basis ordering (HH+VV, HH-VV, 2HV) with a 1/sqrt(2)
 normalization, so the squared Pauli norm equals the span
@@ -146,7 +147,8 @@ class CoherencyMatrix:
         floor = -PSD_TOLERANCE * max(scale, np.finfo(float).tiny)
         if min(self.t11, self.t22, self.t33) < floor:
             raise ValueError("coherency diagonal must be nonnegative")
-        if scale > 0.0 and not (packed_ldl(self._row, PSD_TOLERANCE)[0] >= 0.0).all():
+        # a nonzero row of zero trace has NaN pivots, which fail too
+        if self._row.any() and not (packed_ldl(self._row, PSD_TOLERANCE)[0] >= 0.0).all():
             raise ValueError("coherency matrix is not positive semidefinite")
 
     @classmethod
@@ -282,7 +284,7 @@ def packed_ldl(p, shift: float = 0.0):
     every pivot is > 0, and then ln|tr M| = 3 ln tr + sum(ln d) and (tr M)^-1 =
     adj / (prod(d) tr). Pivots, unlike a determinant, keep the margin of T + tol tr I."""
     p = packed_rows(p)
-    tr = span_array(p, "coherency")
+    tr = span_array(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         m = p / np.abs(tr)[..., None]
         m[..., :3] += shift
@@ -303,7 +305,7 @@ def kennaugh_from_coherency_array(t) -> np.ndarray:
     p = packed_rows(t)
     t11, t22, t33, re12, re13, re23, im12, im13, im23 = np.moveaxis(p, -1, 0)
     k = np.empty(p.shape[:-1] + (4, 4), dtype=np.float64)
-    k[..., 0, 0] = 0.5 * span_array(p, "coherency")
+    k[..., 0, 0] = 0.5 * span_array(p)
     k[..., 1, 1] = 0.5 * (t11 + t22 - t33)
     k[..., 2, 2] = 0.5 * (t11 - t22 + t33)
     k[..., 3, 3] = 0.5 * (-t11 + t22 + t33)
@@ -334,21 +336,18 @@ def unpack_coherency_array(p) -> np.ndarray:
     return out
 
 
-def span_array(data, kind: str) -> np.ndarray:
-    """Total scattered power per matrix in a stack.
-
-    kind is one of 'sinclair', 'coherency' (``packed_rows``), 'kennaugh'.
-    """
-    if kind == "sinclair":
-        data = _stacks(data, 2, "Sinclair")
+def span_array(data) -> np.ndarray:
+    """Total scattered power per matrix in a stack, whose trailing shape names
+    its kind: (..., 2, 2) Sinclair, (..., 4, 4) Kennaugh, and anything else
+    coherency data (``packed_rows``)."""
+    data = np.asarray(data)
+    if data.shape[-2:] == (2, 2):
         hh, hv, vv = data[..., 0, 0], data[..., 0, 1], data[..., 1, 1]
         return (hh * hh.conj()).real + 2.0 * (hv * hv.conj()).real + (vv * vv.conj()).real
-    if kind == "coherency":
-        p = packed_rows(data)
-        return (p[..., 0] + p[..., 1]) + p[..., 2]
-    if kind == "kennaugh":
-        return 2.0 * _stacks(data, 4, "Kennaugh")[..., 0, 0].real
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    if data.shape[-2:] == (4, 4):
+        return 2.0 * data[..., 0, 0].real
+    p = packed_rows(data)
+    return (p[..., 0] + p[..., 1]) + p[..., 2]
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +380,12 @@ def kennaugh_from_coherency(t: CoherencyMatrix) -> KennaughMatrix:
     return KennaughMatrix(kennaugh_from_coherency_array(t.matrix))
 
 
-_SPAN_KINDS = (
-    (SinclairMatrix, "sinclair"),
-    (CoherencyMatrix, "coherency"),
-    (KennaughMatrix, "kennaugh"),
-)
-
-
 def span(
     value: Union[SinclairMatrix, PauliVector, CoherencyMatrix, KennaughMatrix]
 ) -> float:
     """Span (total power) of any of the matrix value types."""
     if isinstance(value, PauliVector):
         return value.norm_squared()
-    for cls, kind in _SPAN_KINDS:
-        if isinstance(value, cls):
-            return float(span_array(value.matrix, kind))
+    if isinstance(value, (SinclairMatrix, CoherencyMatrix, KennaughMatrix)):
+        return float(span_array(value.matrix))
     raise TypeError(f"unsupported type {type(value).__name__}")

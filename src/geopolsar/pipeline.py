@@ -161,8 +161,7 @@ def classify_raster(
         raise ValueError(
             f"the pipeline takes coherency rasters; multilook a {raster.kind} raster first"
         )
-    source = RowSource(raster.shape, raster.looks,
-                       lambda lo, hi: mask_non_finite(raster.slice_rows(lo, hi)))
+    source = RowSource(raster.shape, lambda lo, hi: mask_non_finite(raster.slice_rows(lo, hi)))
     with _dump_hook(dump_dir, config.dump_stages) as dump:
         return _classify(source, config, dump)
 
@@ -223,7 +222,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
     del planes, t_flat, labels0  # the result images need none of them
 
     # dense class ids ordered by category, then center power, then seed id
-    power = {c.id: float(span_array(c.row, "coherency")) for c in clusters}
+    power = {c.id: float(span_array(c.row)) for c in clusters}
     ordered = sorted(clusters, key=lambda c: (c.category, power[c.id], c.id))
     id_to_class = np.full(n_targets * k0, MASKED_LABEL, dtype=np.int64)
     classes: List[ClassEntry] = []

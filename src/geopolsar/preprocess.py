@@ -203,7 +203,7 @@ def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> RowSourc
             del planes  # freed before the next tile is read
         return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), mask, looks * rf * af)
 
-    return RowSource((rows, cols), looks * rf * af, block_rows)
+    return RowSource((rows, cols), block_rows)
 
 
 def multilook(

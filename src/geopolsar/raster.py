@@ -100,7 +100,7 @@ class PolsarRaster:
 
     def span(self) -> np.ndarray:
         """Per-pixel span; zero on masked pixels."""
-        return np.where(self.mask, span_array(self.data, self.kind), 0.0)
+        return np.where(self.mask, span_array(self.data), 0.0)
 
 
 def mask_non_finite(raster: PolsarRaster) -> PolsarRaster:
@@ -116,9 +116,8 @@ def mask_non_finite(raster: PolsarRaster) -> PolsarRaster:
 
 class RowSource(NamedTuple):
     """Coherency rows made on demand: ``rows(lo, hi)`` is the raster of rows
-    lo:hi of a raster of this shape and looks, as ``r.slice_rows`` gives
-    those of an in-memory raster r."""
+    lo:hi of a raster of this shape, as ``r.slice_rows`` gives those of an
+    in-memory raster r."""
 
     shape: Tuple[int, int]
-    looks: float
     rows: Callable[[int, int], PolsarRaster]

@@ -199,7 +199,7 @@ def open_scene(
         raster = PolsarRaster(KIND_COHERENCY, np.moveaxis(planes, 0, -1), None, header.looks)
         return mask_non_finite(raster)
 
-    return RowSource(shape, header.looks, rows)
+    return RowSource(shape, rows)
 
 
 def read_scene(
@@ -416,7 +416,7 @@ def generate_scene(spec: SyntheticSceneSpec) -> PolsarRaster:
     for idx, region in enumerate(spec.regions):
         looks = region.looks if region.looks is not None else spec.looks
         sigma = region.span * MODEL_COHERENCY[region.model]
-        delta = _SAMPLING_FLOOR * span_array(sigma, "coherency")
+        delta = _SAMPLING_FLOOR * span_array(sigma)
         chol = np.linalg.cholesky(sigma + delta * np.eye(3))
         # column k maps the k-th packed basis matrix E_k to p(C E_k C^H) / L
         basis = unpack_coherency_array(np.eye(9))

@@ -350,7 +350,7 @@ def initial_clusters_oracle(pixels, k, category=0, start_id=0):
     pixels = packed_rows(np.asarray(pixels))
     per_pixel = np.ndim(category) > 0
     slots = np.asarray(category) if per_pixel else np.zeros(len(pixels), dtype=np.uint8)
-    order = np.lexsort((span_array(pixels, "coherency"), slots))
+    order = np.lexsort((span_array(pixels), slots))
     present, populations = np.unique(slots, return_counts=True)
     columns = np.empty(len(pixels), dtype=np.int64)
     for c, n_c, end in zip(present, populations, np.cumsum(populations)):

@@ -93,7 +93,7 @@ def test_criterion_03_conversion_routes_agree():
     start = time.perf_counter()
     rng = np.random.default_rng(1003)
     s = random_sinclair_stack(rng, 10_000)
-    s /= np.sqrt(span_array(s, "sinclair"))[:, None, None]
+    s /= np.sqrt(span_array(s))[:, None, None]
     direct = kennaugh_expansion_oracle(s)
     pauli = pauli_from_sinclair_array(s)
     via_coherency = kennaugh_from_coherency_array(

@@ -68,7 +68,7 @@ def test_front_end_does_not_depend_on_the_tile_grid(tmp_path, monkeypatch, deori
 
     # an in-memory source, and a file source whose masked pixels read as zeros
     for k, (raster, source) in enumerate([
-        (in_memory, RowSource(in_memory.shape, in_memory.looks, in_memory.slice_rows)),
+        (in_memory, RowSource(in_memory.shape, in_memory.slice_rows)),
         (read_scene(tmp_path / "scene"), open_scene(tmp_path / "scene")),
     ]):
         # the whole-raster composition, each stage one pass
@@ -187,7 +187,7 @@ def test_repeated_target_names_are_rejected():
 def test_front_end_takes_a_raster_without_rows(tmp_path):
     raster = PolsarRaster(KIND_COHERENCY, np.zeros((0, 5, 9)), looks=0.3)
     config = PipelineConfig(preprocess=PreprocessConfig(filter_window=3))
-    source = RowSource(raster.shape, raster.looks, raster.slice_rows)
+    source = RowSource(raster.shape, raster.slice_rows)
     with _dump_hook(tmp_path, ("filter",)) as dump:
         tiles = list(_prepare(source, config, dump))
     assert len(tiles) == 1  # one empty tile

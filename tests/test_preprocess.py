@@ -191,7 +191,7 @@ class TestDeorient:
         expected = deorient_raster(raster).data.tobytes()
         # a window of one leaves each tile as deoriented, with no halo rows
         config = PipelineConfig(preprocess=PreprocessConfig(filter_window=1))
-        source = RowSource(raster.shape, raster.looks, raster.slice_rows)
+        source = RowSource(raster.shape, raster.slice_rows)
         for tile_rows in (1, 7, 18, 37):
             monkeypatch.setattr(preprocess, "_FILTER_TILE_PIXELS", tile_rows * 53)
             tiles = [tile for _, _, tile, _ in _prepare(source, config, lambda stage: None)]

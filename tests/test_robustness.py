@@ -1,9 +1,11 @@
-"""Robustness probes: corrupt or rescaled pixels fed to ``classify_raster``.
+"""Robustness probes: corrupt or rescaled pixels fed to the classifier.
 
-Each probe runs the whole pipeline on an in-memory copy of the demo scene.
-The expected results are those of ROADMAP item 1 (one validity gate at
-ingest and a scale-free geodesic): a bad pixel is masked on its own and
-never spreads into its neighbours, and rescaling the scene changes nothing.
+Each probe runs the whole pipeline on an in-memory copy of the demo scene
+(``classify_raster``), or on a single-look S2 scene through the multilooking
+reader (``run_classify``). The expected results are those of ROADMAP item 1
+(one validity gate at ingest and a scale-free geodesic): a bad pixel is
+masked on its own and never spreads into its neighbours, and rescaling the
+scene changes nothing.
 The probes that still fail are strict xfails, so the suite turns red as soon
 as one of them starts to pass and its mark has to go.
 """
@@ -13,8 +15,10 @@ import pytest
 
 import geopolsar as gp
 from geopolsar.matrices import pack_coherency_array
-from geopolsar.raster import KIND_COHERENCY, mask_non_finite
+from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, mask_non_finite
 from geopolsar.render import MASKED_LABEL
+
+from conftest import random_sinclair_stack
 
 ITEM_1 = "ROADMAP item 1"
 
@@ -91,6 +95,20 @@ def test_non_finite_pixel_is_masked_alone(demo):
                for column in (T11, IM_T12) for value in (np.nan, np.inf)]
     assert [int((~result.valid).sum()) for result in results] == [1] * 4
     assert all(only_pixel_masked(result) for result in results)
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1)
+def test_overflowing_single_look_pixel_is_masked_alone(tmp_path):
+    # HH = 1e200 overflows packed_outer inside the multilook, before any gate
+    # on the multilooked tile could run; with warnings ignored, the inf block
+    # spreads through the boxcar and 25 output pixels are masked, not 1
+    s = random_sinclair_stack(np.random.default_rng(6), 64 * 64).reshape(64, 64, 2, 2)
+    s[2 * 10, 2 * 15, 0, 0] = 1e200
+    gp.write_scene(gp.PolsarRaster(KIND_SINCLAIR, s), tmp_path / "s2", "float64")
+    result = gp.run_classify(tmp_path / "s2", tmp_path / "out", multilook=(2, 2))
+    expected = np.zeros((32, 32), bool)
+    expected[10, 15] = True
+    assert np.array_equal(~result.valid, expected)
 
 
 def test_the_finiteness_gate_copies_only_a_tile_it_masks(demo):
