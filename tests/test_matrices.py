@@ -332,6 +332,29 @@ class TestSpan:
         with pytest.raises(TypeError):
             span(np.eye(3))
 
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("kind", ["sinclair", "kennaugh", "coherency", "packed"])
+    def test_trailing_shape_names_the_kind(self, kind, lead):
+        # one matrix or a stack of them, each kind read from its trailing shape
+        s = random_sinclair_stack(np.random.default_rng(19), 5)
+        t = coherency_from_pauli_array(pauli_from_sinclair_array(s)[:, None, :])
+        data = {
+            "sinclair": s,
+            "kennaugh": kennaugh_from_sinclair_array(s),
+            "coherency": t,
+            "packed": pack_coherency_array(t),
+        }[kind]
+        expected = (np.abs(s) ** 2).sum(axis=(1, 2))
+        got = span_array(data[0] if lead == () else data)
+        assert got.shape == lead
+        assert np.abs(got - (expected[0] if lead == () else expected)).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("shape", [(5, 2, 4), (5, 4, 2), (4,), (2,)])
+    def test_shapes_of_no_kind_rejected(self, shape):
+        # near misses of a Sinclair or Kennaugh stack fall through to packed_rows
+        with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
+            span_array(np.ones(shape))
+
 
 class TestPackedLayout:
     def test_round_trips_bitwise(self):
