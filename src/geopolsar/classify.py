@@ -294,11 +294,12 @@ def initial_clusters(
         raise ValueError("k must be >= 1")
     per_pixel = np.ndim(category) > 0
     slots = np.asarray(category) if per_pixel else np.zeros(n, dtype=np.uint8)
-    span, columns = span_array(pixels), np.empty(n, dtype=np.int64)
     populations = np.bincount(slots)
-    for c in np.flatnonzero(populations):
+    columns = np.empty(n, dtype=np.min_scalar_type(len(populations) * k))
+    for c in np.flatnonzero(populations):  # each span from its members alone: none at full size
         members = slots == c
-        columns[members] = c * k + _span_bins(span[members], k)
+        columns[members] = c * k + _span_bins(span_array(pixels, members), k)
+    columns = columns.astype(np.int64)  # once the categories' scratch is freed
     counts = np.bincount(columns, minlength=len(populations) * k)
     sums = np.stack([np.bincount(columns, p, minlength=len(counts)) for p in pixels.T], axis=1)
     seeded = np.flatnonzero(counts)
@@ -384,7 +385,8 @@ def iterate_classification(
     n = t.shape[0]
     work, ids, cluster_cat, counts, centers = _table(clusters)
     survivors = np.arange(len(work))
-    labels = np.array(initial_labels, dtype=np.int64)
+    labels = np.asarray(initial_labels)  # its own dtype, widened only as far as the ids need
+    labels = labels.astype(np.result_type(labels, np.min_scalar_type(ids.max(initial=0))))
     # offset table row c serves category c; mixed pixels read row len(cats), open to all
     mixed = np.asarray(mixed, dtype=bool)
     own = np.unique(np.asarray(categories)[~mixed])

@@ -336,18 +336,18 @@ def unpack_coherency_array(p) -> np.ndarray:
     return out
 
 
-def span_array(data) -> np.ndarray:
-    """Total scattered power per matrix in a stack, whose trailing shape names
-    its kind: (..., 2, 2) Sinclair, (..., 4, 4) Kennaugh, and anything else
-    coherency data (``packed_rows``)."""
+def span_array(data, rows=...) -> np.ndarray:
+    """Total scattered power of the matrices [rows] (all by default) of a stack,
+    whose trailing shape names its kind: (..., 2, 2) Sinclair, (..., 4, 4)
+    Kennaugh, else coherency (``packed_rows``); only the summed entries are read."""
     data = np.asarray(data)
     if data.shape[-2:] == (2, 2):
-        hh, hv, vv = data[..., 0, 0], data[..., 0, 1], data[..., 1, 1]
+        hh, hv, vv = data[..., 0, 0][rows], data[..., 0, 1][rows], data[..., 1, 1][rows]
         return (hh * hh.conj()).real + 2.0 * (hv * hv.conj()).real + (vv * vv.conj()).real
     if data.shape[-2:] == (4, 4):
-        return 2.0 * data[..., 0, 0].real
+        return 2.0 * data[..., 0, 0][rows].real
     p = packed_rows(data)
-    return (p[..., 0] + p[..., 1]) + p[..., 2]
+    return (p[..., 0][rows] + p[..., 1][rows]) + p[..., 2][rows]
 
 
 # ---------------------------------------------------------------------------

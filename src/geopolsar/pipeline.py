@@ -135,8 +135,8 @@ def _prepare(source: RowSource, config: PipelineConfig, dump: Callable):
     for r0 in range(0, rows or 1, step):  # one empty tile when there are no rows
         r1 = min(r0 + step, rows)
         lo, hi = max(r0 - half, 0), min(r1 + half, rows)
-        tile = source.rows(lo, hi)
-        deoriented = deorient_raster(tile) if pre.deorient else tile
+        deoriented = source.rows(lo, hi)  # the read tile is freed before the filter
+        deoriented = deorient_raster(deoriented) if pre.deorient else deoriented
         tile = speckle_filter(deoriented, pre) if half else deoriented
         own = slice(r0 - lo, r1 - lo)
         for stage, t, on in (("deorient", deoriented, pre.deorient), ("filter", tile, half)):
@@ -170,7 +170,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
     """Classify the rows of a source. Each tile is categorized as it comes,
     and only its valid pixels are kept, in scan order: their filtered packed
     rows, one-byte category and mixed flag (75 bytes per pixel with the
-    validity; refinement adds 17; README gives the measured peak RSS)."""
+    validity; seeding briefly adds about 11, refinement 3; README gives peak RSS)."""
     (rows, cols), n_targets = source.shape, len(config.targets)
     # component-major, so each packed column of t_flat is contiguous
     planes = np.empty((9, rows * cols))
@@ -203,7 +203,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
     seeds, labels0 = initial_clusters(t_flat, k0, category=cat_flat)
     by_category = groupby(seeds, key=lambda c: c.category)
     merged = [c for _, group in by_category for c in merge_clusters(list(group), config.classifier)]
-    seed_to_merged = np.full(n_targets * k0, -1, dtype=np.int64)
+    seed_to_merged = np.full(n_targets * k0, n_targets * k0, np.min_scalar_type(n_targets * k0))
     for cluster in merged:
         seed_to_merged[list(cluster.source_ids)] = cluster.id
     labels0 = seed_to_merged[labels0]

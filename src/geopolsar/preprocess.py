@@ -175,8 +175,12 @@ def _multilook_tile(planes, valid: np.ndarray, rf: int, af: int, out: np.ndarray
         x[invalid] = 0.0
     counts = _block_sums(valid.astype(np.float64), rf, af)
     divisor = np.maximum(counts, 1.0)
-    for c, product in enumerate(packed_outer(pauli[0::2], pauli[1::2])):
-        np.divide(_block_sums(product, rf, af), divisor, out=out[c])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, product in enumerate(packed_outer(pauli[0::2], pauli[1::2])):
+            np.divide(_block_sums(product, rf, af), divisor, out=out[c])
+    overflowed = ~np.isfinite(out).all(axis=0)  # masked and zeroed, as a non-finite pixel is
+    counts[overflowed] = 0.0
+    out[:, overflowed] = 0.0
     return counts
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,26 @@ class TestInitialClusters:
                 straddled += any(s[j - 1] == s[j] for j in range(m, m * min(k, len(s)), m))
         assert straddled > 50 and negative_zeros > 100
 
+    def test_seeds_a_scene_within_14_traced_bytes_per_pixel(self):
+        """Per-pixel categories of a 256² scene, its pixels in the pipeline's
+        component-major layout: the peak counts the int64 labels returned (8
+        bytes per pixel), the one-byte bins and member mask, and one category's
+        span and rank scratch (11.4 measured). A full-size span and int64 bin
+        array took it to 26.4."""
+        rng = np.random.default_rng(29)
+        n = 256 * 256
+        planes = np.ascontiguousarray(pack_coherency_array(random_psd_stack(rng, n, looks=3)).T)
+        cats = rng.integers(0, 3, n).astype(np.uint8)
+        initial_clusters(planes[:, :64].T, 30, category=cats[:64])  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            seeds, labels = initial_clusters(planes.T, 30, category=cats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.dtype == np.int64 and len(seeds) == 90
+        assert peak <= 14 * n
+
 
 class TestMerge:
     def test_no_clusters_merge_to_none(self):
@@ -593,6 +614,33 @@ class TestIterate:
             iterate_classification(
                 t, np.zeros(20, int), np.zeros(20, bool), clusters, ClassifierConfig(), initial_labels=labels
             )
+
+    def test_narrow_initial_labels_stay_narrow(self):
+        # the pipeline hands refinement one-byte labels, and gets them back
+        rng = np.random.default_rng(30)
+        t = random_psd_stack(rng, 400, looks=3)
+        cats = rng.integers(0, 2, 400).astype(np.uint8)
+        mixed = rng.random(400) < 0.2
+        seeds, labels0 = initial_clusters(t, 6, category=cats)
+        config = ClassifierConfig(max_iterations=3, convergence_fraction=0.0)
+        wide, _, wide_history = iterate_classification(t, cats, mixed, seeds, config, labels0)
+        narrow, _, history = iterate_classification(
+            t, cats, mixed, seeds, config, labels0.astype(np.uint8)
+        )
+        assert wide.dtype == np.int64 and narrow.dtype == np.uint8
+        assert (narrow != labels0).any() and np.array_equal(narrow, wide) and history == wide_history
+
+    def test_narrow_initial_labels_widen_to_the_cluster_ids(self):
+        # every pixel starts in cluster 5; the far blob moves to cluster 300,
+        # which a uint8 label would wrap to 44
+        t, clusters, labels = two_blob_data(np.random.default_rng(31))
+        clusters[1] = dataclasses.replace(clusters[1], id=300, source_ids=(300,))
+        clusters[0] = dataclasses.replace(clusters[0], id=5, source_ids=(5,))
+        initial = np.full(60, 5, dtype=np.uint8)
+        cats, mixed = np.zeros(60, int), np.zeros(60, bool)
+        out, _, _ = iterate_classification(t, cats, mixed, clusters, ClassifierConfig(), initial)
+        assert out.dtype == np.uint16
+        assert np.array_equal(out, np.where(labels == 1, 300, 5))
 
     def test_worker_count_does_not_change_results(self):
         rng = np.random.default_rng(62)

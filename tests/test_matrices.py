@@ -349,6 +349,23 @@ class TestSpan:
         assert got.shape == lead
         assert np.abs(got - (expected[0] if lead == () else expected)).max() <= 1e-12 * expected.max()
 
+    @pytest.mark.parametrize("kind", ["sinclair", "kennaugh", "coherency", "packed"])
+    def test_rows_select_the_matrices_summed(self, kind):
+        # seeding takes each category's spans from its members' entries alone
+        s = random_sinclair_stack(np.random.default_rng(20), 12)
+        t = coherency_from_pauli_array(pauli_from_sinclair_array(s)[:, None, :])
+        data = {
+            "sinclair": s,
+            "kennaugh": kennaugh_from_sinclair_array(s),
+            "coherency": t,
+            "packed": pack_coherency_array(t),
+        }[kind]
+        members = np.arange(12) % 3 == 1
+        grid = data.reshape((3, 4) + data.shape[1:])  # a 2-D stack and a 2-D mask
+        for stack, rows in ((data, members), (data, [7, 0, 7]), (data, slice(2, 9, 3)),
+                            (grid, members.reshape(3, 4))):
+            assert span_array(stack, rows).tobytes() == span_array(stack)[rows].tobytes()
+
     @pytest.mark.parametrize("shape", [(5, 2, 4), (5, 4, 2), (4,), (2,)])
     def test_shapes_of_no_kind_rejected(self, shape):
         # near misses of a Sinclair or Kennaugh stack fall through to packed_rows

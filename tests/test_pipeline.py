@@ -146,11 +146,14 @@ def test_a_masked_border_costs_no_memory(monkeypatch):
 
 def test_classify_holds_at_most_120_bytes_per_pixel(monkeypatch):
     """With 4K-pixel tiles, classifying the demo strips at 256² peaks within
-    115 traced bytes per pixel (108 measured): the 72-byte planes, the
-    caller's and the refined labels (8 bytes each), the one-byte category,
-    mixed, valid and group code arrays, a scoring block's temporaries, and
-    the result images. A full-size pick buffer again took it to 114, and
-    per-category plane gathers or full-size group lists past 140."""
+    105 traced bytes per pixel (101.3 measured, in the front end's last tile):
+    the 72-byte planes, the one-byte category, mixed and valid arrays, and a
+    tile's similarity temporaries. Seeding (86.9) adds one-byte bins and one
+    category's span scratch, then its int64 seed labels; refinement (94.0)
+    the one-byte caller's and refined labels and group codes, and a scoring
+    block's temporaries. Int64 labels in refinement took it to 108, a
+    full-size pick buffer to 114, and per-category plane gathers or
+    full-size group lists past 140."""
     spec = parse_scene_spec(DEMO_SPEC)
     regions = [
         dataclasses.replace(r, row0=2 * r.row0, col0=2 * r.col0, row1=2 * r.row1, col1=2 * r.col1)
@@ -165,8 +168,24 @@ def test_classify_holds_at_most_120_bytes_per_pixel(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 115 * 256 * 256
+    assert peak <= 105 * 256 * 256
 
+
+
+def test_a_seed_no_merged_cluster_took_is_refused(demo_scene, monkeypatch):
+    # the one-byte seed-to-merged table is filled with an id no seed has, so a
+    # seed that merging lost reaches refinement as an unknown label
+    merge = pipeline.merge_clusters
+
+    def lose_a_seed(clusters, config):
+        out = merge(clusters, config)
+        lossy = next(i for i, c in enumerate(out) if len(c.source_ids) > 1)
+        out[lossy] = dataclasses.replace(out[lossy], source_ids=out[lossy].source_ids[:-1])
+        return out
+
+    monkeypatch.setattr(pipeline, "merge_clusters", lose_a_seed)
+    with pytest.raises(ValueError, match="initial_labels must name a known cluster"):
+        classify_raster(read_scene(demo_scene), PipelineConfig())
 
 def test_more_than_255_targets_are_rejected():
     # categories are one byte, and the category dump writes 0xFF for masked pixels

@@ -97,11 +97,10 @@ def test_non_finite_pixel_is_masked_alone(demo):
     assert all(only_pixel_masked(result) for result in results)
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_1)
 def test_overflowing_single_look_pixel_is_masked_alone(tmp_path):
     # HH = 1e200 overflows packed_outer inside the multilook, before any gate
-    # on the multilooked tile could run; with warnings ignored, the inf block
-    # spreads through the boxcar and 25 output pixels are masked, not 1
+    # on the multilooked tile could run, so the multilook masks the block; an
+    # unmasked inf block would spread through the boxcar to 25 output pixels
     s = random_sinclair_stack(np.random.default_rng(6), 64 * 64).reshape(64, 64, 2, 2)
     s[2 * 10, 2 * 15, 0, 0] = 1e200
     gp.write_scene(gp.PolsarRaster(KIND_SINCLAIR, s), tmp_path / "s2", "float64")
