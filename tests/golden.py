@@ -3,8 +3,9 @@
 ``tests/golden.json`` maps "<configuration>/<file>" to the sha256 of that
 file, or, for report.jsonl, to its records with each objective rounded to 13
 significant digits. The configurations run the CLI in-process on the demo
-spec and on a small single-look S2 scene, whose own files ``write_scene``
-writes and the manifest pins too; `build` lists them.
+spec, on a small single-look S2 scene, whose own files ``write_scene``
+writes and the manifest pins too, and on a damaged copy of that scene;
+`build` lists them.
 
     python tests/golden.py --write [PATH]   (default PATH: tests/golden.json)
 
@@ -47,6 +48,7 @@ DEMO_VARIANTS = {
 DEMO_SEEDS = range(6)
 MASKED_BLOCK = (slice(40, 72), slice(30, 60))  # crosses the first strip edge
 S2_SIZE, S2_SEED = 256, 7
+DUMP_DIR = Path("stages") / "stage_deorient"
 
 
 def _cli(*argv) -> None:
@@ -90,6 +92,22 @@ def _masked_copy(scene: Path, out: Path) -> Path:
     return out
 
 
+def _damaged_s2(scene: Path, out: Path) -> Path:
+    """A copy of the float32 S2 scene that is not reciprocal, VH += 0.5 - 0.25j,
+    with non-finite parts: HH real NaN on rows 40:44, columns 30:60 (whole
+    2 x 2 blocks), HH imaginary +inf at (100, 100) and HV real -inf at (7, 9)."""
+    shutil.copytree(scene, out)
+    channels = {name: np.fromfile(out / f"{name}.bin", "<f4").reshape(S2_SIZE, S2_SIZE, 2)
+                for name in ("HH", "HV", "VH")}
+    channels["VH"] += (0.5, -0.25)
+    channels["HH"][40:44, 30:60, 0] = np.nan
+    channels["HH"][100, 100, 1] = np.inf
+    channels["HV"][7, 9, 0] = -np.inf
+    for name, values in channels.items():
+        values.tofile(out / f"{name}.bin")
+    return out
+
+
 def _s2_scene(out: Path) -> Path:
     """The benchmark's single-look S2 synthesis at S2_SIZE, written to out."""
     saved = list(sys.path)
@@ -126,6 +144,12 @@ def build(work: Path) -> dict:
     _hash_dir(entries, f"similarity/s2-{S2_SIZE}-multilook-2-2", work / "sim-s2")
     _classify(entries, f"classify/s2-{S2_SIZE}-multilook-2-2", s2, work / "s2-out",
               "--multilook", 2, 2)
+    damaged = _damaged_s2(s2, work / "s2-damaged")
+    _cli("similarity", damaged, "--out", work / "sim-s2-damaged", "--multilook", 2, 2)
+    _hash_dir(entries, f"similarity/s2-{S2_SIZE}-damaged-multilook-2-2", work / "sim-s2-damaged")
+    name, out = f"classify/s2-{S2_SIZE}-damaged-multilook-2-2", work / "s2-damaged-out"
+    _classify(entries, name, damaged, out, "--multilook", 2, 2, "--dump-stage", "deorient")
+    _hash_dir(entries, f"{name}/{DUMP_DIR.as_posix()}", out / DUMP_DIR)
     return entries
 
 
