@@ -18,7 +18,7 @@ from .matrices import (
     packed_outer,
     unpack_coherency_array,
 )
-from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster, RowSource
+from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster, RowSource, mask_non_finite
 
 __all__ = [
     "PreprocessConfig",
@@ -178,18 +178,16 @@ def _multilook_tile(planes, valid: np.ndarray, rf: int, af: int, out: np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         for c, product in enumerate(packed_outer(pauli[0::2], pauli[1::2])):
             np.divide(_block_sums(product, rf, af), divisor, out=out[c])
-    overflowed = ~np.isfinite(out).all(axis=0)  # masked and zeroed, as a non-finite pixel is
-    counts[overflowed] = 0.0
-    out[:, overflowed] = 0.0
     return counts
 
 
 def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> RowSource:
     """Row source of the rf x af block means of a Sinclair source of the given
-    shape: its ``rows(lo, hi)`` reads input rows lo*rf:hi*rf in row tiles,
-    where ``read_rows(r0, r1, c1)`` returns the planes (see `_multilook_tile`)
-    and validity of rows r0:r1, columns :c1. Trailing rows and columns that
-    do not fill a block are dropped."""
+    shape: ``rows(lo, hi)`` reads input rows lo*rf:hi*rf in row tiles, where
+    ``read_rows(r0, r1, c1)`` returns HH, HV, VH, VV and the mask of rows
+    r0:r1, columns :c1. HV' = (HV + VH) / 2; a pixel non-finite in a channel
+    is masked, and so is a block with a non-finite mean (``mask_non_finite``).
+    Trailing rows and columns that do not fill a block are dropped."""
     if rf < 1 or af < 1:
         raise ValueError("multilook factors must be positive integers")
     rows, cols = shape[0] // rf, shape[1] // af
@@ -202,10 +200,15 @@ def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> RowSourc
         step = max(1, _FILTER_TILE_PIXELS // (rf * shape[1]))
         for r0 in range(0, hi - lo, step):
             r1 = min(r0 + step, hi - lo)
-            planes, valid = read_rows((lo + r0) * rf, (lo + r1) * rf, cols * af)
-            mask[r0:r1] = _multilook_tile(planes, valid, rf, af, out[:, r0:r1]) > 0
-            del planes  # freed before the next tile is read
-        return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), mask, looks * rf * af)
+            hh, hv, vh, vv, valid = read_rows((lo + r0) * rf, (lo + r1) * rf, cols * af)
+            valid = valid & np.isfinite(hh) & np.isfinite(hv) & np.isfinite(vh) & np.isfinite(vv)
+            with np.errstate(invalid="ignore", over="ignore"):
+                hv = 0.5 * np.add(hv, vh, dtype=np.complex128)
+            del vh
+            mask[r0:r1] = _multilook_tile((hh, hv, vv), valid, rf, af, out[:, r0:r1]) > 0
+            del hh, hv, vv  # freed before the next tile is read
+        data = np.moveaxis(out, 0, -1)
+        return mask_non_finite(PolsarRaster(KIND_COHERENCY, data, mask, looks * rf * af))
 
     return RowSource((rows, cols), block_rows)
 
@@ -216,16 +219,16 @@ def multilook(
     """Multilook a Sinclair raster into a coherency raster by block averaging.
 
     Non-overlapping blocks of range_factor rows by azimuth_factor columns are
-    averaged as Pauli outer products of the HH, HV and VV entries; trailing
-    rows and columns that do not fill a block are dropped. Output looks =
-    input looks * block population; see `_multilook_tile`.
+    averaged as Pauli outer products of the HH, HV' = (HV + VH) / 2 and VV
+    entries; trailing rows and columns that do not fill a block are dropped.
+    Output looks = input looks * block population; see `multilook_rows`.
     """
     if raster.kind != KIND_SINCLAIR:
         raise ValueError("multilooking requires a Sinclair raster")
 
     def read_rows(r0, r1, c1):
         s = raster.data[r0:r1, :c1]
-        return (s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]), raster.mask[r0:r1, :c1]
+        return s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1], raster.mask[r0:r1, :c1]
 
     source = multilook_rows(raster.shape, raster.looks, range_factor, azimuth_factor, read_rows)
     return source.rows(0, source.shape[0])

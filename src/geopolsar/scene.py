@@ -160,10 +160,10 @@ def open_scene(
     value in any of the nine planes masks the pixel and zeroes its payload
     (``raster.mask_non_finite``).
     An S2 scene is multilooked as it is read, by ``multilook = (rf, af)`` or
-    else (1, 1) (a T3 scene with factors raises), with HV' = (HV + VH) / 2:
-    input rows lo*rf:hi*rf go through ``preprocess.multilook_rows``, with the
-    bytes of ``preprocess.multilook`` on the Sinclair raster of the file
-    values, which never exists."""
+    else (1, 1) (a T3 scene with factors raises): input rows lo*rf:hi*rf go
+    through ``preprocess.multilook_rows``, with the bytes of
+    ``preprocess.multilook`` on the Sinclair raster of the file values, which
+    never exists."""
     directory = Path(path)
     header = _parse_header(directory / "header.txt")
     if header.kind == "T3" and multilook is not None:
@@ -183,12 +183,9 @@ def open_scene(
         complex_ = np.result_type(dtype, np.complex64).newbyteorder("<")
 
         def read_rows(r0, r1, c1):
-            """HH, HV' and VV of rows r0:r1, columns :c1, and the pixels that
-            are finite in every component."""
+            """HH, HV, VH and VV of rows r0:r1, columns :c1, and their mask."""
             hh, hv, vh, vv = (v.view(complex_)[:, :c1, 0] for v in read(r0, r1))
-            valid = np.isfinite(hh) & np.isfinite(hv) & np.isfinite(vh) & np.isfinite(vv)
-            with np.errstate(invalid="ignore", over="ignore"):
-                return (hh, 0.5 * np.add(hv, vh, dtype=np.complex128), vv), valid
+            return hh, hv, vh, vv, True
 
         return multilook_rows(shape, header.looks, *(multilook or (1, 1)), read_rows)
 

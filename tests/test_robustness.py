@@ -110,6 +110,21 @@ def test_overflowing_single_look_pixel_is_masked_alone(tmp_path):
     assert np.array_equal(~result.valid, expected)
 
 
+def test_non_finite_single_look_pixel_is_masked_alone():
+    # a NaN HH at a valid pixel of an in-memory Sinclair raster is masked as
+    # that pixel alone: its 2 x 2 block is the mean of the other three
+    s = random_sinclair_stack(np.random.default_rng(8), 64 * 64).reshape(64, 64, 2, 2)
+    mask = np.ones((64, 64), bool)
+    mask[2 * 10, 2 * 15] = False
+    masked = gp.multilook(gp.PolsarRaster(KIND_SINCLAIR, s, mask), 2, 2)
+    s[2 * 10, 2 * 15, 0, 0] = np.nan
+    nan = gp.multilook(gp.PolsarRaster(KIND_SINCLAIR, s), 2, 2)
+    expected, result = (gp.classify_raster(r, gp.PipelineConfig()) for r in (masked, nan))
+    assert expected.valid.all()
+    assert np.array_equal(result.valid, expected.valid)
+    assert np.array_equal(result.labels, expected.labels)
+
+
 def test_the_finiteness_gate_copies_only_a_tile_it_masks(demo):
     raster, _ = demo
     tile = raster.slice_rows(56, 64)

@@ -93,9 +93,8 @@ class TestStorage:
         assert back.kind == KIND_COHERENCY and back.looks == 1.0
         assert back.data.tobytes() == ref.data.tobytes()
         assert back.mask.all()
-        # without the averaging, the cross-pol power would differ
-        unaveraged = multilook(raster, 1, 1)
-        assert not np.array_equal(back.data[..., 2], unaveraged.data[..., 2])
+        # the in-memory route averages the cross-pol channels as the reader does
+        assert multilook(raster, 1, 1).data.tobytes() == back.data.tobytes()
 
     def test_t3_components_read_into_planes_as_written(self, tmp_path):
         # every part of every component lands in its packed plane exactly as
@@ -292,6 +291,28 @@ class TestStreamedMultilook:
             assert out.kind == KIND_COHERENCY and out.looks == ref.looks
             assert out.data.tobytes() == ref.data.tobytes(), factors
             assert out.mask.tobytes() == ref.mask.tobytes()
+
+    @pytest.mark.parametrize("factors", [None, (1, 1), (2, 3), (5, 2), (23, 17)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_reads_the_multilook_of_the_file_values(self, tmp_path, dtype, factors):
+        # the reader and the in-memory route share one rule for the raw values:
+        # HV' = (HV + VH) / 2, and a pixel non-finite in any channel is masked
+        rng = np.random.default_rng(86)
+        scene = sinclair_scene(tmp_path / "scene", rng, 23, 17, dtype)
+        pixels = rng.choice(23 * 17, size=16, replace=False)
+        values = np.empty((23, 17, 2, 2), dtype=np.complex128)
+        for i, (name, entry) in enumerate({"HH": (0, 0), "HV": (0, 1), "VH": (1, 0),
+                                           "VV": (1, 1)}.items()):
+            raw = np.fromfile(scene / f"{name}.bin", dtype=np.dtype(dtype).newbyteorder("<"))
+            for j, (bad, part) in enumerate(((np.nan, 0), (np.inf, 1), (-np.inf, 0), (np.nan, 1))):
+                raw[2 * pixels[4 * i + j] + part] = bad
+            raw.tofile(scene / f"{name}.bin")
+            values[(..., *entry)] = raw.astype(np.float64).view(np.complex128).reshape(23, 17)
+        ref = multilook(PolsarRaster(KIND_SINCLAIR, values), *(factors or (1, 1)))
+        out = read_scene(scene, factors)
+        assert out.looks == ref.looks
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert out.mask.tobytes() == ref.mask.tobytes()
 
     def test_read_streams(self, tmp_path):
         scene = sinclair_scene(tmp_path / "scene", np.random.default_rng(80), 512, 512)
