@@ -204,7 +204,7 @@ def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> RowSourc
             valid = valid & np.isfinite(hh) & np.isfinite(hv) & np.isfinite(vh) & np.isfinite(vv)
             with np.errstate(invalid="ignore", over="ignore"):
                 hv = 0.5 * np.add(hv, vh, dtype=np.complex128)
-            del vh
+            del vh  # freed before the products
             mask[r0:r1] = _multilook_tile((hh, hv, vv), valid, rf, af, out[:, r0:r1]) > 0
             del hh, hv, vv  # freed before the next tile is read
         data = np.moveaxis(out, 0, -1)

@@ -48,7 +48,6 @@ DEMO_VARIANTS = {
 DEMO_SEEDS = range(6)
 MASKED_BLOCK = (slice(40, 72), slice(30, 60))  # crosses the first strip edge
 S2_SIZE, S2_SEED = 256, 7
-DUMP_DIR = Path("stages") / "stage_deorient"
 
 
 def _cli(*argv) -> None:
@@ -149,7 +148,7 @@ def build(work: Path) -> dict:
     _hash_dir(entries, f"similarity/s2-{S2_SIZE}-damaged-multilook-2-2", work / "sim-s2-damaged")
     name, out = f"classify/s2-{S2_SIZE}-damaged-multilook-2-2", work / "s2-damaged-out"
     _classify(entries, name, damaged, out, "--multilook", 2, 2, "--dump-stage", "deorient")
-    _hash_dir(entries, f"{name}/{DUMP_DIR.as_posix()}", out / DUMP_DIR)
+    _hash_dir(entries, f"{name}/stages/stage_deorient", out / "stages" / "stage_deorient")
     return entries
 
 

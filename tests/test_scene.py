@@ -301,13 +301,12 @@ class TestStreamedMultilook:
         scene = sinclair_scene(tmp_path / "scene", rng, 23, 17, dtype)
         pixels = rng.choice(23 * 17, size=16, replace=False)
         values = np.empty((23, 17, 2, 2), dtype=np.complex128)
-        for i, (name, entry) in enumerate({"HH": (0, 0), "HV": (0, 1), "VH": (1, 0),
-                                           "VV": (1, 1)}.items()):
+        for i, name in enumerate(("HH", "HV", "VH", "VV")):  # entries (0, 0) to (1, 1)
             raw = np.fromfile(scene / f"{name}.bin", dtype=np.dtype(dtype).newbyteorder("<"))
             for j, (bad, part) in enumerate(((np.nan, 0), (np.inf, 1), (-np.inf, 0), (np.nan, 1))):
                 raw[2 * pixels[4 * i + j] + part] = bad
             raw.tofile(scene / f"{name}.bin")
-            values[(..., *entry)] = raw.astype(np.float64).view(np.complex128).reshape(23, 17)
+            values[..., i // 2, i % 2] = raw.astype(np.float64).view(np.complex128).reshape(23, 17)
         ref = multilook(PolsarRaster(KIND_SINCLAIR, values), *(factors or (1, 1)))
         out = read_scene(scene, factors)
         assert out.looks == ref.looks
