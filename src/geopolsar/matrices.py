@@ -11,9 +11,10 @@ input is read by one converter, ``packed_rows``, into packed real rows p(T),
 and one closed form, ``packed_ldl``, gives their pivots and adjugates; the
 span reads the kind of a stack from its trailing shape.
 
-Conventions: Pauli basis ordering (HH+VV, HH-VV, 2HV) with a 1/sqrt(2)
-normalization, so the squared Pauli norm equals the span
-|HH|^2 + 2|HV|^2 + |VV|^2. Coherency matrices are 3x3 Hermitian positive
+Conventions: one kernel, ``pauli_planes``, reads Sinclair data, in the Pauli
+basis (HH+VV, HH-VV, HV+VH) / sqrt(2); the span of a Sinclair matrix is the
+trace of its single-look coherency k k^H, |HH|^2 + 2|HV'|^2 + |VV|^2 with
+HV' = (HV + VH) / 2. Coherency matrices are 3x3 Hermitian positive
 semidefinite; Kennaugh matrices are 4x4 real symmetric.
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "kennaugh_from_sinclair_array",
     "kennaugh_from_coherency_array",
     "span_array",
+    "pauli_planes",
     "packed_outer",
     "packed_rows",
     "packed_ldl",
@@ -114,7 +116,7 @@ class PauliVector:
         return np.array([self.k1, self.k2, self.k3], dtype=np.complex128)
 
     def norm_squared(self) -> float:
-        return abs(self.k1) ** 2 + abs(self.k2) ** 2 + abs(self.k3) ** 2
+        return float(span_array(coherency_from_pauli_array(self.vector[None])))
 
 
 @dataclass(frozen=True)
@@ -234,11 +236,25 @@ def packed_outer(kr, ki):
         yield ki[i] * kr[j] - kr[i] * ki[j]
 
 
+def pauli_planes(hh, hv, vh, vv) -> list:
+    """The six float64 planes [Re k1, Im k1, Re k2, Im k2, Re k3, Im k3] of the
+    Pauli vectors k = (HH + VV, HH - VV, HV + VH) / sqrt2 of Sinclair channels,
+    in real arithmetic; the only code that reads Sinclair data."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return [_SQRT1_2 * op(x, y, dtype=np.float64)
+                for op, a, b in ((np.add, hh, vv), (np.subtract, hh, vv), (np.add, hv, vh))
+                for x, y in ((a.real, b.real), (a.imag, b.imag))]
+
+
+def _sinclair_planes(s, rows=...) -> list:
+    """``pauli_planes`` of the matrices [rows] of Sinclair stacks (..., 2, 2)."""
+    s = _stacks(s, 2, "Sinclair")
+    return pauli_planes(*(s[..., i, j][rows] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))))
+
+
 def pauli_from_sinclair_array(s) -> np.ndarray:
     """Pauli vectors, shape (..., 3), from Sinclair stacks of shape (..., 2, 2)."""
-    s = _stacks(s, 2, "Sinclair", np.complex128)
-    hh, hv, vv = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
-    return _SQRT1_2 * np.stack([hh + vv, hh - vv, 2.0 * hv], axis=-1)
+    return np.stack(_sinclair_planes(s), axis=-1).view(np.complex128)
 
 
 def coherency_from_pauli_array(k) -> np.ndarray:
@@ -260,8 +276,8 @@ def coherency_from_pauli_array(k) -> np.ndarray:
 def kennaugh_from_sinclair_array(s) -> np.ndarray:
     """Coherent Kennaugh stacks (..., 4, 4) from Sinclair stacks (..., 2, 2):
     the Kennaugh map of the single-look coherency matrix k k^H."""
-    k = pauli_from_sinclair_array(s)[..., None, :]
-    return kennaugh_from_coherency_array(coherency_from_pauli_array(k))
+    k = _sinclair_planes(s)
+    return kennaugh_from_coherency_array(np.stack(list(packed_outer(k[0::2], k[1::2])), axis=-1))
 
 
 def packed_rows(t) -> np.ndarray:
@@ -341,9 +357,10 @@ def span_array(data, rows=...) -> np.ndarray:
     whose trailing shape names its kind: (..., 2, 2) Sinclair, (..., 4, 4)
     Kennaugh, else coherency (``packed_rows``); only the summed entries are read."""
     data = np.asarray(data)
-    if data.shape[-2:] == (2, 2):
-        hh, hv, vv = data[..., 0, 0][rows], data[..., 0, 1][rows], data[..., 1, 1][rows]
-        return (hh * hh.conj()).real + 2.0 * (hv * hv.conj()).real + (vv * vv.conj()).real
+    if data.shape[-2:] == (2, 2):  # the trace of the single-look coherency k k^H
+        k = _sinclair_planes(data, rows)
+        t = packed_outer(k[0::2], k[1::2])  # T11, T22 and T33 come first
+        return (next(t) + next(t)) + next(t)
     if data.shape[-2:] == (4, 4):
         return 2.0 * data[..., 0, 0][rows].real
     p = packed_rows(data)
@@ -357,8 +374,7 @@ def span_array(data, rows=...) -> np.ndarray:
 
 def pauli_from_sinclair(s: SinclairMatrix) -> PauliVector:
     """Pauli target vector of a Sinclair matrix."""
-    k = pauli_from_sinclair_array(s.matrix)
-    return PauliVector(k[0], k[1], k[2])
+    return PauliVector(*pauli_from_sinclair_array(s.matrix))
 
 
 def coherency_from_pauli(samples: Sequence[PauliVector]) -> CoherencyMatrix:

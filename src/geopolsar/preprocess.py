@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
-    _SQRT1_2,
     CoherencyMatrix,
     pack_coherency_array,
     packed_outer,
+    pauli_planes,
     unpack_coherency_array,
 )
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster, RowSource, mask_non_finite
@@ -157,35 +157,12 @@ def _block_sums(x: np.ndarray, rf: int, af: int) -> np.ndarray:
     return sum((rows[:, k::af] for k in range(1, af)), rows[:, 0::af])
 
 
-def _multilook_tile(planes, valid: np.ndarray, rf: int, af: int, out: np.ndarray):
-    """Write the nine packed rf x af block means of a row tile into out (9, ...)
-    and return the block counts.
-
-    planes are the complex HH, HV' and VV of the tile; all arithmetic is real
-    and float64. The Pauli components a = (HH+VV)/sqrt2, b = (HH-VV)/sqrt2
-    and c = sqrt2 HV' are zeroed at invalid pixels, and each block sums their
-    ``packed_outer`` products. Empty blocks come out +0."""
-    hh, hv, vv = planes
-    with np.errstate(invalid="ignore", over="ignore"):
-        pauli = [_SQRT1_2 * op(h, v, dtype=np.float64) for op in (np.add, np.subtract)
-                 for h, v in ((hh.real, vv.real), (hh.imag, vv.imag))]
-        pauli += [2.0 * _SQRT1_2 * np.asarray(p, dtype=np.float64) for p in (hv.real, hv.imag)]
-    invalid = ~valid
-    for x in pauli:
-        x[invalid] = 0.0
-    counts = _block_sums(valid.astype(np.float64), rf, af)
-    divisor = np.maximum(counts, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, product in enumerate(packed_outer(pauli[0::2], pauli[1::2])):
-            np.divide(_block_sums(product, rf, af), divisor, out=out[c])
-    return counts
-
-
 def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> RowSource:
     """Row source of the rf x af block means of a Sinclair source of the given
     shape: ``rows(lo, hi)`` reads input rows lo*rf:hi*rf in row tiles, where
     ``read_rows(r0, r1, c1)`` returns HH, HV, VH, VV and the mask of rows
-    r0:r1, columns :c1. HV' = (HV + VH) / 2; a pixel non-finite in a channel
+    r0:r1, columns :c1. A block sums the ``packed_outer`` products of its valid
+    pixels' ``pauli_planes``, +0 if it has none; a pixel non-finite in a channel
     is masked, and so is a block with a non-finite mean (``mask_non_finite``).
     Trailing rows and columns that do not fill a block are dropped."""
     if rf < 1 or af < 1:
@@ -202,11 +179,17 @@ def multilook_rows(shape, looks: float, rf: int, af: int, read_rows) -> RowSourc
             r1 = min(r0 + step, hi - lo)
             hh, hv, vh, vv, valid = read_rows((lo + r0) * rf, (lo + r1) * rf, cols * af)
             valid = valid & np.isfinite(hh) & np.isfinite(hv) & np.isfinite(vh) & np.isfinite(vv)
-            with np.errstate(invalid="ignore", over="ignore"):
-                hv = 0.5 * np.add(hv, vh, dtype=np.complex128)
-            del vh  # freed before the products
-            mask[r0:r1] = _multilook_tile((hh, hv, vv), valid, rf, af, out[:, r0:r1]) > 0
-            del hh, hv, vv  # freed before the next tile is read
+            pauli = pauli_planes(hh, hv, vh, vv)
+            del hh, hv, vh, vv  # freed before the products
+            for x in pauli:
+                x[~valid] = 0.0
+            counts = _block_sums(valid.astype(np.float64), rf, af)
+            mask[r0:r1] = counts > 0
+            divisor = np.maximum(counts, 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c, product in enumerate(packed_outer(pauli[0::2], pauli[1::2])):
+                    np.divide(_block_sums(product, rf, af), divisor, out=out[c, r0:r1])
+            del pauli, product, counts, divisor  # freed before the next tile is read
         data = np.moveaxis(out, 0, -1)
         return mask_non_finite(PolsarRaster(KIND_COHERENCY, data, mask, looks * rf * af))
 

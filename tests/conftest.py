@@ -496,8 +496,8 @@ def demo_scene(tmp_path_factory):
 
 def multilook_oracle(raster, range_factor, azimuth_factor):
     """The former package multilook: Pauli vectors, a masked copy, and the
-    complex einsum of their outer products over each block."""
-    from geopolsar.matrices import pauli_from_sinclair_array
+    complex einsum of their outer products over each block. The Pauli map is
+    written out here in complex arithmetic, apart from the package's kernel."""
     from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
     if raster.kind != KIND_SINCLAIR:
@@ -513,7 +513,9 @@ def multilook_oracle(raster, range_factor, azimuth_factor):
         )
     trim_r = rows * range_factor
     trim_c = cols * azimuth_factor
-    pauli = pauli_from_sinclair_array(raster.data[:trim_r, :trim_c])
+    s = raster.data[:trim_r, :trim_c]
+    hh, hv, vh, vv = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+    pauli = np.sqrt(0.5) * np.stack([hh + vv, hh - vv, hv + vh], axis=-1)
     mask = raster.mask[:trim_r, :trim_c]
     pauli = np.where(mask[..., None], pauli, 0.0)
     pauli = pauli.reshape(rows, range_factor, cols, azimuth_factor, 3)

@@ -22,8 +22,8 @@ from geopolsar.matrices import (
     span_array,
     unpack_coherency_array,
 )
-from geopolsar.preprocess import deorient_array, orientation_angle
-from geopolsar.raster import KIND_COHERENCY, PolsarRaster
+from geopolsar.preprocess import deorient_array, multilook, orientation_angle
+from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
 
 from conftest import kennaugh_expansion_oracle, random_psd_stack, random_sinclair_stack
 
@@ -56,6 +56,20 @@ class TestPauli:
     def test_cross_pol_maps_to_third_component(self):
         k = pauli_from_sinclair(SinclairMatrix(0, 1, 0))
         assert k.vector == pytest.approx([0, 0, SQRT2])
+
+    def test_cross_pol_channel_is_the_mean_of_hv_and_vh(self):
+        # a non-reciprocal matrix reads as HV' = (HV + VH) / 2, not as HV alone
+        k = pauli_from_sinclair_array(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert k.tobytes() == np.array([0, 0, 1 / SQRT2], dtype=complex).tobytes()
+
+    def test_non_reciprocal_stacks_read_as_their_averaged_copy(self):
+        rng = np.random.default_rng(21)
+        s = random_sinclair_stack(rng, 500, scale=3.0)
+        s[:, 1, 0] += rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        averaged = s.copy()
+        averaged[:, 0, 1] = averaged[:, 1, 0] = 0.5 * (s[:, 0, 1] + s[:, 1, 0])
+        for kernel in (pauli_from_sinclair_array, kennaugh_from_sinclair_array):
+            assert kernel(s).tobytes() == kernel(averaged).tobytes()
 
     def test_norm_equals_span(self):
         rng = np.random.default_rng(11)
@@ -327,6 +341,23 @@ class TestSpan:
         k = kennaugh_from_sinclair(s)
         assert span(k) == pytest.approx(expected)
         assert span(CoherencyMatrix(1, 2, 3)) == pytest.approx(6.0)
+        # the Pauli vector's span is its single-look coherency's, to the bit
+        rng = np.random.default_rng(22)
+        for hh, hv, vv in random_sinclair_stack(rng, 2000)[:, [0, 0, 1], [0, 1, 1]]:
+            s = SinclairMatrix(hh, hv, vv)
+            assert span(pauli_from_sinclair(s)) == span(s)
+
+    def test_sinclair_span_is_the_trace_of_its_single_look_multilook(self):
+        rng = np.random.default_rng(23)
+        s = random_sinclair_stack(rng, 12 * 9, scale=3.0).reshape(12, 9, 2, 2)
+        s[..., 1, 0] += rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
+        anchor = np.array([[[[1, 1], [0, 1]]]], dtype=complex)
+        for stack in (s, anchor):
+            raster = PolsarRaster(KIND_SINCLAIR, stack)
+            trace = span_array(multilook(raster, 1, 1).data)
+            assert raster.span().tobytes() == trace.tobytes()
+        # |HH|^2 + 2 |HV'|^2 + |VV|^2 with HV' = 1/2, where HV alone gave 4
+        assert PolsarRaster(KIND_SINCLAIR, anchor).span()[0, 0] == pytest.approx(2.5, rel=1e-15)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
