@@ -89,7 +89,7 @@ class PixelCategory:
     mixed: bool
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: fields include an array
 class Cluster:
     """One Wishart cluster.
 
@@ -227,20 +227,6 @@ def _block_pass(t, k: int, workers: int, assign):
     return int(found.sum()), totals[:, 9].astype(np.int64), totals[:, :9]
 
 
-def _pixel_center_distances(q, offsets, group, ids, labels):
-    """The ``_block_pass`` assign() that moves each pixel to its nearest allowed
-    cluster (ties to the lowest column), counting the labels it changes.
-    offsets[g] is ln|V'| where group code g may join the cluster, else inf."""
-
-    def score(rows, x):
-        pick = np.argmin(np.dot(x, q.T) + np.take(offsets, group[rows], axis=0), axis=1)
-        changed = int(np.count_nonzero(ids[pick] != labels[rows]))
-        labels[rows] = ids[pick]
-        return changed, pick
-
-    return score
-
-
 # ---------------------------------------------------------------------------
 # clustering
 # ---------------------------------------------------------------------------
@@ -288,10 +274,10 @@ def initial_clusters(
     clusters by id plus each pixel's cluster id."""
     pixels = _packed(pixels)
     n = pixels.shape[0]
-    if n == 0:
-        return [], np.empty(0, dtype=np.int64)
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n == 0:
+        return [], np.empty(0, dtype=np.int64)
     per_pixel = np.ndim(category) > 0
     slots = np.asarray(category) if per_pixel else np.zeros(n, dtype=np.uint8)
     populations = np.bincount(slots)
@@ -318,10 +304,12 @@ def merge_clusters(
 
     Repeatedly merges the pair with the smallest center distance whose
     combined population stays within n_max = 2 * N / final_classes, where N
-    is the category population. Stops at final_classes clusters or when no
-    pair may merge. The cap applies only here, never during iteration. Each
-    round factors every center and builds one bitwise symmetric (K, K) distance
-    matrix; ties go to the first pair in row-major upper-triangle order.
+    is the category population, until final_classes clusters remain. The cap
+    picks the pair, never whether one merges: of K > final_classes clusters
+    the two smallest hold at most 2 * N / K < n_max. It applies only here,
+    never during iteration. Each round factors every center and builds one
+    bitwise symmetric (K, K) distance matrix; ties go to the first pair in
+    row-major upper-triangle order.
     """
     work, _, cluster_cat, counts, centers = _table(clusters)
     if len(np.unique(cluster_cat)) > 1:
@@ -332,8 +320,6 @@ def merge_clusters(
     for _ in range(len(work) - config.final_classes_per_category):
         allowed = np.outer(alive, alive) & (counts[:, None] + counts[None, :] <= n_max)
         pairs = np.flatnonzero(np.triu(allowed, 1))
-        if pairs.size == 0:
-            break
         q, logdet = _factor(centers, config.center_regularization)
         dist = np.dot(centers, q.T) + logdet  # d(Vi, Vj)
         dist = 0.5 * (dist + dist.T)
@@ -407,6 +393,13 @@ def iterate_classification(
         pick = np.minimum(np.searchsorted(ids, labels[rows]), len(ids) - 1)
         return int(np.count_nonzero(ids[pick] != labels[rows])), pick
 
+    def score(rows, x):  # passes 1+: move each pixel to its nearest allowed column, counting moves
+        # offsets[g] is ln|V'| where group g may join, else inf; ties go to the lowest column and id
+        pick = np.argmin(np.dot(x, q.T) + np.take(offsets, group[rows], axis=0), axis=1)
+        changed = int(np.count_nonzero(ids[pick] != labels[rows]))
+        labels[rows] = ids[pick]
+        return changed, pick
+
     # pass 0 totals the post-merge assignment; pass 1 reuses its factors
     objective = 0.0
     if n and len(ids):
@@ -423,8 +416,6 @@ def iterate_classification(
         if iteration > 1:
             q, logdet = _factor(centers, config.center_regularization)
         offsets = np.vstack([np.where(cats == cluster_cat, logdet, np.inf), logdet])
-        # clusters are id-ordered, so argmin ties resolve to the lowest id
-        score = _pixel_center_distances(q, offsets, group, ids, labels)
         changed, counts, sums = _block_pass(t, len(ids), workers, score)
         # a pixel whose category has lost every cluster scores inf
         objective = total(counts, sums) if np.isin(own, cluster_cat).all() else np.inf

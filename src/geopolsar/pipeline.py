@@ -226,21 +226,19 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
     ordered = sorted(clusters, key=lambda c: (c.category, power[c.id], c.id))
     id_to_class = np.full(n_targets * k0, MASKED_LABEL, dtype=np.int64)
     classes: List[ClassEntry] = []
-    within: Dict[int, int] = {}
-    for rank, cluster in enumerate(ordered):
-        id_to_class[cluster.id] = rank
-        class_index = within.get(cluster.category, 0)
-        within[cluster.category] = class_index + 1
-        classes.append(
-            ClassEntry(
-                class_id=rank,
-                category_index=cluster.category,
-                category=config.targets[cluster.category].name,
-                class_index=class_index,
-                pixels=cluster.member_count,
-                center_trace=power[cluster.id],
+    for _, group in groupby(ordered, key=lambda c: c.category):
+        for class_index, cluster in enumerate(group):
+            id_to_class[cluster.id] = len(classes)  # the class id appended next
+            classes.append(
+                ClassEntry(
+                    class_id=len(classes),
+                    category_index=cluster.category,
+                    category=config.targets[cluster.category].name,
+                    class_index=class_index,
+                    pixels=cluster.member_count,
+                    center_trace=power[cluster.id],
+                )
             )
-        )
 
     return ClassifyResult(
         labels=image(id_to_class[labels]),

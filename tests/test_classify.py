@@ -240,8 +240,9 @@ class TestInitialClusters:
         assert clusters == [] and labels.size == 0
 
     def test_bad_k_rejected(self):
-        with pytest.raises(ValueError, match="k must be"):
-            initial_clusters(random_psd_stack(np.random.default_rng(55), 2), 0)
+        for pixels in (random_psd_stack(np.random.default_rng(55), 2), np.empty((0, 3, 3))):
+            with pytest.raises(ValueError, match="k must be"):
+                initial_clusters(pixels, 0)
 
     @pytest.mark.parametrize("shape", [(5, 4), (6, 12), (2, 3, 9), (4, 3, 4), (9,)])
     def test_other_pixel_shapes_rejected(self, shape):
@@ -340,6 +341,23 @@ class TestInitialClusters:
         assert peak <= 14 * n
 
 
+class TestCluster:
+    def test_clusters_compare_by_identity(self):
+        # the generated field-wise == would compare the center arrays and raise
+        c, twin = (Cluster(0, 0, np.eye(3), 1) for _ in range(2))
+        assert c == c and c != twin and len({c, twin}) == 2
+
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: ClassifierConfig(final_classes_per_category=0),
+                     "final_classes_per_category must be >= 1", id="final-classes"),
+        pytest.param(lambda: Cluster(0, 0, np.eye(3), -1), "member_count must be >= 0",
+                     id="member-count"),
+    ])
+    def test_rejected_inputs(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
 class TestMerge:
     def test_no_clusters_merge_to_none(self):
         assert merge_clusters([], ClassifierConfig()) == []
@@ -398,6 +416,33 @@ class TestMerge:
         assert all(c.member_count <= 2 * 300 / 5 for c in out)
         assert sorted(i for c in out for i in c.source_ids) == list(range(30))
         assert [c.id for c in out] == sorted(c.id for c in out)
+
+    def test_every_category_reaches_the_final_count_under_the_cap(self):
+        # of K > final clusters the two smallest hold at most 2N / K < n_max,
+        # so the cap picks each merged pair but never stops the merging
+        rng = np.random.default_rng(67)
+        for _ in range(300):
+            k = int(rng.integers(2, 41))
+            final = int(rng.integers(1, k))
+            counts = np.choose(rng.integers(0, 3, k), [
+                rng.integers(1, 40, k),
+                np.minimum(10 * rng.pareto(0.7, k), 10**7).astype(np.int64) + 1,  # heavy tail
+                rng.integers(10**5, 10**6, k),
+            ])
+            if rng.random() < 0.5:  # one cluster may be empty; two have no mean to merge into
+                counts[rng.integers(k)] = 0
+            centers = random_psd_stack(rng, k, looks=int(rng.integers(3, 9)))
+            ids = rng.choice(10 * k, k, replace=False)
+            clusters = [
+                Cluster(id=int(i), category=0, center=c, member_count=int(n))
+                for i, c, n in zip(ids, centers, counts)
+            ]
+            out = merge_clusters(clusters, ClassifierConfig(final_classes_per_category=final))
+            assert len(out) == final
+            assert sum(c.member_count for c in out) == counts.sum()
+            n_max = 2.0 * counts.sum() / final
+            assert all(c.member_count <= n_max for c in out if len(c.source_ids) > 1)
+            assert sorted(i for c in out for i in c.source_ids) == sorted(ids)
 
     def test_mixed_categories_rejected(self):
         clusters = [
@@ -711,13 +756,14 @@ class TestIterate:
         import geopolsar.classify as classify
 
         calls = []
-        kernel = classify._pixel_center_distances
+        block_pass = classify._block_pass
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return kernel(*args, **kwargs)
+        def counted(t, k, workers, assign):  # the passes that score pixels, not pass 0's check
+            if assign.__name__ == "score":
+                calls.append(k)
+            return block_pass(t, k, workers, assign)
 
-        monkeypatch.setattr(classify, "_pixel_center_distances", counted)
+        monkeypatch.setattr(classify, "_block_pass", counted)
         rng = np.random.default_rng(62)
         t = random_psd_stack(rng, 500, looks=3)
         seeds, labels0 = initial_clusters(t, 8)

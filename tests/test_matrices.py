@@ -497,3 +497,24 @@ class TestPackedLayout:
             assert planes.tobytes() == stack.tobytes()
             assert planes[mask].tobytes() == span_array(t)[mask.ravel()].tobytes()
             assert span_array(t).tobytes() == np.trace(t, axis1=1, axis2=2).real.tobytes()
+
+
+# the raster's checks are here too: its payload is a stack of these matrices
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: CoherencyMatrix.from_matrix(np.eye(2)),
+                 r"expected a 3x3 matrix, got shape \(2, 2\)", id="coherency-shape"),
+    pytest.param(lambda: KennaughMatrix(np.eye(3)),
+                 r"expected a 4x4 matrix, got shape \(3, 3\)", id="kennaugh-shape"),
+    pytest.param(lambda: coherency_from_pauli_array(np.ones((4, 2))),
+                 r"expected shape \(\.\.\., L, 3\), got \(4, 2\)", id="pauli-shape"),
+    pytest.param(lambda: PolsarRaster(KIND_SINCLAIR, np.zeros((2, 2, 3))),
+                 r"sinclair raster needs shape \(rows, cols, 2, 2\), got \(2, 2, 3\)",
+                 id="raster-payload"),
+    pytest.param(lambda: PolsarRaster(KIND_COHERENCY, np.zeros((2, 2, 9)), np.ones((3, 2))),
+                 r"mask shape \(3, 2\) does not match raster shape \(2, 2\)", id="raster-mask"),
+    pytest.param(lambda: PolsarRaster(KIND_SINCLAIR, np.zeros((1, 1, 2, 2)), looks=0),
+                 "looks must be positive", id="raster-looks"),
+])
+def test_rejected_inputs(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

@@ -195,6 +195,16 @@ def test_more_than_255_targets_are_rejected():
         PipelineConfig(targets=targets)
 
 
+@pytest.mark.parametrize("fields, match", [
+    pytest.param({"workers": 0}, "workers must be >= 1", id="workers"),
+    # the CLI's choices hide an unknown stage, but the library takes any name
+    pytest.param({"dump_stages": ("merge", "render")}, "unknown dump stage 'render'", id="dump-stage"),
+])
+def test_rejected_inputs(fields, match):
+    with pytest.raises(ValueError, match=match):
+        PipelineConfig(**fields)
+
+
 def test_repeated_target_names_are_rejected():
     # each target's name names its output files, so a repeat would append to them twice
     with pytest.raises(ValueError, match="target name 'trihedral' repeats"):

@@ -15,6 +15,7 @@ from geopolsar.scene import (
     _CHUNK_ROWS,
     MODEL_COHERENCY,
     Region,
+    SceneHeader,
     SyntheticSceneSpec,
     FileAppender,
     append_scene,
@@ -241,6 +242,29 @@ class TestStorage:
         k = np.zeros((1, 1, 4, 4))
         with pytest.raises(ValueError, match="unknown raster kind 'kennaugh'"):
             PolsarRaster("kennaugh", k)
+
+
+UNIT_REGION = Region(0, 0, 1, 1, "trihedral", 1.0)
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: SceneHeader(0, 1, 1.0, "T3"), "scene dimensions must be positive",
+                 id="header-rows"),
+    pytest.param(lambda: SceneHeader(1, 1, 1.0, "T3", dtype="float16"),
+                 "unknown scene dtype 'float16'", id="header-dtype"),
+    pytest.param(lambda: SceneHeader(1, 1, 0.0, "T3"), "looks must be positive", id="header-looks"),
+    pytest.param(lambda: append_scene(None, coherency_raster(np.random.default_rng(0), 1, 1), 1,
+                                      dtype="int8"), "unknown scene dtype 'int8'", id="append-dtype"),
+    pytest.param(lambda: Region(0, 0, 1, 1, "trihedral", 1.0, looks=0),
+                 "region looks must be >= 1", id="region-looks"),
+    pytest.param(lambda: SyntheticSceneSpec(1, 0, 1, 0, [UNIT_REGION]),
+                 "scene dimensions must be positive", id="spec-cols"),
+    pytest.param(lambda: SyntheticSceneSpec(1, 1, 0, 0, [UNIT_REGION]), "looks must be >= 1",
+                 id="spec-looks"),
+])
+def test_rejected_inputs(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def sinclair_scene(path, rng, rows, cols, dtype="float32", mask=None):
