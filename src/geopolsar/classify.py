@@ -30,7 +30,7 @@ import numpy as np
 
 from .geodesic import SimilarityTriple
 from .matrices import (
-    PACKED_WEIGHTS, CoherencyMatrix, packed_ldl, packed_rows, span_array, unpack_coherency_array
+    PACKED_WEIGHTS, packed_ldl, packed_rows, span_array, unpack_coherency_array
 )
 
 __all__ = [
@@ -168,9 +168,7 @@ def _packed(t) -> np.ndarray:
 
 def _row(value) -> np.ndarray:
     """(1, 9) packed row of a Cluster, a CoherencyMatrix, a 3x3 matrix or a packed row."""
-    if isinstance(value, (Cluster, CoherencyMatrix)):
-        value = value.row if isinstance(value, Cluster) else value.matrix
-    return _packed(np.asarray(value)[None])
+    return _packed(np.asarray(getattr(value, "row", getattr(value, "matrix", value)))[None])
 
 
 def _factor(centers: np.ndarray, epsilon: float):
@@ -309,7 +307,8 @@ def merge_clusters(
     the two smallest hold at most 2 * N / K < n_max. It applies only here,
     never during iteration. Each round factors every center and builds one
     bitwise symmetric (K, K) distance matrix; ties go to the first pair in
-    row-major upper-triangle order.
+    row-major upper-triangle order. Two empty clusters merge into the first
+    one's center.
     """
     work, _, cluster_cat, counts, centers = _table(clusters)
     if len(np.unique(cluster_cat)) > 1:
@@ -325,8 +324,8 @@ def merge_clusters(
         dist = 0.5 * (dist + dist.T)
         i, j = divmod(int(pairs[np.argmin(dist.flat[pairs])]), len(work))
         na, nb = int(counts[i]), int(counts[j])
-        # times 1 / count, which is how numpy's complex mean rounds
-        centers[i] = (na * centers[i] + nb * centers[j]) * (1.0 / (na + nb))
+        if na + nb:  # times 1 / count, which is how numpy's complex mean rounds
+            centers[i] = (na * centers[i] + nb * centers[j]) * (1.0 / (na + nb))
         counts[i] = na + nb
         sources[i] = tuple(sorted(sources[i] + sources[j]))
         alive[j] = False
@@ -400,7 +399,7 @@ def iterate_classification(
         labels[rows] = ids[pick]
         return changed, pick
 
-    # pass 0 totals the post-merge assignment; pass 1 reuses its factors
+    # pass 0 totals the post-merge assignment; every pass factors its own centers
     objective = 0.0
     if n and len(ids):
         q, logdet = _factor(centers, config.center_regularization)
@@ -413,8 +412,7 @@ def iterate_classification(
     for iteration in range(1, config.max_iterations + 1):
         if n == 0 or not len(ids):
             break
-        if iteration > 1:
-            q, logdet = _factor(centers, config.center_regularization)
+        q, logdet = _factor(centers, config.center_regularization)
         offsets = np.vstack([np.where(cats == cluster_cat, logdet, np.inf), logdet])
         changed, counts, sums = _block_pass(t, len(ids), workers, score)
         # a pixel whose category has lost every cluster scores inf

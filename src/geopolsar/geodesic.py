@@ -96,9 +96,7 @@ def geodesic_distance(
 ) -> float:
     """Geodesic distance between two Kennaugh matrices, in [0, 1] for
     physical (positive semidefinite derived) inputs."""
-    m1 = k1.matrix if isinstance(k1, KennaughMatrix) else np.asarray(k1, float)
-    m2 = k2.matrix if isinstance(k2, KennaughMatrix) else np.asarray(k2, float)
-    return float(geodesic_distance_array(m1, m2))
+    return float(geodesic_distance_array(getattr(k1, "matrix", k1), getattr(k2, "matrix", k2)))
 
 
 def similarity(k, target: CanonicalTarget) -> float:
@@ -213,7 +211,6 @@ def similarity_arrays(
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = f / total[None]
     w = (2.0 * k11)[None] * gamma
-    f[:, ~valid] = np.nan
-    gamma[:, ~valid] = np.nan
-    w[:, ~valid] = np.nan
+    for a in (f, gamma, w):
+        a[:, ~valid] = np.nan
     return f, gamma, w, valid

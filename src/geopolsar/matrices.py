@@ -83,9 +83,8 @@ class SinclairMatrix:
     s_vv: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "s_hh", complex(self.s_hh))
-        object.__setattr__(self, "s_hv", complex(self.s_hv))
-        object.__setattr__(self, "s_vv", complex(self.s_vv))
+        for name in ("s_hh", "s_hv", "s_vv"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
 
     @property
     def s_vh(self) -> complex:
@@ -107,9 +106,8 @@ class PauliVector:
     k3: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", complex(self.k1))
-        object.__setattr__(self, "k2", complex(self.k2))
-        object.__setattr__(self, "k3", complex(self.k3))
+        for name in ("k1", "k2", "k3"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
 
     @property
     def vector(self) -> np.ndarray:
@@ -137,12 +135,10 @@ class CoherencyMatrix:
     t23: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "t11", float(self.t11))
-        object.__setattr__(self, "t22", float(self.t22))
-        object.__setattr__(self, "t33", float(self.t33))
-        object.__setattr__(self, "t12", complex(self.t12))
-        object.__setattr__(self, "t13", complex(self.t13))
-        object.__setattr__(self, "t23", complex(self.t23))
+        for name in ("t11", "t22", "t33"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("t12", "t13", "t23"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
         if not np.isfinite(self._row).all():
             raise ValueError("coherency matrix entries must be finite")
         scale = abs(self.t11) + abs(self.t22) + abs(self.t33)
@@ -177,6 +173,7 @@ class CoherencyMatrix:
         return unpack_coherency_array(self._row)
 
 
+@dataclass(frozen=True, eq=False)  # compared by identity: its field is an array
 class KennaughMatrix:
     """4x4 real symmetric Kennaugh matrix with finite entries.
 
@@ -184,10 +181,10 @@ class KennaughMatrix:
     holds exactly in floating point. The backing array is read-only.
     """
 
-    __slots__ = ("_values",)
+    matrix: np.ndarray
 
-    def __init__(self, values):
-        v = np.array(values, dtype=np.float64)
+    def __post_init__(self):
+        v = np.array(self.matrix, dtype=np.float64)
         if v.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {v.shape}")
         if not np.isfinite(v).all():
@@ -198,18 +195,11 @@ class KennaughMatrix:
         for i, j in _UPPER4:
             v[j, i] = v[i, j]
         v.setflags(write=False)
-        self._values = v
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._values
+        object.__setattr__(self, "matrix", v)
 
     @property
     def k11(self) -> float:
-        return float(self._values[0, 0])
-
-    def __repr__(self):
-        return f"KennaughMatrix({self._values.tolist()!r})"
+        return float(self.matrix[0, 0])
 
 
 # ---------------------------------------------------------------------------

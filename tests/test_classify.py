@@ -17,7 +17,10 @@ from geopolsar.classify import (
 )
 from geopolsar.geodesic import RANDOM_VOLUME, TRIHEDRAL, SimilarityTriple, similarity_triple
 from geopolsar.matrices import (
+    CoherencyMatrix,
     KennaughMatrix,
+    PauliVector,
+    SinclairMatrix,
     kennaugh_from_coherency_array,
     pack_coherency_array,
 )
@@ -143,6 +146,24 @@ class TestDistances:
                 expected = wishart_pixel_distance(x, y) + 3.0 * np.log(scale)
                 got = wishart_pixel_distance(scale * x, scale * y)
                 assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * abs(3.0 * np.log(scale)))
+
+    def test_every_input_form_scores_bitwise_alike(self):
+        # a Cluster, a CoherencyMatrix, a 3x3 matrix and a packed row, in either argument
+        rng = np.random.default_rng(78)
+        a, b = random_psd_stack(rng, 2, looks=5)
+        forms = (cluster_from, CoherencyMatrix.from_matrix, np.asarray, pack_coherency_array)
+        expected = wishart_pixel_distance(a, b, 1e-6)
+        for x in forms:
+            for y in forms:
+                assert wishart_pixel_distance(x(a), y(b), 1e-6).hex() == expected.hex()
+
+    @pytest.mark.parametrize("value", [
+        KennaughMatrix(np.eye(4)), SinclairMatrix(1, 0, 1), PauliVector(1, 0, 0)
+    ], ids=["kennaugh", "sinclair", "pauli"])
+    def test_other_value_types_rejected(self, value):
+        for pair in ((value, np.eye(3)), (np.eye(3), value)):
+            with pytest.raises(ValueError, match="expected pixels of shape"):
+                wishart_pixel_distance(*pair)
 
     def test_accepts_value_objects_and_clusters(self):
         from geopolsar.matrices import CoherencyMatrix
@@ -429,8 +450,8 @@ class TestMerge:
                 np.minimum(10 * rng.pareto(0.7, k), 10**7).astype(np.int64) + 1,  # heavy tail
                 rng.integers(10**5, 10**6, k),
             ])
-            if rng.random() < 0.5:  # one cluster may be empty; two have no mean to merge into
-                counts[rng.integers(k)] = 0
+            # any number of clusters may be empty, all of them included
+            counts[rng.random(k) < rng.choice([0.0, 0.1, 0.5, 1.0])] = 0
             centers = random_psd_stack(rng, k, looks=int(rng.integers(3, 9)))
             ids = rng.choice(10 * k, k, replace=False)
             clusters = [

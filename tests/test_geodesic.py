@@ -107,6 +107,16 @@ class TestDistance:
                 with pytest.raises(ValueError, match="Kennaugh matrix entries must be finite"):
                     distance(*pair)
 
+    def test_any_mix_of_input_forms_gives_one_float(self):
+        rng = np.random.default_rng(25)
+        a, b = random_kennaugh_stack(rng, 2)
+        expected = geodesic_distance(KennaughMatrix(a), KennaughMatrix(b))
+        forms = (KennaughMatrix, np.asarray, lambda m: np.asarray(m).tolist())
+        for x in forms:
+            for y in forms:
+                got = geodesic_distance(x(a), y(b))
+                assert type(got) is float and got == expected
+
     def test_antipodal_inputs_reach_two(self):
         # sign-flipped matrices are maximally distant; only reachable with
         # unphysical inputs but the kernel stays well defined

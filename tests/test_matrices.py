@@ -499,6 +499,38 @@ class TestPackedLayout:
             assert span_array(t).tobytes() == np.trace(t, axis1=1, axis2=2).real.tobytes()
 
 
+# symmetric within the tolerance: the lower (1, 0) entry is 1e-12 off the upper one
+NEAR_SYMMETRIC = [[1.0, 0.1, 0.2, 0.3], [0.1 * (1 + 1e-12), 0.5, 0.0, 0.0],
+                  [0.2, 0.0, 0.5, 0.0], [0.3, 0.0, 0.0, -0.5]]
+
+
+@pytest.mark.parametrize("build, fields", [
+    pytest.param(lambda: SinclairMatrix(1, np.float32(2), 3j),
+                 dict.fromkeys(("s_hh", "s_hv", "s_vv"), complex), id="sinclair"),
+    pytest.param(lambda: PauliVector(np.int64(1), 2.0, np.complex64(3j)),
+                 dict.fromkeys(("k1", "k2", "k3"), complex), id="pauli"),
+    pytest.param(lambda: CoherencyMatrix(np.int64(2), np.float32(1), 1, 1, 0.0, 0j),
+                 {**dict.fromkeys(("t11", "t22", "t33"), float),
+                  **dict.fromkeys(("t12", "t13", "t23"), complex)}, id="coherency"),
+    pytest.param(lambda: KennaughMatrix(NEAR_SYMMETRIC), {"matrix": np.ndarray}, id="kennaugh"),
+])
+def test_value_types_coerce_freeze_and_compare(build, fields):
+    a, b = build(), build()
+    for name, kind in fields.items():
+        assert type(getattr(a, name)) is kind
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+    if isinstance(a, KennaughMatrix):
+        # by identity, which the target registry's equality relies on
+        assert a != b and a == a
+        assert a in {a} and len({a, b}) == 2
+        # the upper triangle is mirrored onto the lower one, bit for bit
+        assert a.matrix[1, 0] == NEAR_SYMMETRIC[0][1]
+        assert np.array_equal(a.matrix, a.matrix.T)
+    else:
+        assert a == b and hash(a) == hash(b)
+
+
 # the raster's checks are here too: its payload is a stack of these matrices
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda: CoherencyMatrix.from_matrix(np.eye(2)),
