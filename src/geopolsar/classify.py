@@ -33,19 +33,6 @@ from .matrices import (
     PACKED_WEIGHTS, packed_ldl, packed_rows, span_array, unpack_coherency_array
 )
 
-__all__ = [
-    "ClassifierConfig",
-    "PixelCategory",
-    "Cluster",
-    "categorize",
-    "categorize_arrays",
-    "initial_clusters",
-    "wishart_pixel_distance",
-    "wishart_center_distance",
-    "merge_clusters",
-    "iterate_classification",
-]
-
 # Pixels are scored and summed in blocks of this many rows; the grid is fixed so
 # results never depend on the worker count. OpenBLAS runs products this small
 # on the calling thread, so its threads never contend with the block pool.

@@ -20,22 +20,7 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .matrices import KennaughMatrix, kennaugh_from_coherency_array, span_array
-
-__all__ = [
-    "CanonicalTarget",
-    "TRIHEDRAL",
-    "DIHEDRAL",
-    "RANDOM_VOLUME",
-    "DEFAULT_TARGETS",
-    "SimilarityTriple",
-    "geodesic_distance",
-    "geodesic_distance_array",
-    "similarity",
-    "similarity_triple",
-    "similarity_arrays",
-    "dominant_target",
-]
+from .matrices import KennaughMatrix, _stacks, kennaugh_from_coherency_array, span_array
 
 # f values this far below zero are treated as the floating-point image of
 # exact orthogonality (GD == 1) and floored to 0; anything lower is rejected.
@@ -69,8 +54,7 @@ def _geodesic(dot, d1, d2) -> np.ndarray:
 
 def geodesic_distance_array(k1, k2) -> np.ndarray:
     """Geodesic distance over broadcast stacks of 4x4 Kennaugh matrices."""
-    k1 = np.asarray(k1, dtype=np.float64)
-    k2 = np.asarray(k2, dtype=np.float64)
+    k1, k2 = (_stacks(k, 4, "Kennaugh", np.float64) for k in (k1, k2))
     if not (np.isfinite(k1).all() and np.isfinite(k2).all()):
         raise ValueError("Kennaugh matrix entries must be finite")
     d1 = _frobenius_dot(k1, k1)

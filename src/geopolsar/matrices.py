@@ -25,31 +25,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "PSD_TOLERANCE",
-    "PACKED_WEIGHTS",
-    "SinclairMatrix",
-    "PauliVector",
-    "CoherencyMatrix",
-    "KennaughMatrix",
-    "pauli_from_sinclair",
-    "coherency_from_pauli",
-    "kennaugh_from_sinclair",
-    "kennaugh_from_coherency",
-    "span",
-    "pauli_from_sinclair_array",
-    "coherency_from_pauli_array",
-    "kennaugh_from_sinclair_array",
-    "kennaugh_from_coherency_array",
-    "span_array",
-    "pauli_planes",
-    "packed_outer",
-    "packed_rows",
-    "packed_ldl",
-    "pack_coherency_array",
-    "unpack_coherency_array",
-]
-
 # Eigenvalues of an averaged coherency matrix may dip slightly below zero
 # from floating-point cancellation; tolerate down to -PSD_TOLERANCE * trace.
 PSD_TOLERANCE = 1e-9
@@ -208,11 +183,12 @@ class KennaughMatrix:
 
 
 def _stacks(x, n: int, noun: str, dtype=None) -> np.ndarray:
-    """x as an array, checked to be a stack of n x n matrices."""
-    x = np.asarray(x, dtype=dtype)
+    """x as an array of the dtype, checked to be a stack of n x n matrices
+    before it is converted."""
+    x = np.asarray(x)
     if x.shape[-2:] != (n, n):
         raise ValueError(f"expected {noun} stacks (..., {n}, {n}), got shape {x.shape}")
-    return x
+    return np.asarray(x, dtype=dtype)
 
 
 def packed_outer(kr, ki):

@@ -50,16 +50,6 @@ from .scene import (
     write_scene,
 )
 
-__all__ = [
-    "DUMP_STAGES",
-    "PipelineConfig",
-    "ClassifyResult",
-    "classify_raster",
-    "run_classify",
-    "run_similarity",
-    "run_generate",
-]
-
 DUMP_STAGES = ("deorient", "filter", "similarity", "category", "merge")
 
 
@@ -147,6 +137,7 @@ def _prepare(source: RowSource, config: PipelineConfig, dump: Callable):
         if dump("similarity"):
             _append_similarity(dump("similarity"), config.targets, scores[:3], "<f8")
         yield r0, r1, tile.data[own], scores
+        del t, tile, scores  # freed before the next tile is read
 
 
 def classify_raster(
@@ -332,6 +323,7 @@ def run_similarity(
                 files.append(f"f_{target.name}.pgm", scaled.astype(np.uint8))
             _append_similarity(files, config.targets, (f, gamma, w), "<f4")
             any_valid |= bool(valid.any())
+            del _, f, gamma, w, valid, scaled  # with the filtered rows (_), freed before the next read
     return any_valid
 
 

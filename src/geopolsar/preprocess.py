@@ -20,16 +20,6 @@ from .matrices import (
 )
 from .raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster, RowSource, mask_non_finite
 
-__all__ = [
-    "PreprocessConfig",
-    "orientation_angle",
-    "deorient",
-    "deorient_array",
-    "deorient_raster",
-    "speckle_filter",
-    "multilook",
-]
-
 #: Pixels per output row tile of the pipeline's front end (deorient, filter,
 #: similarity) and per input row tile of multilooking; a tile's planes stay
 #: in cache.

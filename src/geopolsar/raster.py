@@ -20,14 +20,6 @@ import numpy as np
 
 from .matrices import packed_rows, span_array
 
-__all__ = [
-    "KIND_SINCLAIR",
-    "KIND_COHERENCY",
-    "PolsarRaster",
-    "RowSource",
-    "mask_non_finite",
-]
-
 KIND_SINCLAIR = "sinclair"
 KIND_COHERENCY = "coherency"
 

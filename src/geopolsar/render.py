@@ -18,8 +18,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["ClassEntry", "class_color", "render_map", "MASKED_LABEL"]
-
 #: Label value reserved for masked pixels in u16 label rasters.
 MASKED_LABEL = 0xFFFF
 

@@ -31,20 +31,6 @@ from .matrices import pack_coherency_array, packed_outer, span_array, unpack_coh
 from .preprocess import multilook_rows
 from .raster import KIND_COHERENCY, PolsarRaster, RowSource, mask_non_finite
 
-__all__ = [
-    "SceneHeader",
-    "FileAppender",
-    "open_scene",
-    "read_scene",
-    "append_scene",
-    "write_scene",
-    "Region",
-    "SyntheticSceneSpec",
-    "parse_scene_spec",
-    "generate_scene",
-    "MODEL_COHERENCY",
-]
-
 # Per scene kind, each component in file order. A T3 component names the
 # packed planes (matrices.pack_coherency_array) of its real part and, if it is
 # complex, of its imaginary part. An S2 component is complex and names its

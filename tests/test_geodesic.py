@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from geopolsar.geodesic import (
 )
 from geopolsar.matrices import (
     KennaughMatrix,
+    SinclairMatrix,
     kennaugh_from_coherency_array,
     pack_coherency_array,
 )
@@ -106,6 +110,27 @@ class TestDistance:
             for distance in (geodesic_distance, geodesic_distance_array):
                 with pytest.raises(ValueError, match="Kennaugh matrix entries must be finite"):
                     distance(*pair)
+
+    @pytest.mark.parametrize(
+        "bad, shape",
+        [
+            (np.eye(3), (3, 3)),  # returned 0.0
+            (np.eye(2), (2, 2)),  # returned 0.0
+            (SinclairMatrix(1, 0, 1), (2, 2)),  # a ComplexWarning, then a broadcast error
+            (np.ones(16), (16,)),
+            (np.ones((5, 4, 3)), (5, 4, 3)),
+        ],
+    )
+    def test_input_of_another_shape_rejected(self, bad, shape):
+        # each wrong shape raises one ValueError that names it, on either side
+        target = TRIHEDRAL.kennaugh
+        for pair in ((bad, target), (target, bad), (bad, bad)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=re.escape(f"Kennaugh stacks (..., 4, 4), got shape {shape}")):
+                    geodesic_distance(*pair)
+                with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                    geodesic_distance_array(*(getattr(k, "matrix", k) for k in pair))
 
     def test_any_mix_of_input_forms_gives_one_float(self):
         rng = np.random.default_rng(25)

@@ -18,7 +18,7 @@ from geopolsar.matrices import (
     unpack_coherency_array,
 )
 from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, PolsarRaster
-from geopolsar.scene import read_scene
+from geopolsar.scene import open_scene, read_scene, write_scene
 
 from conftest import (
     deorient_longdouble,
@@ -365,7 +365,7 @@ class TestMultilook:
             s[~mask & (rng.random((rows, cols)) < 0.5), 1, 1] = complex(np.nan, 1.0)
             mask[:3, :5] = False  # a fully masked block at every factor below
             raster = PolsarRaster(KIND_SINCLAIR, s, mask, looks=2)
-            for rf, af in ((1, 1), (2, 2), (3, 5)):
+            for rf, af in ((1, 1), (2, 2), (3, 5), (1, 3), (3, 1)):
                 if rows < rf or cols < af:
                     continue
                 out, ref = multilook(raster, rf, af), multilook_oracle(raster, rf, af)
@@ -374,6 +374,18 @@ class TestMultilook:
                 assert out.looks == ref.looks
                 span = ref.data[..., :3].sum(axis=-1, keepdims=True)
                 assert np.all(np.abs(out.data - ref.data) <= 1e-14 * span)
+
+    @pytest.mark.parametrize("factors", [(1, 1), (2, 2)])
+    def test_an_empty_row_range_reads_an_empty_raster(self, tmp_path, factors):
+        rng = np.random.default_rng(45)
+        s = random_sinclair_stack(rng, 8 * 6).reshape(8, 6, 2, 2)
+        write_scene(PolsarRaster(KIND_SINCLAIR, s), tmp_path / "scene")
+        source = open_scene(tmp_path / "scene", factors)
+        for k in (0, 2, source.shape[0]):
+            empty = source.rows(k, k)
+            assert empty.kind == KIND_COHERENCY
+            assert empty.data.shape == (0, 6 // factors[1], 9)
+            assert empty.mask.shape == (0, 6 // factors[1])
 
     def test_validation(self):
         raster = PolsarRaster(KIND_SINCLAIR, np.zeros((2, 3, 2, 2), complex))
