@@ -28,7 +28,9 @@ _NEGATIVE_F_TOLERANCE = 1e-9
 
 
 def _frobenius_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...ij->...", a, b)
+    """Tr(A^T B) of 4x4 matrices on the last two axes, the entry products summed
+    one by one in row-major order, as ``similarity_arrays``' scoring loop sums them."""
+    return sum(a[..., i, j] * b[..., i, j] for i, j in np.ndindex(4, 4))
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def similarity_arrays(
     # target pulled back through B, ||K||^2 = sum_c ||B_c||^2 x_c^2 (PACKED_WEIGHTS
     # for the packed basis). Plane by plane, a pixel's sums run in one order for any
     # tile shape; a GEMM on the flattened tile rounds by its BLAS blocking.
-    pullback = np.einsum("cij,tij->ct", basis, tmat)
+    pullback = _frobenius_dot(basis[:, None], tmat)
     dots, d_pix = np.zeros((len(tmat),) + x.shape[:-1]), np.zeros(x.shape[:-1])
     for plane, weights, gram in zip(np.moveaxis(x, -1, 0), pullback, _frobenius_dot(basis, basis)):
         d_pix += gram * (plane * plane)

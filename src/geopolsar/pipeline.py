@@ -42,6 +42,7 @@ from .raster import KIND_COHERENCY, PolsarRaster, RowSource, mask_non_finite
 from .render import MASKED_LABEL, ClassEntry, render_map
 from .scene import (
     FileAppender,
+    _header_text,
     append_scene,
     checked_cast,
     generate_scene,
@@ -245,19 +246,9 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
 def _write_labels(result: ClassifyResult, out_dir: Path) -> None:
     labels = result.labels
     labels.astype("<u2").tofile(out_dir / "labels.bin")
-    (out_dir / "labels.hdr").write_text(
-        "\n".join(
-            [
-                f"rows = {labels.shape[0]}",
-                f"cols = {labels.shape[1]}",
-                f"classes = {len(result.classes)}",
-                f"masked = {MASKED_LABEL}",
-                "dtype = uint16",
-                "byte_order = little",
-            ]
-        )
-        + "\n"
-    )
+    head = dict(rows=labels.shape[0], cols=labels.shape[1], classes=len(result.classes),
+                masked=MASKED_LABEL, dtype="uint16", byte_order="little")
+    (out_dir / "labels.hdr").write_text(_header_text(head))
 
 
 def _write_report(history: List[Dict], path: Path) -> None:

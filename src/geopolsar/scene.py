@@ -96,6 +96,11 @@ def _key_values(path: Path):
         yield lineno, key, value
 
 
+def _header_text(fields: Dict[str, object]) -> str:
+    """The ``key = value`` lines of fields, in order, that ``_key_values`` reads."""
+    return "".join(f"{key} = {value}\n" for key, value in fields.items())
+
+
 def _parse_header(path: Path) -> SceneHeader:
     fields: Dict[str, str] = {}
     components: Dict[str, str] = {}
@@ -248,7 +253,7 @@ def append_scene(
     if not files.files:
         head = dict(rows=rows, cols=raster.cols, looks=repr(raster.looks), kind=kind, dtype=dtype)
         head.update((f"component.{name}", f"{name}.bin") for name in casts)
-        files.append("header.txt", "".join(f"{k} = {v}\n" for k, v in head.items()).encode())
+        files.append("header.txt", _header_text(head).encode())
     for name, cast in casts.items():
         files.append(f"{name}.bin", cast)
 

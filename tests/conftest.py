@@ -15,8 +15,11 @@ rounding. The filter and deorientation are also held to an np.longdouble
 evaluation of the same operation, within 4 ulps of each pixel's span. The
 per-look scene generator is the package's former sampler; the package now
 draws the same law another way, so the two agree in distribution only.
+``classify_oracle`` chains the stage oracles into a whole classify run; only
+its partition and mask are held to the package's, exactly.
 """
 
+import dataclasses
 from pathlib import Path
 
 from concurrent.futures import ThreadPoolExecutor
@@ -482,6 +485,64 @@ def iterate_oracle(t, categories, mixed, clusters, config, initial_labels, worke
         if changed == 0 or changed / n < config.convergence_fraction:
             break
     return labels, work, history
+
+
+def classify_oracle(raster, config):
+    """The classify chain built from the oracles above and numpy alone: complex
+    deorientation, the sliding-window filter, a Kennaugh similarity by einsum
+    and arccos, argmax categories and mixed flags, lexsort seeds, the merge
+    loop per category, then full-matrix refinement of the loaded pixels and
+    centers. Returns the cluster id of each pixel, -1 where masked, and the
+    validity mask."""
+    from geopolsar.classify import Cluster
+    from geopolsar.matrices import kennaugh_from_coherency_array, unpack_coherency_array
+    from geopolsar.raster import KIND_COHERENCY, PolsarRaster
+
+    pre, classifier = config.preprocess, config.classifier
+    t = unpack_coherency_array(raster.data)
+    if pre.deorient:
+        t = deorient_oracle(t)
+    filtered = speckle_filter_oracle(PolsarRaster(KIND_COHERENCY, t, raster.mask, raster.looks), pre)
+    k = kennaugh_from_coherency_array(filtered.data)
+    targets = np.stack([target.kennaugh.matrix for target in config.targets])
+    d_pix = np.einsum("rcij,rcij->rc", k, k)
+    norms = np.sqrt(d_pix * np.einsum("tij,tij->t", targets, targets)[:, None, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = np.einsum("rcij,tij->trc", k, targets) / norms
+        f = 1.0 - (2.0 / np.pi) * np.arccos(np.clip(cosines, -1.0, 1.0))
+        valid = filtered.mask & (d_pix > 0.0) & (k[..., 0, 0] >= 0.0) & (f >= -1e-9).all(axis=0)
+        f = np.maximum(f, 0.0)
+        total = f.sum(axis=0)
+        valid &= total > 0.0
+        w = 2.0 * k[..., 0, 0] * f / total
+        mixed = w.max(axis=0) / w.sum(axis=0) <= classifier.mixed_threshold
+    pixels = unpack_coherency_array(filtered.data[valid])
+    categories, mixed = np.argmax(w, axis=0)[valid], mixed[valid]
+
+    k0 = classifier.initial_clusters_per_category
+    seeds, labels = initial_clusters_oracle(pixels, k0, category=categories)
+    merged = [c for category in sorted({s.category for s in seeds})
+              for c in merge_loop_oracle([s for s in seeds if s.category == category], classifier)]
+    seed_to_merged = np.full(len(config.targets) * k0, -1)
+    for cluster in merged:
+        seed_to_merged[list(cluster.source_ids)] = cluster.id
+
+    epsilon = classifier.center_regularization
+    loaded = [Cluster(c.id, c.category, _regularize(c.center, epsilon), c.member_count)
+              for c in merged]
+    labels, _, _ = iterate_oracle(
+        _regularize(pixels, epsilon), categories, mixed, loaded,
+        dataclasses.replace(classifier, center_regularization=0.0), seed_to_merged[labels],
+    )
+    image = np.full(valid.shape, -1)
+    image[valid] = labels
+    return image, valid
+
+
+def same_partition(a, b):
+    """True if the label images a and b group the pixels alike."""
+    pairs = np.unique(np.stack([a.ravel(), b.ravel()]), axis=1)
+    return pairs.shape[1] == len(np.unique(a)) == len(np.unique(b))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +295,34 @@ class TestClassify:
         )
         assert code == 1
         assert "odd" in capsys.readouterr().err
+
+    def test_hostile_header_values_fail_cleanly_or_classify(self, demo_scene, tmp_path, capsys):
+        # each of the demo header's 11 fields set to each hostile value: a run
+        # either exits 1 with a one-line error or classifies
+        hostile = ["0", "-1", "1e12", "nan", "inf", "-inf", "", "1.5", "abc", "T3 extra",
+                   "float16", "S2", "0x10", "12345678901234567890", "1_0", " 128", "1e-320"]
+        scene = tmp_path / "scene"
+        shutil.copytree(demo_scene, scene)
+        lines = (demo_scene / "header.txt").read_text().splitlines()
+        assert len(lines) == 11
+        accepted = set()
+        for index, line in enumerate(lines):
+            field = line.split(" = ")[0]
+            for value in hostile:
+                edited = lines[:index] + [f"{field} = {value}"] + lines[index + 1 :]
+                (scene / "header.txt").write_text("\n".join(edited) + "\n")
+                code = main(["classify", str(scene), "--out", str(tmp_path / "out")])
+                out, err = capsys.readouterr()
+                if code == 0:
+                    assert out.startswith("classified") and not err
+                    accepted.add((field, value))
+                else:
+                    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        # the values the reader parses as valid; looks = inf is intended among
+        # them, because no stage reads looks to classify (a stage dump's
+        # header only writes it back)
+        looks = ["1e12", "inf", "1.5", "12345678901234567890", "1_0", " 128", "1e-320"]
+        assert accepted == {("rows", " 128"), ("cols", " 128")} | {("looks", v) for v in looks}
 
     def test_seed_ids_must_fit_the_label_dtype(self, demo_scene, tmp_path, capsys):
         from geopolsar.classify import ClassifierConfig

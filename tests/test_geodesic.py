@@ -263,6 +263,22 @@ class TestSimilarityArrays:
         expected_w = 2.0 * k[..., 0, 0] * gamma
         assert (np.abs(w - expected_w) <= np.maximum(1e-12 * np.abs(expected_w), 1e-14)).all()
 
+    def test_scalar_routes_give_the_loop_bits(self):
+        # every Frobenius product sums its entries in one order, so the scalar
+        # distance and its array form give the scoring loop's f exactly
+        rng = np.random.default_rng(37)
+        k = random_kennaugh_stack(rng, 2000).reshape(40, 50, 4, 4)
+        f, _, _, valid = similarity_arrays(k, np.ones((40, 50), bool))
+        assert valid.all()
+        for ti, target in enumerate(DEFAULT_TARGETS):
+            gd = geodesic_distance_array(k, target.kennaugh.matrix)
+            assert np.array_equal(1.0 - gd, f[ti])
+        for pixel in k.reshape(-1, 4, 4)[:500]:
+            triple = similarity_triple(KennaughMatrix(pixel))
+            for target in DEFAULT_TARGETS:
+                assert similarity(pixel, target) == triple.f[target.name]
+                assert 1.0 - geodesic_distance(pixel, target.kennaugh) == triple.f[target.name]
+
     def test_share_and_weight_conservation_on_packed_rows(self, demo_scene):
         rng = np.random.default_rng(30)
         fuzzed = pack_coherency_array(random_psd_stack(rng, 5000)).reshape(50, 100, 9)

@@ -18,7 +18,7 @@ from geopolsar.matrices import pack_coherency_array
 from geopolsar.raster import KIND_COHERENCY, KIND_SINCLAIR, mask_non_finite
 from geopolsar.render import MASKED_LABEL
 
-from conftest import random_sinclair_stack
+from conftest import random_sinclair_stack, same_partition
 
 ITEM_1 = "ROADMAP item 1"
 
@@ -44,12 +44,6 @@ def corrupted(raster, column, value):
     data = raster.data.copy()
     data[PIXEL + (column,)] = value
     return data
-
-
-def same_partition(a, b):
-    """True if the label images a and b group the pixels alike."""
-    pairs = np.unique(np.stack([a.ravel(), b.ravel()]), axis=1)
-    return pairs.shape[1] == len(np.unique(a)) == len(np.unique(b))
 
 
 def only_pixel_masked(result):
