@@ -245,28 +245,21 @@ def _span_bins(span: np.ndarray, k: int) -> np.ndarray:
 
 
 def initial_clusters(
-    pixels: np.ndarray,
-    k: int,
-    category: Union[int, np.ndarray] = 0,
-    start_id: int = 0,
+    pixels: np.ndarray, k: int, category: Union[int, np.ndarray] = 0
 ) -> Tuple[List[Cluster], np.ndarray]:
-    """Span-ordered equal-population seed clusters of one category, or of each
-    when category is an (n,) array. pixels has shape (n, 3, 3) or packed (n, 9).
-    Each category's pixels are ranked by span (ties in scan order) and split
-    into min(k, n_c) contiguous bins, the spans at ranks m, 2m, ... being the
-    edges (``_span_bins``); the last absorbs the remainder. Bin b of category
-    c gets id start_id + b, or start_id + c * k + b for an array. Returns the
-    clusters by id plus each pixel's cluster id."""
+    """Span-ordered equal-population seed clusters of each category, given as
+    one int for all pixels or an (n,) array. pixels has shape (n, 3, 3) or
+    packed (n, 9). Each category's pixels are ranked by span (ties in scan
+    order) and split into min(k, n_c) contiguous bins, the spans at ranks m,
+    2m, ... being the edges (``_span_bins``); the last absorbs the remainder.
+    Bin b of category c gets id c * k + b. Returns the clusters by id plus
+    each pixel's cluster id."""
     pixels = _packed(pixels)
-    n = pixels.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n == 0:
-        return [], np.empty(0, dtype=np.int64)
-    per_pixel = np.ndim(category) > 0
-    slots = np.asarray(category) if per_pixel else np.zeros(n, dtype=np.uint8)
+    slots = np.broadcast_to(category, len(pixels))
     populations = np.bincount(slots)
-    columns = np.empty(n, dtype=np.min_scalar_type(len(populations) * k))
+    columns = np.empty(len(pixels), dtype=np.min_scalar_type(len(populations) * k))
     for c in np.flatnonzero(populations):  # each span from its members alone: none at full size
         members = slots == c
         columns[members] = c * k + _span_bins(span_array(pixels, members), k)
@@ -276,9 +269,7 @@ def initial_clusters(
     seeded = np.flatnonzero(counts)
     # means times 1 / count, which is how numpy's complex mean rounds
     centers = sums[seeded] * (1.0 / counts[seeded])[:, None]
-    cats = seeded // k if per_pixel else [category] * len(seeded)
-    columns += start_id
-    state = zip(start_id + seeded, cats, centers, counts[seeded])
+    state = zip(seeded, seeded // k, centers, counts[seeded])
     return [Cluster(int(i), int(c), v, int(m)) for i, c, v, m in state], columns
 
 
@@ -334,8 +325,8 @@ def iterate_classification(
     Parameters
     ----------
     t : (n, 3, 3) coherency matrices of the valid pixels, or (n, 9) packed
-    categories : (n,) registry index per pixel (mixed pixels: seeded one)
-    mixed : (n,) bool mixed flags; mixed pixels compete across all clusters
+    categories : registry index, one int or (n,) (mixed pixels: seeded one)
+    mixed : bool mixed flag, one or (n,); mixed pixels compete across all clusters
     clusters : post-merge clusters
     config : iteration knobs
     initial_labels : (n,) post-merge cluster id per pixel
@@ -360,8 +351,8 @@ def iterate_classification(
     labels = np.asarray(initial_labels)  # its own dtype, widened only as far as the ids need
     labels = labels.astype(np.result_type(labels, np.min_scalar_type(ids.max(initial=0))))
     # offset table row c serves category c; mixed pixels read row len(cats), open to all
-    mixed = np.asarray(mixed, dtype=bool)
-    own = np.unique(np.asarray(categories)[~mixed])
+    categories, mixed = np.broadcast_to(categories, n), np.broadcast_to(np.asarray(mixed, bool), n)
+    own = np.unique(categories[~mixed])
     cats = np.arange(int(np.max(categories, initial=0)) + 1)[:, None]
     group = np.array(categories, dtype=np.min_scalar_type(len(cats)))
     group[mixed] = len(cats)

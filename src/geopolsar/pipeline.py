@@ -179,8 +179,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
                     f"{name}.u8", np.where(keep, values, 0xFF).astype(np.uint8)
                 )
         k, tile = n + np.count_nonzero(keep), np.moveaxis(data, -1, 0).reshape(9, -1)
-        # a whole tile is one slice copy; numpy gathers 1-D planes faster than along axis 1
-        planes[:, n:k] = tile if k - n == keep.size else [plane[keep] for plane in tile]
+        np.compress(keep, tile, axis=1, out=planes[:, n:k])
         cat_flat[n:k], mixed_flat[n:k], n = category[keep], mixed[keep], k
     del data, tile, scores, category, mixed, keep  # else the last tile lives through refinement
     t_flat, cat_flat, mixed_flat = planes[:, :n].T, cat_flat[:n], mixed_flat[:n]
@@ -235,7 +234,7 @@ def _classify(source: RowSource, config: PipelineConfig, dump: Callable) -> Clas
     return ClassifyResult(
         labels=image(id_to_class[labels]),
         classes=classes,
-        clusters=list(ordered),
+        clusters=ordered,
         history=history,
         categories=image(cat_flat, -1, np.intp),
         mixed=image(mixed_flat, False, bool),

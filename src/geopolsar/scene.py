@@ -242,7 +242,7 @@ def append_scene(
     if dtype not in _DTYPES:
         raise ValueError(f"unknown scene dtype {dtype!r}")
     kind = "T3" if raster.kind == KIND_COHERENCY else "S2"
-    casts = {name: np.empty(raster.shape + (2 if kind == "S2" else len(index),), _DTYPES[dtype])
+    casts = {name: np.empty(raster.shape + (len(index),), _DTYPES[dtype])
              for name, index in _LAYOUT[kind].items()}
     step = max(1, _CAST_PIXELS // max(raster.cols, 1))  # rows of a band, cast component by component
     for lo in range(0, raster.rows, step):

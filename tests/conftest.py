@@ -117,21 +117,29 @@ def _logdet_and_inverse(centers):
     return logdet, np.linalg.inv(centers)
 
 
-def scalar_center_distance_oracle(v1, v2, epsilon=0.0):
-    """The single-pair einsum form of D(i, j) the merge loop oracle calls."""
-    v1 = np.asarray(getattr(v1, "center", v1), dtype=np.complex128)
-    v2 = np.asarray(getattr(v2, "center", v2), dtype=np.complex128)
+def _loaded_center(v, epsilon):
+    """(V', ln|V'|, V'^-1) of a cluster or a 3x3 center, loaded when epsilon > 0."""
+    v = np.asarray(getattr(v, "center", v), dtype=np.complex128)
     if epsilon:
-        v1 = _regularize(v1, epsilon)
-        v2 = _regularize(v2, epsilon)
-    ld1, inv1 = _logdet_and_inverse(v1)
-    ld2, inv2 = _logdet_and_inverse(v2)
+        v = _regularize(v, epsilon)
+    return (v, *_logdet_and_inverse(v))
+
+
+def _loaded_pair_distance(a, b):
+    """D(i, j) of two ``_loaded_center`` results, as single-pair einsums."""
+    (v1, ld1, inv1), (v2, ld2, inv2) = a, b
     cross = np.einsum("ij,ji->", inv1, v2).real + np.einsum("ij,ji->", inv2, v1).real
     return float(0.5 * (ld1 + ld2 + cross))
 
 
+def scalar_center_distance_oracle(v1, v2, epsilon=0.0):
+    """The single-pair einsum form of D(i, j) the merge loop oracle scores."""
+    return _loaded_pair_distance(_loaded_center(v1, epsilon), _loaded_center(v2, epsilon))
+
+
 def merge_loop_oracle(clusters, config):
-    """Capped greedy merging that scores every allowed pair again each round.
+    """Capped greedy merging that scores every allowed pair again each round,
+    from each live center loaded and factored once per round.
 
     Strict '<' over pairs in row-major (i, j) order keeps the first of tied
     pairs, the rule the package's cached-matrix merge must reproduce.
@@ -145,12 +153,12 @@ def merge_loop_oracle(clusters, config):
     n_max = 2.0 * n_total / config.final_classes_per_category
     epsilon = config.center_regularization
     while len(work) > config.final_classes_per_category:
-        best = None
+        loaded, best = [_loaded_center(c, epsilon) for c in work], None
         for i in range(len(work)):
             for j in range(i + 1, len(work)):
                 if work[i].member_count + work[j].member_count > n_max:
                     continue
-                d = scalar_center_distance_oracle(work[i], work[j], epsilon)
+                d = _loaded_pair_distance(loaded[i], loaded[j])
                 if best is None or d < best[0]:
                     best = (d, i, j)
         if best is None:
@@ -342,7 +350,7 @@ def _pixel_center_distance_matrix(t, centers, epsilon, workers=1):
     return out
 
 
-def initial_clusters_oracle(pixels, k, category=0, start_id=0):
+def initial_clusters_oracle(pixels, k, category=0):
     """The former seeding rule: one stable ``np.lexsort`` by (category, span)
     orders every category, and each category's run of that order is cut into
     min(k, n_c) bins of n_c // min(k, n_c), the last taking the remainder.
@@ -351,8 +359,7 @@ def initial_clusters_oracle(pixels, k, category=0, start_id=0):
     from geopolsar.matrices import packed_rows, span_array, unpack_coherency_array
 
     pixels = packed_rows(np.asarray(pixels))
-    per_pixel = np.ndim(category) > 0
-    slots = np.asarray(category) if per_pixel else np.zeros(len(pixels), dtype=np.uint8)
+    slots = np.broadcast_to(category, len(pixels))
     order = np.lexsort((span_array(pixels), slots))
     present, populations = np.unique(slots, return_counts=True)
     columns = np.empty(len(pixels), dtype=np.int64)
@@ -365,9 +372,8 @@ def initial_clusters_oracle(pixels, k, category=0, start_id=0):
     sums = np.stack([np.bincount(columns, pixels[:, c], minlength=size) for c in range(9)], axis=1)
     seeded = np.flatnonzero(counts)
     centers = unpack_coherency_array(sums[seeded] * (1.0 / counts[seeded])[:, None])
-    cats = seeded // k if per_pixel else [category] * len(seeded)
-    state = zip(start_id + seeded, cats, centers, counts[seeded])
-    return [Cluster(int(i), int(c), v, int(m)) for i, c, v, m in state], columns + start_id
+    state = zip(seeded, seeded // k, centers, counts[seeded])
+    return [Cluster(int(i), int(c), v, int(m)) for i, c, v, m in state], columns
 
 
 def append_scene_oracle(files, raster, rows, dtype="float32"):

@@ -239,15 +239,15 @@ class TestInitialClusters:
         spans = np.array([5.0, 0.0, 3.0, 1.0, 4.0, 2.0, 7.0, 6.0, 8.0, 9.0])
         pixels = np.zeros((10, 3, 3), complex)
         pixels[:, 0, 0] = spans
-        clusters, labels = initial_clusters(pixels, 3, category=2, start_id=60)
-        assert [c.id for c in clusters] == [60, 61, 62]
+        clusters, labels = initial_clusters(pixels, 3, category=2)
+        assert [c.id for c in clusters] == [6, 7, 8]  # seed b of category c is c * k + b
         assert all(c.category == 2 for c in clusters)
         # bins of 3, 3 and 4 in increasing power order
         assert [c.member_count for c in clusters] == [3, 3, 4]
         assert clusters[0].center[0, 0].real == pytest.approx(1.0)  # mean(0,1,2)
         assert clusters[2].center[0, 0].real == pytest.approx(7.5)  # mean(6..9)
         by_pixel = {s: l for s, l in zip(spans, labels)}
-        assert [by_pixel[s] for s in sorted(by_pixel)] == [60] * 3 + [61] * 3 + [62] * 4
+        assert [by_pixel[s] for s in sorted(by_pixel)] == [6] * 3 + [7] * 3 + [8] * 4
 
     def test_fewer_pixels_than_clusters(self):
         pixels = random_psd_stack(np.random.default_rng(54), 3)
@@ -257,8 +257,27 @@ class TestInitialClusters:
         assert all(c.member_count == 1 for c in clusters)
 
     def test_empty_input(self):
-        clusters, labels = initial_clusters(np.empty((0, 3, 3)), 5)
-        assert clusters == [] and labels.size == 0
+        for category in (0, 3, np.empty(0, dtype=np.uint8)):
+            clusters, labels = initial_clusters(np.empty((0, 3, 3)), 5, category=category)
+            assert clusters == [] and labels.dtype == np.int64 and labels.size == 0
+
+    @pytest.mark.parametrize("category", [0, 2, 5])
+    def test_scalar_category_seeds_as_one_per_pixel(self, category):
+        # one rule for both forms: seed b of category c is c * k + b
+        pixels = random_psd_stack(np.random.default_rng(57), 50)
+        seeds, labels = initial_clusters(pixels, 7, category=category)
+        each, each_labels = initial_clusters(pixels, 7, category=np.full(50, category))
+        assert labels.dtype == each_labels.dtype and labels.tobytes() == each_labels.tobytes()
+        assert [(c.id, c.category, c.member_count, c.center.tobytes()) for c in seeds] == [
+            (c.id, c.category, c.member_count, c.center.tobytes()) for c in each
+        ]
+        assert [c.id for c in seeds] == list(range(7 * category, 7 * category + 7))
+
+    @pytest.mark.parametrize("size", [49, 51])
+    def test_category_of_another_length_rejected(self, size):
+        pixels = random_psd_stack(np.random.default_rng(58), 50)
+        with pytest.raises(ValueError):
+            initial_clusters(pixels, 3, category=np.zeros(size, dtype=np.uint8))
 
     def test_bad_k_rejected(self):
         for pixels in (random_psd_stack(np.random.default_rng(55), 2), np.empty((0, 3, 3))):
@@ -286,13 +305,13 @@ class TestInitialClusters:
         across = [np.flatnonzero(cats == c)[0] for c in (2, 3, 4)]
         t[across] = t[across[0]]
         pixels = pack_coherency_array(t) if packed else t
-        seeds, labels = initial_clusters(pixels, k, category=cats, start_id=20)
+        seeds, labels = initial_clusters(pixels, k, category=cats)
 
         expected, expected_labels = [], np.empty(n, dtype=np.int64)
         for c in range(5):
             sel = np.flatnonzero(cats == c)
             if sel.size:
-                found, expected_labels[sel] = initial_clusters(pixels[sel], k, c, 20 + c * k)
+                found, expected_labels[sel] = initial_clusters(pixels[sel], k, c)
                 expected += found
         assert labels.dtype == expected_labels.dtype
         assert labels.tobytes() == expected_labels.tobytes()
@@ -326,8 +345,8 @@ class TestInitialClusters:
                 category = rng.choice([0, 2, 3, 5], n, p=[0.6, 0.3, 0.07, 0.03]).astype(np.uint8)
             else:
                 category = int(rng.integers(0, 4))
-            seeds, labels = initial_clusters(pixels, k, category=category, start_id=7)
-            ref_seeds, ref_labels = initial_clusters_oracle(pixels, k, category, 7)
+            seeds, labels = initial_clusters(pixels, k, category=category)
+            ref_seeds, ref_labels = initial_clusters_oracle(pixels, k, category)
             assert labels.dtype == ref_labels.dtype and labels.tobytes() == ref_labels.tobytes()
             assert [(c.id, c.category, c.member_count, c.center.tobytes()) for c in seeds] == [
                 (c.id, c.category, c.member_count, c.center.tobytes()) for c in ref_seeds
@@ -588,7 +607,7 @@ class TestIterate:
         labels0 = np.empty(80, dtype=int)
         for ci in (0, 1):
             sel = np.flatnonzero(cats == ci)
-            seeds, lab = initial_clusters(t[sel], 4, category=ci, start_id=10 * ci)
+            seeds, lab = initial_clusters(t[sel], 4, category=ci)
             labels0[sel] = lab
             clusters.extend(seeds)
         out_labels, out_clusters, _ = iterate_classification(
@@ -661,6 +680,16 @@ class TestIterate:
                 ClassifierConfig(),
                 initial_labels=labels,
             )
+
+    @pytest.mark.parametrize("size", [19, 21])
+    @pytest.mark.parametrize("argument", ["categories", "mixed"])
+    def test_categories_or_mixed_of_another_length_rejected(self, argument, size):
+        t, clusters, labels = two_blob_data(np.random.default_rng(65), n_per=10)
+        given = {"categories": np.zeros(20, int), "mixed": np.zeros(20, bool)}
+        given[argument] = given[argument][:1].repeat(size)
+        with pytest.raises(ValueError):
+            iterate_classification(t, **given, clusters=clusters, config=ClassifierConfig(),
+                                   initial_labels=labels)
 
     @pytest.mark.parametrize("fault", ["merged_away_id", "unknown_id", "negative_id", "too_short", "too_long"])
     def test_initial_labels_must_name_a_cluster_per_pixel(self, fault):
@@ -849,11 +878,10 @@ class TestIterate:
             labels0 = np.empty(n, dtype=np.int64)
             for ci in range(n_cat):
                 sel = np.flatnonzero(cats == ci)
-                seeds, lab = initial_clusters(
-                    t[sel], int(rng.integers(1, 9)), category=ci, start_id=10 * ci
-                )
-                labels0[sel] = lab
-                clusters.extend(seeds)
+                # each category has its own k, so its ids are offset to 10 * ci + b
+                seeds, lab = initial_clusters(t[sel], int(rng.integers(1, 9)))
+                labels0[sel] = lab + 10 * ci
+                clusters += [cluster_from(s.center, 10 * ci + s.id, ci, s.member_count) for s in seeds]
             # a far-off center loses its members when its category has others;
             # a copied center ties every pixel's distance to the pair
             far, twin, copied = (clusters[i] for i in rng.integers(len(clusters), size=3))
@@ -909,7 +937,7 @@ class TestIterate:
             seeds, labels0 = [], np.empty(900, dtype=np.int64)
             for ci in (0, 1):
                 sel = np.flatnonzero(cats == ci)
-                found, labels0[sel] = initial_clusters(pixels[sel], 6, ci, 10 * ci)
+                found, labels0[sel] = initial_clusters(pixels[sel], 6, ci)
                 seeds += found
             labels, out, history = iterate_classification(
                 pixels, cats, mixed, seeds, config, labels0
