@@ -347,7 +347,6 @@ def iterate_classification(
     t = _packed(t)
     n = t.shape[0]
     work, ids, cluster_cat, counts, centers = _table(clusters)
-    survivors = np.arange(len(work))
     labels = np.asarray(initial_labels)  # its own dtype, widened only as far as the ids need
     labels = labels.astype(np.result_type(labels, np.min_scalar_type(ids.max(initial=0))))
     # offset table row c serves category c; mixed pixels read row len(cats), open to all
@@ -398,12 +397,11 @@ def iterate_classification(
         # emptied clusters get a zero mean and retire, as do powerless ones
         centers = sums * (1.0 / np.maximum(counts, 1))[:, None]
         keep = span_array(centers) > 0.0
-        ids, cluster_cat, counts, centers, survivors = (
-            a[keep] for a in (ids, cluster_cat, counts, centers, survivors)
-        )
+        ids, cluster_cat, counts, centers = (a[keep] for a in (ids, cluster_cat, counts, centers))
+        work = [c for c, k in zip(work, keep) if k]
         record(iteration, changed, objective)
         if changed == 0 or changed / n < config.convergence_fraction:
             break
-    state = zip([work[a] for a in survivors], centers, counts)
+    state = zip(work, centers, counts)
     clusters = [Cluster(c.id, c.category, v, int(m), c.source_ids) for c, v, m in state]
     return labels, clusters, history

@@ -141,11 +141,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             result = run_classify(
                 args.scene, args.out, _pipeline_config(args), args.multilook
             )
-            last = result.history[-1] if result.history else {}
             print(
                 f"classified {int(result.valid.sum())} pixels into "
                 f"{len(result.classes)} classes "
-                f"({last.get('iteration', 0)} refinement passes)"
+                f"({result.history[-1]['iteration']} refinement passes)"
             )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -212,10 +212,10 @@ def pauli_planes(hh, hv, vh, vv) -> list:
                 for x, y in ((a.real, b.real), (a.imag, b.imag))]
 
 
-def _sinclair_planes(s, rows=...) -> list:
-    """``pauli_planes`` of the matrices [rows] of Sinclair stacks (..., 2, 2)."""
+def _sinclair_planes(s) -> list:
+    """``pauli_planes`` of Sinclair stacks (..., 2, 2)."""
     s = _stacks(s, 2, "Sinclair")
-    return pauli_planes(*(s[..., i, j][rows] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))))
+    return pauli_planes(*(s[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))))
 
 
 def pauli_from_sinclair_array(s) -> np.ndarray:
@@ -324,7 +324,7 @@ def span_array(data, rows=...) -> np.ndarray:
     Kennaugh, else coherency (``packed_rows``); only the summed entries are read."""
     data = np.asarray(data)
     if data.shape[-2:] == (2, 2):  # the trace of the single-look coherency k k^H
-        k = _sinclair_planes(data, rows)
+        k = _sinclair_planes(data[rows])
         t = packed_outer(k[0::2], k[1::2])  # T11, T22 and T33 come first
         return (next(t) + next(t)) + next(t)
     if data.shape[-2:] == (4, 4):

@@ -67,6 +67,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.targets:
+            raise ValueError("no targets")
         if len(self.targets) > 0xFF:  # one-byte categories; the dump marks masked 0xFF
             raise ValueError(f"{len(self.targets)} targets exceed the 255 category codes")
         names = [t.name for t in self.targets]  # each names its own output files
@@ -269,11 +271,10 @@ def run_classify(
     0xFFFF = masked), report.jsonl (one record per pass), map.ppm and
     legend.csv, plus any requested stage dumps under stages/.
     """
-    config = config or PipelineConfig()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config, out_dir = config or PipelineConfig(), Path(out_dir)
     with _dump_hook(out_dir / "stages", config.dump_stages) as dump:
         result = _classify(open_scene(scene_path, multilook), config, dump)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_labels(result, out_dir)
     _write_report(result.history, out_dir / "report.jsonl")
     render_map(
@@ -300,8 +301,6 @@ def run_similarity(
     False when the scene has no valid pixels (maps are still written).
     """
     config = config or PipelineConfig()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     source, any_valid = open_scene(scene_path, multilook), False
     header = f"P5\n{source.shape[1]} {source.shape[0]}\n255\n".encode("ascii")
     with FileAppender(out_dir) as files:

@@ -100,7 +100,7 @@ def deorient_raster(raster: PolsarRaster) -> PolsarRaster:
         raise ValueError("deorientation requires a coherency raster")
     data = _deorient_packed(raster.data)
     data[~raster.mask] = 0.0
-    return PolsarRaster(KIND_COHERENCY, data, raster.mask.copy(), raster.looks)
+    return PolsarRaster(KIND_COHERENCY, data, raster.mask, raster.looks)
 
 
 def _box_sum(plane, mask: np.ndarray, window: int) -> np.ndarray:
@@ -137,7 +137,7 @@ def speckle_filter(raster: PolsarRaster, config: PreprocessConfig) -> PolsarRast
     # a valid pixel counts itself, so every valid window is populated
     out[:, ~raster.mask] = 0.0
     looks = raster.looks * window * window
-    return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), raster.mask.copy(), looks)
+    return PolsarRaster(KIND_COHERENCY, np.moveaxis(out, 0, -1), raster.mask, looks)
 
 
 def _block_sums(x: np.ndarray, rf: int, af: int) -> np.ndarray:

@@ -78,25 +78,23 @@ def render_map(
 ) -> None:
     """Render a u16 label raster to a P6 PPM plus a CSV legend.
 
-    labels holds class ids, with MASKED_LABEL marking masked pixels. Every
-    label in the raster must be MASKED_LABEL or a class id in classes.
+    labels holds the class ids of classes, each in [0, MASKED_LABEL), and
+    MASKED_LABEL on masked pixels; any other id or label raises.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("labels must be a 2D raster")
+    for entry in classes:
+        if not 0 <= entry.class_id < MASKED_LABEL:
+            raise ValueError(f"class id {entry.class_id} outside [0, {MASKED_LABEL})")
+    unknown = ~np.isin(labels, [entry.class_id for entry in classes] + [MASKED_LABEL])
+    if unknown.any():
+        raise ValueError(f"label {int(labels[unknown][0])} has no class entry")
     lut = np.zeros((MASKED_LABEL + 1, 3), dtype=np.uint8)
-    known = np.zeros(MASKED_LABEL + 1, dtype=bool)
-    known[MASKED_LABEL] = True
     for entry in classes:
         lut[entry.class_id] = class_color(
             entry.category_index, entry.class_index, classes_per_category
         )
-        known[entry.class_id] = True
-    unknown = (labels < 0) | (labels > MASKED_LABEL)
-    if not unknown.any():
-        unknown = ~known[labels]
-    if unknown.any():
-        raise ValueError(f"label {int(labels[unknown].flat[0])} has no class entry")
     rgb = lut[labels]
 
     image_path = Path(image_path)

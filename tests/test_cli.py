@@ -38,6 +38,44 @@ def classified(demo_scene, tmp_path_factory):
     return out
 
 
+# the payload corpus: (component, value, pixels) writes the value into the
+# component (the real part of T12 and T23) of that many pixels of the demo
+# scene, the pixels drawn by default_rng(pixels).choice
+PAYLOADS = [
+    (component, value, pixels)
+    for component in ("T11", "T22", "T12", "T23")
+    for value in ("nan", "inf", "-inf", "-1", "-1e30", "1e30", "3e38", "1e-38", "0")
+    for pixels in (1, 50, 16384)
+]
+# the runs that end in "singular cluster center" until item 1's gate lands
+SINGULAR_PAYLOADS = [
+    ("T11", "1e-38", 16384), ("T11", "0", 16384),
+    ("T22", "-1", 1), ("T22", "-1", 50), ("T22", "-1", 16384),
+    ("T22", "1e-38", 16384), ("T22", "0", 16384),
+    ("T12", "-1", 50), ("T12", "-1", 16384),
+    ("T23", "-1", 1), ("T23", "-1", 50), ("T23", "-1", 16384),
+]
+
+
+def payload_failures(demo_scene, tmp_path, capsys, cases):
+    """The (case, exit code, stderr) of each payload case whose classify run
+    does not exit 0 with its summary line, each run on its own scene copy."""
+    failures = []
+    for component, value, pixels in cases:
+        scene = tmp_path / "scene"
+        shutil.copytree(demo_scene, scene, dirs_exist_ok=True)
+        path = scene / f"{component}.bin"
+        planes = np.fromfile(path, "<f4").reshape(128 * 128, -1)
+        chosen = np.random.default_rng(pixels).choice(128 * 128, pixels, replace=False)
+        planes[chosen, 0] = float(value)
+        planes.tofile(path)
+        code = main(["classify", str(scene), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        if code != 0 or not out.startswith("classified") or err:
+            failures.append(((component, value, pixels), code, err))
+    return failures
+
+
 def read_labels(path):
     header = dict(
         line.split(" = ") for line in (path / "labels.hdr").read_text().splitlines()
@@ -323,6 +361,17 @@ class TestClassify:
         # header only writes it back)
         looks = ["1e12", "inf", "1.5", "12345678901234567890", "1_0", " 128", "1e-320"]
         assert accepted == {("rows", " 128"), ("cols", " 128")} | {("looks", v) for v in looks}
+
+    def test_hostile_payloads_classify(self, demo_scene, tmp_path, capsys):
+        cases = [case for case in PAYLOADS if case not in SINGULAR_PAYLOADS]
+        assert len(cases) == 96
+        assert payload_failures(demo_scene, tmp_path, capsys, cases) == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_hostile_payloads_that_leave_a_singular_center_classify(
+        self, demo_scene, tmp_path, capsys
+    ):
+        assert payload_failures(demo_scene, tmp_path, capsys, SINGULAR_PAYLOADS) == []
 
     def test_seed_ids_must_fit_the_label_dtype(self, demo_scene, tmp_path, capsys):
         from geopolsar.classify import ClassifierConfig

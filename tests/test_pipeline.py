@@ -197,12 +197,23 @@ def test_more_than_255_targets_are_rejected():
 
 @pytest.mark.parametrize("fields, match", [
     pytest.param({"workers": 0}, "workers must be >= 1", id="workers"),
+    # else the run would read the first tile before similarity_arrays raises
+    pytest.param({"targets": ()}, "no targets", id="no-targets"),
     # the CLI's choices hide an unknown stage, but the library takes any name
     pytest.param({"dump_stages": ("merge", "render")}, "unknown dump stage 'render'", id="dump-stage"),
 ])
 def test_rejected_inputs(fields, match):
     with pytest.raises(ValueError, match=match):
         PipelineConfig(**fields)
+
+
+@pytest.mark.parametrize("run", [run_classify, run_similarity])
+def test_a_missing_scene_creates_no_output_directory(tmp_path, run):
+    # the output directory, and any stage dump's, is created by its first write
+    config = PipelineConfig(dump_stages=DUMP_STAGES)
+    with pytest.raises(OSError):
+        run(tmp_path / "nope", tmp_path / "out", config)
+    assert not (tmp_path / "out").exists()
 
 
 def test_repeated_target_names_are_rejected():

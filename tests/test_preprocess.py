@@ -178,6 +178,20 @@ class TestDeorient:
         with pytest.raises(ValueError, match="coherency"):
             deorient_raster(PolsarRaster(KIND_SINCLAIR, np.zeros((2, 2, 2, 2))))
 
+    @pytest.mark.parametrize("stage", ["deorient", "filter"])
+    def test_raster_stages_share_the_input_mask(self, stage):
+        # rasters are immutable, so a stage's output reads its input's mask as is
+        rng = np.random.default_rng(41)
+        data = random_psd_stack(rng, 6 * 7).reshape(6, 7, 3, 3)
+        raster = PolsarRaster(KIND_COHERENCY, data, rng.random((6, 7)) < 0.8, looks=4)
+        before = raster.data.tobytes(), raster.mask.tobytes()
+        if stage == "deorient":
+            out = deorient_raster(raster)
+        else:
+            out = speckle_filter(raster, PreprocessConfig(filter_window=3))
+        assert np.shares_memory(out.mask, raster.mask)
+        assert (raster.data.tobytes(), raster.mask.tobytes()) == before
+
     def test_raster_bytes_do_not_depend_on_the_tile_size(self, monkeypatch):
         import geopolsar.preprocess as preprocess
         from geopolsar.pipeline import PipelineConfig, _prepare

@@ -71,6 +71,19 @@ class TestRenderMap:
             with pytest.raises(ValueError, match=f"label {label} has no class entry"):
                 render_map(labels, [entry(0, 0, 0)], 5, tmp_path / "map.ppm")
 
+    @pytest.mark.parametrize("class_id", [-1, MASKED_LABEL, 70000])
+    def test_class_id_off_the_label_range_rejected(self, tmp_path, class_id):
+        # -1 and MASKED_LABEL would colour the masked pixels, 70000 index past the table
+        labels = np.array([[0, MASKED_LABEL]], dtype=np.uint16)
+        with pytest.raises(ValueError, match=f"class id {class_id} outside"):
+            render_map(labels, [entry(0, 0, 0), entry(class_id, 1, 4)], 5, tmp_path / "map.ppm")
+        assert not (tmp_path / "map.ppm").exists()
+
+    def test_masked_pixel_renders_black_beside_the_last_class_id(self, tmp_path):
+        labels = np.array([[MASKED_LABEL - 1, MASKED_LABEL]], dtype=np.uint16)
+        render_map(labels, [entry(MASKED_LABEL - 1, 1, 4)], 5, tmp_path / "map.ppm")
+        assert (tmp_path / "map.ppm").read_bytes().endswith(bytes([255, 0, 0, 0, 0, 0]))
+
     def test_byte_identical_rerenders(self, tmp_path):
         rng = np.random.default_rng(81)
         labels = rng.integers(0, 3, size=(16, 9)).astype(np.uint16)
